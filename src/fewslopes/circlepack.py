@@ -30,7 +30,6 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class PackParams:
-    alpha: float = ALPHA
     epsilon: float = 1e-10
     max_iters: int = 10 ** 6
 
@@ -50,8 +49,10 @@ class CirclePacking:
     embedding: Embedding | None = None
 
     def __post_init__(self):
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("all radii must be positive")
+        if not all(0 < r < math.inf for r in self.radii):
+            raise ValueError("all radii must be positive and finite")
+        if not all(math.isfinite(x) for c in self.centers for x in c):
+            raise ValueError("all centers must be finite")
         o = [self.radii[v] for v in self.outer]
         if max(o) - min(o) > self.epsilon * max(o):
             raise ValueError("outer radii not equal within epsilon")

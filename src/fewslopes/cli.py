@@ -372,10 +372,16 @@ def run(argv: list[str] | None = None) -> int:
     except FewslopesError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (
+        ArithmeticError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -44,10 +44,6 @@ class EdgeArc:
     def segments(self) -> list[tuple[Point, Point]]:
         return list(zip(self.poly, self.poly[1:]))
 
-    @property
-    def bends(self) -> int:
-        return len(self.poly) - 2
-
 
 @dataclass
 class Drawing:
@@ -66,7 +62,6 @@ class Drawing:
     def __post_init__(self):
         if self.coord_kind not in ("int", "rational", "float"):
             raise ValueError(f"unknown coord_kind {self.coord_kind!r}")
-        pts = {}
         for arc in self.edges:
             for end, first in ((arc.u, True), (arc.v, False)):
                 want = arc.poly[0] if first else arc.poly[-1]
@@ -76,20 +71,10 @@ class Drawing:
                     raise ValueError(
                         f"edge ({arc.u},{arc.v}) polyline does not end at vertex point of {end}"
                     )
-                pts[end] = want
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-    def vertex_ids(self) -> list[int]:
-        return sorted(self.points)
-
-    def all_points(self) -> list[Point]:
-        out = list(self.points.values())
-        for arc in self.edges:
-            out.extend(arc.poly)
-        return out
 
 
 @dataclass(frozen=True)
@@ -107,16 +92,8 @@ class SlopeSet:
         if self.s < 1:
             raise ValueError("slope count must be positive")
 
-    @property
-    def directed_count(self) -> int:
-        return 2 * self.s
-
     def angle(self, k: int) -> float:
         return (k % (2 * self.s)) * math.pi / self.s
-
-    def direction(self, k: int) -> tuple[float, float]:
-        a = self.angle(k)
-        return (math.sin(a), math.cos(a))
 
     def directed_index(self, dx: float, dy: float, tol: float = 1e-9) -> int | None:
         """Directed-slope index of vector (dx, dy), or None if off-grid.

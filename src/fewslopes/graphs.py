@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import networkx as nx
@@ -110,10 +110,30 @@ class PlanarGraph:
         G.add_edges_from(self.edges)
         return G
 
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex sets of the connected components, each sorted, in order of
+        their smallest vertex."""
+        seen = set()
+        comps = []
+        adj = self.adjacency
+        for v0 in range(self.n):
+            if v0 in seen:
+                continue
+            stack, comp = [v0], []
+            seen.add(v0)
+            while stack:
+                u = stack.pop()
+                comp.append(u)
+                for w in adj[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return nx.is_connected(self.to_networkx())
+        return len(self.components) <= 1
 
 
 # --- embedding -----------------------------------------------------------------
@@ -154,62 +174,20 @@ class Embedding:
             if not (g.n == 1 and self.outer_face == (0,)):
                 raise ValueError("outer_face is not a face of the rotation system")
 
-    def next_in_face(self, u: int, v: int) -> tuple[int, int]:
-        rot = self.rotation[v]
-        i = rot.index(u)
-        return (v, rot[i - 1])
-
     def trace_face(self, u: int, v: int) -> tuple[int, ...]:
-        face = [u]
-        cur = (u, v)
-        while True:
-            cur = self.next_in_face(*cur)
-            if cur == (u, v):
-                break
-            face.append(cur[0])
-        return tuple(face)
+        return _trace_faces(self.rotation, [(u, v)])[0]
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        seen = set()
-        out = []
-        for u, v in sorted(
-            list(self.graph.edges) + [(b, a) for a, b in self.graph.edges]
-        ):
-            if (u, v) in seen:
-                continue
-            face = []
-            cur = (u, v)
-            while cur not in seen:
-                seen.add(cur)
-                face.append(cur[0])
-                cur = self.next_in_face(*cur)
-            out.append(tuple(face))
-        return tuple(out)
-
-    @property
-    def num_faces(self) -> int:
-        if self.graph.n == 1:
-            return 1
-        return len(self.faces)
+        return tuple(_all_faces(self.rotation, self.graph.edges))
 
     def euler_ok(self) -> bool:
         g = self.graph
-        return g.n - len(g.edges) + self.num_faces == 2
+        faces = 1 if g.n == 1 else len(self.faces)
+        return g.n - len(g.edges) + faces == 2
 
     def is_triangulated(self) -> bool:
         return all(len(f) == 3 for f in self.faces)
-
-    def inner_faces(self) -> list[tuple[int, ...]]:
-        outer = _rotate_min(self.outer_face)
-        out = []
-        skipped = False
-        for f in self.faces:
-            if not skipped and _rotate_min(f) == outer:
-                skipped = True
-                continue
-            out.append(f)
-        return out
 
     def rotation_arc(self, v: int, start_after: int) -> list[int]:
         """Neighbors of v in clockwise order starting just after start_after."""
@@ -236,37 +214,39 @@ def planar_embed(g: PlanarGraph) -> Embedding:
     for v in range(g.n):
         order = tuple(cert.neighbors_cw_order(v))
         rotation.append(_rotate_min(order))
-    rotation = tuple(rotation)
-    emb = Embedding(g, rotation, _pick_outer(g, rotation))
+    outer = min(_all_faces(rotation, g.edges), key=_largest_first)
+    emb = Embedding(g, tuple(rotation), outer)
     assert emb.euler_ok(), "face tracing violated Euler's formula"
     return emb
 
 
-def _trace_all_faces(n: int, edges, rotation) -> list[tuple[int, ...]]:
-    rot_idx = [
-        {u: i for i, u in enumerate(rotation[v])} for v in range(n)
-    ]
+def _trace_faces(rotation, darts) -> list[tuple[int, ...]]:
+    """The face of each dart not already covered, in the order given.
+
+    The dart after (a, b) is (b, w), where w precedes a in rotation[b].
+    """
     seen = set()
     out = []
-    darts = sorted(list(edges) + [(b, a) for a, b in edges])
-    for u, v in darts:
-        if (u, v) in seen:
+    for dart in darts:
+        if dart in seen:
             continue
         face = []
-        cur = (u, v)
-        while cur not in seen:
-            seen.add(cur)
-            face.append(cur[0])
-            a, b = cur
+        while dart not in seen:
+            seen.add(dart)
+            face.append(dart[0])
+            a, b = dart
             rb = rotation[b]
-            cur = (b, rb[rot_idx[b][a] - 1])
+            dart = (b, rb[rb.index(a) - 1])
         out.append(tuple(face))
     return out
 
 
-def _pick_outer(g: PlanarGraph, rotation) -> tuple[int, ...]:
-    faces = _trace_all_faces(g.n, g.edges, rotation)
-    return min(faces, key=lambda f: (-len(f), _rotate_min(f)))
+def _all_faces(rotation, edges) -> list[tuple[int, ...]]:
+    return _trace_faces(rotation, sorted([*edges, *((b, a) for a, b in edges)]))
+
+
+def _largest_first(face: tuple[int, ...]):
+    return (-len(face), _rotate_min(face))
 
 
 # --- triangulation -------------------------------------------------------------
@@ -299,9 +279,9 @@ def triangulate(e: Embedding) -> Embedding:
     # vertex; bridging its two occurrences' neighbors splits the face and
     # merges two blocks.
     while True:
-        faces = _trace_all_faces(n, edges, rot)
+        faces = _all_faces(rot, edges)
         applied = False
-        for face in sorted(faces, key=lambda f: (-len(f), _rotate_min(f))):
+        for face in sorted(faces, key=_largest_first):
             k = len(face)
             counts = {}
             for w in face:
@@ -334,8 +314,7 @@ def triangulate(e: Embedding) -> Embedding:
     # Stage B: triangulate every simple face by a chord fan from an apex
     # whose chords are all absent, else by stellation. Chords added inside
     # one face never disturb another face's walk, so one snapshot suffices.
-    faces = _trace_all_faces(n, edges, rot)
-    for face in sorted(faces, key=lambda f: (-len(f), _rotate_min(f))):
+    for face in sorted(_all_faces(rot, edges), key=_largest_first):
         k = len(face)
         if k <= 3:
             continue
@@ -373,22 +352,9 @@ def triangulate(e: Embedding) -> Embedding:
     if g.labels is not None:
         labels = tuple(g.labels) + tuple(f"aux{i}" for i in range(n - g.n))
     g2 = PlanarGraph(n, tuple(sorted(edges)), labels)
-    faces = _trace_all_faces(n, g2.edges, rot)
+    faces = _all_faces(rot, g2.edges)
     assert all(len(f) == 3 for f in faces), "triangulation left a big face"
-    if outer_dart is not None:
-        rot_idx = [{u: i for i, u in enumerate(r)} for r in rot]
-        u, v = outer_dart
-        face = [u]
-        cur = (u, v)
-        while True:
-            a, b = cur
-            cur = (b, rot[b][rot_idx[b][a] - 1])
-            if cur == (u, v):
-                break
-            face.append(cur[0])
-        outer = tuple(face)
-    else:
-        outer = faces[0]
+    outer = faces[0] if outer_dart is None else _trace_faces(rot, [outer_dart])[0]
     emb = Embedding(
         g2,
         tuple(tuple(r) for r in rot),

@@ -557,10 +557,6 @@ def _embed_with_outer(bg: PlanarGraph, want: int) -> Embedding:
     raise AssertionError("vertex missing from every face")  # pragma: no cover
 
 
-def _block_degree_ok(bg: PlanarGraph, t_local: int, cap: int) -> bool:
-    return bg.degree(t_local) < cap and bg.max_degree <= cap
-
-
 def _draw_component(cg: PlanarGraph, slopes: SlopeSet) -> Drawing:
     if cg.n == 1:
         return Drawing("twobend", {0: (0.0, 0.0)}, [], "float", {"s": slopes.s})
@@ -568,24 +564,9 @@ def _draw_component(cg: PlanarGraph, slopes: SlopeSet) -> Drawing:
     bct, blocks = _component_blocks(cg)
     cuts = set(bct.cut_vertices)
 
-    if len(blocks) == 1:
-        bg, verts, to_local = blocks[0]
-        last_err = None
-        for t in sorted(range(bg.n), key=lambda v: (bg.degree(v), v)):
-            if bg.degree(t) >= cap:
-                break
-            try:
-                dr = draw_biconnected_twobend(_embed_with_outer(bg, t), t, slopes)
-            except (VerticesNotOnOuterFace, NotBiconnected, StOrderInfeasible) as exc:
-                last_err = exc
-                continue
-            return _relabel(dr, dict(enumerate(verts)))
-        raise last_err or DegreeTooHigh(
-            f"every vertex has degree {cap}; no top vertex admits a free slope"
-        )
-
-    # multi-block: root at a block owning a valid non-cut top vertex if possible
+    # root at a block owning a valid non-cut top vertex if possible
     root_bi = root_dr = root_verts = None
+    last_err = None
     for bi, (bg, verts, to_local) in enumerate(blocks):
         for t in sorted(
             range(bg.n), key=lambda v: (verts[v] in cuts, bg.degree(v), v)
@@ -594,18 +575,22 @@ def _draw_component(cg: PlanarGraph, slopes: SlopeSet) -> Drawing:
                 break
             try:
                 rdr = draw_biconnected_twobend(_embed_with_outer(bg, t), t, slopes)
-            except (VerticesNotOnOuterFace, NotBiconnected, StOrderInfeasible):
+            except (VerticesNotOnOuterFace, NotBiconnected, StOrderInfeasible) as exc:
+                last_err = exc
                 continue
             root_bi, root_dr, root_verts = bi, rdr, verts
             break
         if root_dr is not None:
             break
     if root_dr is None:
-        raise DegreeTooHigh("no block vertex admits a free slope on top")
+        raise last_err or DegreeTooHigh("no block vertex admits a free slope on top")
+    if len(blocks) == 1:
+        # the one block spans the component, so its ids are already final
+        return root_dr
 
-    pts, arcs = _relabel_parts(root_dr, dict(enumerate(root_verts)))
-    root_meta = root_dr.meta
-    rw = root_meta["wedge"]
+    root = _relabel(root_dr, root_verts)
+    pts, arcs, meta = root.points, root.edges, root.meta
+    rw = meta["wedge"]
     root_wedge = Wedge(tuple(rw["apex"]), rw["start"], rw["span"])
     drawn_blocks = {root_bi}
     drawn_vertices = set(root_verts)
@@ -635,7 +620,6 @@ def _draw_component(cg: PlanarGraph, slopes: SlopeSet) -> Drawing:
             drawn_vertices.update(bverts)
             progressed = True
 
-    meta = dict(root_meta)
     meta["blocks"] = len(blocks)
     meta["cut_vertices"] = sorted(cuts)
     meta["nonvertical_middle_edges"] = sorted(
@@ -665,17 +649,16 @@ def _composite_in_wedge(pts, arcs, meta) -> bool:
     return True
 
 
-def _relabel(dr: Drawing, mapping) -> Drawing:
-    pts, arcs = _relabel_parts(dr, mapping)
-    return Drawing(dr.method, pts, arcs, dr.coord_kind, dict(dr.meta))
-
-
-def _relabel_parts(dr: Drawing, mapping):
-    pts = {mapping[v]: p for v, p in dr.points.items()}
-    arcs = [
-        EdgeArc(mapping[a.u], mapping[a.v], a.poly, a.slope_indices) for a in dr.edges
-    ]
-    return pts, arcs
+def _relabel(dr: Drawing, verts) -> Drawing:
+    """The drawing with each local vertex id i renamed to verts[i], in the
+    vertex keys of meta too."""
+    pts = {verts[v]: p for v, p in dr.points.items()}
+    arcs = [EdgeArc(verts[a.u], verts[a.v], a.poly, a.slope_indices) for a in dr.edges]
+    meta = dict(dr.meta)
+    for key in ("t", "v1", "v2"):
+        if key in meta:
+            meta[key] = verts[meta[key]]
+    return Drawing(dr.method, pts, arcs, dr.coord_kind, meta)
 
 
 def _glue(pts, arcs, c: int, child: Drawing, relabel, slopes: SlopeSet, cursor, wedge):
@@ -744,23 +727,17 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
             f"maximum degree {d}: paths and cycles are outside this construction "
             "(see draw_low_degree)"
         )
-    if slopes is None:
+    if slopes is not None:
+        slopes = regular_slopes(d, slopes.s)
+    else:
         # a 2s-regular component leaves no top vertex with a spare slot at the
         # minimum slope count; one extra slope always clears it
         slopes = regular_slopes(d)
-        if any(
-            all(g.degree(v) >= 2 * slopes.s for v in vs)
-            for vs in _connected_components(g)
-        ):
+        if any(all(g.degree(v) >= 2 * slopes.s for v in vs) for vs in g.components):
             slopes = SlopeSet(slopes.s + 1)
-    elif slopes.s < (d + 1) // 2:
-        raise SlopesTooFew(
-            f"{slopes.s} slopes cannot draw maximum degree {d}; need {(d + 1) // 2}"
-        )
 
-    comps = _connected_components(g)
     drawings = []
-    for vs in comps:
+    for vs in g.components:
         to_local = {v: i for i, v in enumerate(vs)}
         cg = PlanarGraph(
             len(vs),
@@ -771,17 +748,17 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
             ),
         )
         dr = _draw_component(cg, slopes)
-        drawings.append((_relabel(dr, dict(enumerate(vs))), vs))
+        drawings.append(_relabel(dr, vs))
 
     if len(drawings) == 1:
-        final = drawings[0][0]
+        final = drawings[0]
         final.meta.setdefault("components", 1)
         return final
 
     pts: dict[int, tuple[float, float]] = {}
     arcs: list[EdgeArc] = []
     x_off = 0.0
-    for dr, _vs in drawings:
+    for dr in drawings:
         xs = [p[0] for p in dr.points.values()] + [
             p[0] for a in dr.edges for p in a.poly
         ]
@@ -820,13 +797,12 @@ def draw_low_degree(g: PlanarGraph) -> Drawing:
     """
     if g.max_degree > 2:
         raise ValueError("draw_low_degree only accepts maximum degree <= 2")
-    comps = _connected_components(g)
     pts: dict[int, tuple[float, float]] = {}
     arcs: list[EdgeArc] = []
     slopes_used = 0
     x_off = 0.0
     u_dir = (math.sqrt(0.5), math.sqrt(0.5))
-    for vs in comps:
+    for vs in g.components:
         sub = [e for e in g.edges if e[0] in vs]
         deg = {v: 0 for v in vs}
         for a, b in sub:
@@ -905,23 +881,3 @@ def _walk_order(vs, edges, is_cycle: bool) -> list[int]:
         prev = seq[-1]
         seq.append(nxt[0])
     return seq
-
-
-def _connected_components(g: PlanarGraph) -> list[list[int]]:
-    seen = set()
-    comps = []
-    adj = g.adjacency
-    for v0 in range(g.n):
-        if v0 in seen:
-            continue
-        stack, comp = [v0], []
-        seen.add(v0)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps

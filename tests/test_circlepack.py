@@ -122,6 +122,13 @@ class TestLayout:
         b = packed(gen_random_triangulation(30, 12))
         assert a.centers == b.centers and a.radii == b.radii
 
+    def test_rejects_non_finite_center(self):
+        good = packed(gen_octahedron())
+        centers = list(good.centers)
+        centers[good.outer[2]] = (math.nan, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            CirclePacking(tuple(centers), good.radii, good.outer, good.epsilon)
+
 
 class TestRatio:
     def test_k4_ratio_is_alpha(self):

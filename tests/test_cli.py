@@ -1,12 +1,17 @@
 """End-to-end tests for the command-line driver and SVG renderer."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import fewslopes
 from fewslopes.cli import RenderOptions, render_svg, run
-from fewslopes.families import gen_octahedron
+from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.jsonio import drawing_from_obj, dumps_canonical, graph_to_obj
 from fewslopes.straightline import draw_straight
 
@@ -140,6 +145,25 @@ class TestExitCodes:
     def test_missing_file_exits_1(self, tmp_path, capsys):
         assert run(["stats", "--in", str(tmp_path / "absent.json")]) == 1
         capsys.readouterr()
+
+    def test_snap_overflow_is_one_error_line(self, tmp_path, capsys):
+        # degree 21 needs snapping grids beyond float range
+        gp = put(tmp_path, "g.json", graph_to_obj(gen_random_triangulation(60, 3)))
+        assert run(["draw", "--method", "straight", "--in", gp]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: OverflowError: ")
+        assert err.count("\n") == 1
+
+
+def test_module_entry_point_runs_main():
+    env = dict(os.environ)
+    src = str(Path(fewslopes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "fewslopes.cli", "gen", "--family", "octahedron"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert '"n":6' in out.stdout
 
 
 class TestSvg:

@@ -128,6 +128,20 @@ class TestGluing:
         assert dr.meta["components"] == 2
         assert verify_drawing(dr).ok
 
+    def test_multi_block_meta_uses_graph_ids(self):
+        # root block (0,1,2,3,5), bridge (3,4), K4 on 5-8 and K4 on 8-11
+        edges = [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
+        edges += [(u, v) for u in range(8, 12) for v in range(u + 1, 12)]
+        edges += [(0, 5), (0, 1), (1, 2), (2, 5), (2, 3), (3, 4), (0, 3)]
+        g = PlanarGraph(12, tuple(edges))
+        dr = draw_twobend(g)
+        meta = dr.meta
+        assert meta["blocks"] == 4
+        bottom = tuple(sorted((meta["v1"], meta["v2"])))
+        assert g.has_edge(*bottom)
+        assert bottom in meta["nonvertical_middle_edges"]
+        assert list(dr.points[meta["t"]]) == meta["wedge"]["apex"]
+
 
 class TestLowDegree:
     def test_path_uses_one_slope(self):
