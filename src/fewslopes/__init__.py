@@ -17,6 +17,7 @@ from .errors import (
     NotBiconnected,
     NotPlanar,
     NotTriangulated,
+    PrecisionExhausted,
     RetractionFailed,
     SlopeOffGrid,
     SlopesTooFew,
@@ -32,7 +33,6 @@ from .circlepack import (
     pack_radii,
     ratio_check,
 )
-from .cli import RenderOptions, render_svg, run
 from .drawing import Drawing, EdgeArc, SlopeSet, Wedge
 from .families import gen_gd, gen_octahedron, gen_random_triangulation
 from .graphs import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentRadii, NoConvergence, NotTriangulated
+from .errors import InconsistentRadii, NoConvergence, NotTriangulated, PrecisionExhausted
 from .graphs import Embedding
 
 log = logging.getLogger(__name__)
@@ -183,7 +183,8 @@ def layout_centers(radii, e: Embedding) -> CirclePacking:
     fills the upper half plane, realizing every rotation clockwise (and hence
     each traced inner face as a clockwise cycle). Re-placements of an already
     placed vertex are cross-checked and raise InconsistentRadii beyond
-    tolerance.
+    tolerance. Centers that come out non-finite or not a valid packing, as
+    when the radii span more than floats resolve, raise PrecisionExhausted.
     """
     _check_packable(e)
     r = np.asarray(radii, dtype=float)
@@ -239,13 +240,16 @@ def layout_centers(radii, e: Embedding) -> CirclePacking:
     worst = _polish_centers(arr, r, e, anchors=(a, b))
     centers = tuple((float(x), float(y)) for x, y in arr)
     stored_eps = max(1e-10, worst * 1.5)
-    return CirclePacking(
-        centers=centers,
-        radii=tuple(float(x) for x in r),
-        outer=(e.outer_face[0], e.outer_face[1], e.outer_face[2]),
-        epsilon=stored_eps,
-        embedding=e,
-    )
+    try:
+        return CirclePacking(
+            centers=centers,
+            radii=tuple(float(x) for x in r),
+            outer=(e.outer_face[0], e.outer_face[1], e.outer_face[2]),
+            epsilon=stored_eps,
+            embedding=e,
+        )
+    except ValueError as exc:
+        raise PrecisionExhausted(f"float center layout is not a packing: {exc}") from exc
 
 
 def _polish_centers(pos: np.ndarray, r: np.ndarray, e: Embedding, anchors) -> float:

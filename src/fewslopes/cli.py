@@ -293,16 +293,12 @@ def _cmd_stats(args) -> int:
         }
     else:
         g = graph_from_obj(obj)
-        deg = [0] * g.n
-        for u, v in g.edges:
-            deg[u] += 1
-            deg[v] += 1
         out = {
             "kind": "graph",
             "vertices": g.n,
             "edges": len(g.edges),
-            "degree_min": min(deg) if deg else 0,
-            "degree_max": max(deg) if deg else 0,
+            "degree_min": min(map(len, g.adjacency), default=0),
+            "degree_max": g.max_degree,
         }
     _emit(out, args.out)
     return 0

@@ -65,6 +65,11 @@ class InconsistentRadii(FewslopesError):
     """Center placement contradicts an earlier placement beyond tolerance."""
 
 
+class PrecisionExhausted(FewslopesError):
+    """Floating point cannot represent the layout: packing centers come out
+    non-finite or overlapping, or two adjacent vertices snap to one point."""
+
+
 # --- one-bend errors ----------------------------------------------------------
 
 class RetractionFailed(FewslopesError):

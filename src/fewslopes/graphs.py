@@ -545,8 +545,8 @@ def _assert_canonical_valid(g: PlanarGraph, co: CanonicalOrder) -> None:
 
 @dataclass(frozen=True)
 class BlockCutTree:
-    """Biconnected blocks (as edge lists) plus cut vertices of a connected
-    graph; blocks and cut vertices are sorted for determinism."""
+    """Biconnected blocks (as edge lists) plus cut vertices of a graph, over
+    all its components; blocks and cut vertices are sorted for determinism."""
 
     blocks: tuple[tuple[tuple[int, int], ...], ...]
     cut_vertices: tuple[int, ...]
@@ -565,8 +565,6 @@ class BlockCutTree:
 
 
 def block_cut_tree(g: PlanarGraph) -> BlockCutTree:
-    if not g.is_connected():
-        raise Disconnected("block_cut_tree requires a connected graph")
     G = g.to_networkx()
     blocks = []
     for comp in nx.biconnected_component_edges(G):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .circlepack import ALPHA, CirclePacking, PackParams, layout_centers, pack_radii
 from .drawing import Drawing, EdgeArc
+from .errors import PrecisionExhausted
 from .graphs import PlanarGraph, planar_embed, triangulate
 
 __all__ = [
@@ -182,7 +183,11 @@ def slope_bound(d: int) -> dict:
 
 
 def draw_straight(g: PlanarGraph) -> Drawing:
-    """Exact-integer straight-line drawing of a planar graph, n >= 4."""
+    """Exact-integer straight-line drawing of a planar graph, n >= 4.
+
+    Raises PrecisionExhausted when float packing or snapping cannot resolve
+    the graph's smallest disks.
+    """
     if g.n < 4:
         raise ValueError(f"need n >= 4, got {g.n}")
     e = planar_embed(g)
@@ -194,6 +199,9 @@ def draw_straight(g: PlanarGraph) -> Drawing:
     rep = orientation_check(cp, sl)
     assert rep.ok, f"orientation violations: {rep.violations[:3]}"
     pts = {v: sl.points[v] for v in range(g.n)}
+    for u, v in g.edges:
+        if pts[u] == pts[v]:
+            raise PrecisionExhausted(f"adjacent vertices {u} and {v} snap to one point")
     arcs = tuple(EdgeArc(u, v, (pts[u], pts[v])) for u, v in g.edges)
     return Drawing(
         method="straight",

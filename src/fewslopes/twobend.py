@@ -35,6 +35,7 @@ from .errors import (
     VerticesNotOnOuterFace,
 )
 from .graphs import (
+    BlockCutTree,
     Embedding,
     PlanarGraph,
     block_cut_tree,
@@ -450,42 +451,45 @@ def draw_biconnected_twobend(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
 # --- block gluing ----------------------------------------------------------------
 
 
-def _rotate_cw(p, phi: float):
-    c, s = math.cos(phi), math.sin(phi)
-    return (p[0] * c + p[1] * s, -p[0] * s + p[1] * c)
-
-
-def _transform_arcs(dr: Drawing, relabel, phi: float, scale: float, apex, dest):
-    def mv(p):
-        q = _rotate_cw((p[0] - apex[0], p[1] - apex[1]), phi)
-        return (dest[0] + scale * q[0], dest[1] + scale * q[1])
-
-    pts = {relabel[v]: mv(p) for v, p in dr.points.items()}
+def _place(dr: Drawing, verts, f=None, turn: int = 0) -> Drawing:
+    """dr with vertex i (and meta's t, v1, v2) renamed to verts[i], every
+    point mapped through f and every slope index advanced by turn mod s: the
+    clockwise rotation f applies, in slots of pi/s. meta's wedge stays put."""
+    s = dr.meta["s"]
+    f = f or (lambda p: p)
+    pts = {verts[v]: f(p) for v, p in dr.points.items()}
     arcs = [
         EdgeArc(
-            relabel[a.u],
-            relabel[a.v],
-            tuple(mv(p) for p in a.poly),
-            a.slope_indices,
+            verts[a.u],
+            verts[a.v],
+            tuple(f(p) for p in a.poly),
+            tuple((k + turn) % s for k in a.slope_indices),
         )
         for a in dr.edges
     ]
-    return pts, arcs
+    meta = dict(dr.meta)
+    for key in ("t", "v1", "v2"):
+        if key in meta:
+            meta[key] = verts[meta[key]]
+    return Drawing(dr.method, pts, arcs, dr.coord_kind, meta)
 
 
 def _used_slots_at(pts, arcs, v: int, slopes: SlopeSet) -> set[int]:
+    """Directed slots taken at v, read from the stored slope indices: an end
+    segment of undirected index k takes slot k, or k + s when it points
+    against direction k."""
     used = set()
     p = pts[v]
     for a in arcs:
         if a.u == v:
-            q = a.poly[1]
+            q, k = a.poly[1], a.slope_indices[0]
         elif a.v == v:
-            q = a.poly[-2]
+            q, k = a.poly[-2], a.slope_indices[-1]
         else:
             continue
-        k = slopes.directed_index(q[0] - p[0], q[1] - p[1], tol=1e-6)
-        assert k is not None, f"segment at {v} is off the slope grid"
-        used.add(k)
+        ang = slopes.angle(k)
+        along = (q[0] - p[0]) * math.sin(ang) + (q[1] - p[1]) * math.cos(ang)
+        used.add(k if along > 0 else k + slopes.s)
     return used
 
 
@@ -536,15 +540,18 @@ def _dist_point_ray(p, apex, angle: float) -> float:
     return math.hypot(rx - t * dx, ry - t * dy)
 
 
-def _component_blocks(cg: PlanarGraph):
-    bct = block_cut_tree(cg)
+def _component_blocks(bct: BlockCutTree, comp: set[int]):
+    """The blocks inside the component comp, each as its graph on local ids,
+    its sorted graph ids and the map from graph id to local id."""
     out = []
-    for i in range(len(bct.blocks)):
+    for i, block in enumerate(bct.blocks):
+        if block[0][0] not in comp:
+            continue
         verts = bct.block_vertices(i)
         to_local = {v: j for j, v in enumerate(verts)}
-        edges = tuple((to_local[u], to_local[v]) for u, v in bct.blocks[i])
+        edges = tuple((to_local[u], to_local[v]) for u, v in block)
         out.append((PlanarGraph(len(verts), edges), verts, to_local))
-    return bct, out
+    return out
 
 
 def _embed_with_outer(bg: PlanarGraph, want: int) -> Embedding:
@@ -557,15 +564,17 @@ def _embed_with_outer(bg: PlanarGraph, want: int) -> Embedding:
     raise AssertionError("vertex missing from every face")  # pragma: no cover
 
 
-def _draw_component(cg: PlanarGraph, slopes: SlopeSet) -> Drawing:
-    if cg.n == 1:
-        return Drawing("twobend", {0: (0.0, 0.0)}, [], "float", {"s": slopes.s})
+def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) -> Drawing:
+    """Drawing, in graph ids, of the component on vertices vs."""
+    if len(vs) == 1:
+        return Drawing("twobend", {vs[0]: (0.0, 0.0)}, [], "float", {"s": slopes.s})
     cap = 2 * slopes.s
-    bct, blocks = _component_blocks(cg)
-    cuts = set(bct.cut_vertices)
+    comp = set(vs)
+    blocks = _component_blocks(bct, comp)
+    cuts = comp.intersection(bct.cut_vertices)
 
     # root at a block owning a valid non-cut top vertex if possible
-    root_bi = root_dr = root_verts = None
+    root_bi = root = None
     last_err = None
     for bi, (bg, verts, to_local) in enumerate(blocks):
         for t in sorted(
@@ -578,22 +587,20 @@ def _draw_component(cg: PlanarGraph, slopes: SlopeSet) -> Drawing:
             except (VerticesNotOnOuterFace, NotBiconnected, StOrderInfeasible) as exc:
                 last_err = exc
                 continue
-            root_bi, root_dr, root_verts = bi, rdr, verts
+            root_bi, root = bi, _place(rdr, verts)
             break
-        if root_dr is not None:
+        if root is not None:
             break
-    if root_dr is None:
+    if root is None:
         raise last_err or DegreeTooHigh("no block vertex admits a free slope on top")
     if len(blocks) == 1:
-        # the one block spans the component, so its ids are already final
-        return root_dr
+        return root
 
-    root = _relabel(root_dr, root_verts)
     pts, arcs, meta = root.points, root.edges, root.meta
     rw = meta["wedge"]
     root_wedge = Wedge(tuple(rw["apex"]), rw["start"], rw["span"])
     drawn_blocks = {root_bi}
-    drawn_vertices = set(root_verts)
+    drawn_vertices = set(root.points)
     cursor: dict[int, int] = {}
 
     progressed = True
@@ -611,29 +618,23 @@ def _draw_component(cg: PlanarGraph, slopes: SlopeSet) -> Drawing:
             child = draw_biconnected_twobend(
                 _embed_with_outer(bg, to_local[c]), to_local[c], slopes
             )
-            if not child.meta.get("wedge_contained", False):
-                raise GluingFailed(f"block at cut vertex {c} is not wedge-confined")
-            pts, arcs = _glue(
-                pts, arcs, c, child, dict(enumerate(bverts)), slopes, cursor, root_wedge
-            )
+            pts, arcs = _glue(pts, arcs, c, child, bverts, slopes, cursor, root_wedge)
             drawn_blocks.add(bi)
             drawn_vertices.update(bverts)
             progressed = True
 
     meta["blocks"] = len(blocks)
     meta["cut_vertices"] = sorted(cuts)
-    meta["nonvertical_middle_edges"] = sorted(
-        {tuple(sorted((a.u, a.v))) for a in arcs if _has_nonvertical_middle(a)}
-    )
+    meta["nonvertical_middle_edges"] = _nonvertical_middle_edges(arcs)
     meta["wedge_contained"] = _composite_in_wedge(pts, arcs, meta)
     return Drawing("twobend", pts, arcs, "float", meta)
 
 
-def _has_nonvertical_middle(a: EdgeArc) -> bool:
-    if len(a.poly) != 4:
-        return False
-    (x0, _), (x1, _) = a.poly[1], a.poly[2]
-    return abs(x1 - x0) > 1e-12
+def _nonvertical_middle_edges(arcs) -> list[tuple[int, int]]:
+    return sorted(
+        {tuple(sorted((a.u, a.v))) for a in arcs
+         if len(a.poly) == 4 and abs(a.poly[2][0] - a.poly[1][0]) > 1e-12}
+    )
 
 
 def _composite_in_wedge(pts, arcs, meta) -> bool:
@@ -649,20 +650,9 @@ def _composite_in_wedge(pts, arcs, meta) -> bool:
     return True
 
 
-def _relabel(dr: Drawing, verts) -> Drawing:
-    """The drawing with each local vertex id i renamed to verts[i], in the
-    vertex keys of meta too."""
-    pts = {verts[v]: p for v, p in dr.points.items()}
-    arcs = [EdgeArc(verts[a.u], verts[a.v], a.poly, a.slope_indices) for a in dr.edges]
-    meta = dict(dr.meta)
-    for key in ("t", "v1", "v2"):
-        if key in meta:
-            meta[key] = verts[meta[key]]
-    return Drawing(dr.method, pts, arcs, dr.coord_kind, meta)
-
-
-def _glue(pts, arcs, c: int, child: Drawing, relabel, slopes: SlopeSet, cursor, wedge):
-    """Rotate, shrink and attach a child block drawing at cut vertex c."""
+def _glue(pts, arcs, c: int, child: Drawing, verts, slopes: SlopeSet, cursor, wedge):
+    """Rotate, shrink and attach a child block drawing, whose local vertex i
+    is verts[i], at cut vertex c."""
     s = slopes.s
     m = 2 * s
     used = _used_slots_at(pts, arcs, c, slopes)
@@ -689,6 +679,7 @@ def _glue(pts, arcs, c: int, child: Drawing, relabel, slopes: SlopeSet, cursor, 
     apex = tuple(w["apex"])
     rot_slots = (q - lo) % m
     phi = rot_slots * math.pi / s
+    cs, sn = math.cos(phi), math.sin(phi)
 
     rho = _clearance(pts, arcs, c, wedge)
     if not math.isfinite(rho) or rho <= 0:
@@ -697,19 +688,20 @@ def _glue(pts, arcs, c: int, child: Drawing, relabel, slopes: SlopeSet, cursor, 
         (math.hypot(p[0] - apex[0], p[1] - apex[1]) for a in child.edges for p in a.poly),
         default=1.0,
     )
-    scale = 1.0
-    guard = 0
-    while scale * radius > rho:
-        scale *= 0.5
-        guard += 1
-        if guard > 900:
-            raise GluingFailed(f"child block at {c} cannot be shrunk into place")
+    # the least k >= 0 with radius * 2^-k <= rho, read off the binary exponents
+    (mr, er), (mp, ep) = math.frexp(radius), math.frexp(rho)
+    halvings = max(0, er - ep + (mr > mp))
+    if halvings > 900:
+        raise GluingFailed(f"child block at {c} cannot be shrunk into place")
+    scale = math.ldexp(1.0, -halvings)
+    dest = pts[c]
 
-    cpts, carcs = _transform_arcs(child, relabel, phi, scale, apex, pts[c])
-    cpts[c] = pts[c]  # exact apex match
-    new_pts = dict(pts)
-    new_pts.update(cpts)
-    return new_pts, arcs + carcs
+    def move(p):
+        x, y = p[0] - apex[0], p[1] - apex[1]
+        return (dest[0] + scale * (x * cs + y * sn), dest[1] + scale * (-x * sn + y * cs))
+
+    placed = _place(child, verts, move, rot_slots)
+    return {**pts, **placed.points, c: dest}, arcs + placed.edges  # exact apex at c
 
 
 # --- entry points ----------------------------------------------------------------
@@ -736,19 +728,8 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
         if any(all(g.degree(v) >= 2 * slopes.s for v in vs) for vs in g.components):
             slopes = SlopeSet(slopes.s + 1)
 
-    drawings = []
-    for vs in g.components:
-        to_local = {v: i for i, v in enumerate(vs)}
-        cg = PlanarGraph(
-            len(vs),
-            tuple(
-                (to_local[u], to_local[v])
-                for u, v in g.edges
-                if u in to_local and v in to_local
-            ),
-        )
-        dr = _draw_component(cg, slopes)
-        drawings.append(_relabel(dr, vs))
+    bct = block_cut_tree(g)
+    drawings = [_draw_component(vs, bct, slopes) for vs in g.components]
 
     if len(drawings) == 1:
         final = drawings[0]
@@ -764,26 +745,16 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
         ]
         lo_x, hi_x = min(xs), max(xs)
         shift = x_off - lo_x
-        for v, p in dr.points.items():
-            pts[v] = (p[0] + shift, p[1])
-        for a in dr.edges:
-            arcs.append(
-                EdgeArc(
-                    a.u,
-                    a.v,
-                    tuple((p[0] + shift, p[1]) for p in a.poly),
-                    a.slope_indices,
-                )
-            )
+        placed = _place(dr, range(g.n), lambda p: (p[0] + shift, p[1]))
+        pts.update(placed.points)
+        arcs += placed.edges
         x_off += (hi_x - lo_x) + max(1.0, 0.05 * (hi_x - lo_x))
     meta = {
         "d": d,
         "s": slopes.s,
         "components": len(drawings),
         "wedge_contained": False,
-        "nonvertical_middle_edges": sorted(
-            {tuple(sorted((a.u, a.v))) for a in arcs if _has_nonvertical_middle(a)}
-        ),
+        "nonvertical_middle_edges": _nonvertical_middle_edges(arcs),
     }
     return Drawing("twobend", pts, arcs, "float", meta)
 

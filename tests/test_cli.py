@@ -164,6 +164,7 @@ def test_module_entry_point_runs_main():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert '"n":6' in out.stdout
+    assert out.stderr == ""
 
 
 class TestSvg:

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import bounded_stack
 
 from fewslopes.circlepack import ALPHA, PackParams, layout_centers, pack_radii
+from fewslopes.errors import PrecisionExhausted
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
@@ -149,6 +151,11 @@ class TestDrawStraight:
     def test_small_graphs_rejected(self):
         with pytest.raises(ValueError):
             draw_straight(PlanarGraph(3, ((0, 1), (1, 2), (0, 2))))
+
+    def test_unresolvable_packing_is_typed(self):
+        # the smallest disk is ~5e-20 of the outer ones: the float layout breaks
+        with pytest.raises(PrecisionExhausted):
+            draw_straight(bounded_stack(150, 1, 8))
 
     def test_deterministic_bytes(self):
         g = gen_random_triangulation(20, 13)

@@ -7,12 +7,13 @@ import math
 import pytest
 from conftest import bounded_stack, glued_blocks
 
-from fewslopes.drawing import SlopeSet
+from fewslopes.drawing import EdgeArc, SlopeSet
 from fewslopes.errors import DegreeTooHigh, DegreeTooSmall, SlopesTooFew
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
 from fewslopes.twobend import (
+    _used_slots_at,
     draw_biconnected_twobend,
     draw_low_degree,
     draw_twobend,
@@ -38,6 +39,14 @@ def k4_chain(blocks: int) -> PlanarGraph:
                 edges.append((vs[i], vs[j]))
         last = vs[-1]
     return PlanarGraph(n, tuple(edges))
+
+
+def multi_block_graph() -> PlanarGraph:
+    """Root block (0,1,2,3,5), bridge (3,4), K4 on 5-8 and K4 on 8-11."""
+    edges = [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
+    edges += [(u, v) for u in range(8, 12) for v in range(u + 1, 12)]
+    edges += [(0, 5), (0, 1), (1, 2), (2, 5), (2, 3), (3, 4), (0, 3)]
+    return PlanarGraph(12, tuple(edges))
 
 
 class TestSlopeChoice:
@@ -129,11 +138,7 @@ class TestGluing:
         assert verify_drawing(dr).ok
 
     def test_multi_block_meta_uses_graph_ids(self):
-        # root block (0,1,2,3,5), bridge (3,4), K4 on 5-8 and K4 on 8-11
-        edges = [(u, v) for u in range(5, 9) for v in range(u + 1, 9)]
-        edges += [(u, v) for u in range(8, 12) for v in range(u + 1, 12)]
-        edges += [(0, 5), (0, 1), (1, 2), (2, 5), (2, 3), (3, 4), (0, 3)]
-        g = PlanarGraph(12, tuple(edges))
+        g = multi_block_graph()
         dr = draw_twobend(g)
         meta = dr.meta
         assert meta["blocks"] == 4
@@ -141,6 +146,28 @@ class TestGluing:
         assert g.has_edge(*bottom)
         assert bottom in meta["nonvertical_middle_edges"]
         assert list(dr.points[meta["t"]]) == meta["wedge"]["apex"]
+
+    @pytest.mark.parametrize(
+        "g", [k4_chain(3), glued_blocks(8, 4), multi_block_graph()],
+        ids=["k4_chain", "glued_blocks", "multi_block"],
+    )
+    def test_slope_indices_follow_gluing_rotation(self, g):
+        dr = draw_twobend(g)
+        sl = SlopeSet(dr.meta["s"])
+        for a in dr.edges:
+            for (p, q), k in zip(a.segments, a.slope_indices):
+                assert sl.undirected_index(q[0] - p[0], q[1] - p[1], 1e-6) == k
+
+    def test_used_slots_read_from_stored_index(self):
+        # a 2.5e-13 segment at 1e3 resolves its direction only to ~0.06 rad
+        sl = SlopeSet(3)
+        p = (1000.0, 1000.0)
+        ang = sl.angle(1)
+        q = (p[0] + 3e-13 * math.sin(ang), p[1] + 3e-13 * math.cos(ang))
+        assert sl.directed_index(q[0] - p[0], q[1] - p[1], tol=1e-6) is None
+        pts, arcs = {0: p, 1: q}, [EdgeArc(0, 1, (p, q), (1,))]
+        assert _used_slots_at(pts, arcs, 0, sl) == {1}
+        assert _used_slots_at(pts, arcs, 1, sl) == {4}
 
 
 class TestLowDegree:
