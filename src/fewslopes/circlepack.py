@@ -216,16 +216,20 @@ def layout_centers(radii, e: Embedding) -> CirclePacking:
         dv = r[v] + r[w]
         link = ov - ou
         ell = float(np.hypot(*link))
+        if ell == 0.0:
+            raise PrecisionExhausted(f"centers of {u} and {v} coincide in floats")
         x = (du * du - dv * dv + ell * ell) / (2.0 * ell)
         y2 = du * du - x * x
         y = math.sqrt(max(0.0, y2))
         uhat = link / ell
         nhat = np.array([uhat[1], -uhat[0]])  # right of u->v: inner faces wind cw
         ow = ou + x * uhat + y * nhat
+        if not np.all(np.isfinite(ow)):
+            raise PrecisionExhausted(f"center of {w} is not finite")
         if w in pos:
             err = float(np.hypot(*(pos[w] - ow)))
             tol = max(1e3 * eps, 1e-12) * max(1.0, float(np.hypot(*ow)))
-            if err > tol:
+            if not err <= tol:
                 raise InconsistentRadii(
                     f"vertex {w} re-placed {err:.3e} away from its first position"
                 )
@@ -258,7 +262,8 @@ def _polish_centers(pos: np.ndarray, r: np.ndarray, e: Embedding, anchors) -> fl
     BFS placement alone drifts to ~1e-8 relative residual on deeply nested
     circles; a few local refits push that to ~1e-10. The two anchor vertices
     stay fixed to preserve the normalization. Returns the final worst
-    relative residual over edges.
+    relative residual over edges; raises PrecisionExhausted when a center
+    meets a neighbor's in floats.
     """
     g = e.graph
     order = sorted(range(g.n), key=lambda v: -r[v])
@@ -269,7 +274,8 @@ def _polish_centers(pos: np.ndarray, r: np.ndarray, e: Embedding, anchors) -> fl
         for u, v in g.edges:
             su = r[u] + r[v]
             gap = abs(math.hypot(*(pos[u] - pos[v])) - su) / su
-            worst = max(worst, gap)
+            if not gap <= worst:  # keeps a NaN gap
+                worst = gap
         return worst
 
     for _ in range(50):
@@ -281,6 +287,8 @@ def _polish_centers(pos: np.ndarray, r: np.ndarray, e: Embedding, anchors) -> fl
             for _ in range(2):
                 d = pos[nb] - pos[w]
                 dist = np.hypot(d[:, 0], d[:, 1])
+                if not dist.all():
+                    raise PrecisionExhausted(f"center of {w} meets a neighbor's in floats")
                 res = (dist - t) / t
                 u = d / dist[:, None]
                 jac = u / t[:, None]

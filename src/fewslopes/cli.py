@@ -344,7 +344,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a drawing, print a report")
     p.add_argument("--slopes", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None, help="default FEWSLOPES_TOL or 1e-9")
+    p.add_argument(
+        "--tol", type=float, default=None,
+        help="tolerance of the census, contiguity and wedge checks (crossings are "
+        "exact); default FEWSLOPES_TOL or 1e-9",
+    )
     _add_io(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -49,8 +49,10 @@ class EdgeArc:
 class Drawing:
     """A drawing of a graph: one point per vertex, one polyline per edge.
 
-    coord_kind tags the arithmetic regime: "int" and "rational" drawings are
-    exact, "float" drawings carry a tolerance in meta.
+    coord_kind tags the arithmetic regime: "int" drawings hold ints,
+    "rational" ones Fractions and "float" ones finite floats. Each is an exact
+    rational value, so crossings are decided exactly for every kind; only the
+    slope checks of float drawings use a tolerance (see verify).
     """
 
     method: str
@@ -62,6 +64,10 @@ class Drawing:
     def __post_init__(self):
         if self.coord_kind not in ("int", "rational", "float"):
             raise ValueError(f"unknown coord_kind {self.coord_kind!r}")
+        if self.coord_kind == "float":
+            for p in (*self.points.values(), *(q for arc in self.edges for q in arc.poly)):
+                if not all(math.isfinite(c) for c in p if isinstance(c, float)):
+                    raise ValueError(f"non-finite coordinate {p}")
         for arc in self.edges:
             for end, first in ((arc.u, True), (arc.v, False)):
                 want = arc.poly[0] if first else arc.poly[-1]

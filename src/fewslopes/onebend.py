@@ -94,8 +94,17 @@ class TShapeRep:
     def n(self) -> int:
         return len(self.shapes)
 
-    def contacts_at(self, v: int) -> list[int]:
-        return [i for i, c in enumerate(self.contacts) if v in (c.u, c.v)]
+    @cached_property
+    def _incident(self) -> tuple[tuple[int, ...], ...]:
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        for i, c in enumerate(self.contacts):
+            out[c.u].append(i)
+            out[c.v].append(i)
+        return tuple(map(tuple, out))
+
+    def contacts_at(self, v: int) -> tuple[int, ...]:
+        """Indices of the contacts at v, ascending."""
+        return self._incident[v]
 
 
 @dataclass(frozen=True)
@@ -344,8 +353,9 @@ def _traversal_key(rep: TShapeRep, v: int, c: Contact):
 def contact_numbering(rep: TShapeRep) -> ContactNumbering:
     orders = []
     for v in range(rep.n):
-        incident = rep.contacts_at(v)
-        incident.sort(key=lambda ci: _traversal_key(rep, v, rep.contacts[ci]))
+        incident = sorted(
+            rep.contacts_at(v), key=lambda ci: _traversal_key(rep, v, rep.contacts[ci])
+        )
         orders.append(tuple(incident))
     return ContactNumbering(tuple(orders))
 

@@ -1,9 +1,12 @@
 """Independent certification of drawings.
 
 Every check here recomputes its answer from the polylines alone; nothing is
-shared with the drawing pipelines beyond the primitive types. Two numeric
-regimes: drawings tagged "int"/"rational" are tested exactly, "float"
-drawings with an angular/positional tolerance.
+shared with the drawing pipelines beyond the primitive types. Crossings are
+decided exactly for every coord_kind: float coordinates are binary rationals,
+so each drawing is scaled to integers by one common denominator. The slope
+census and bend count of "float" drawings, and contiguity and wedge
+containment of every drawing, use an angular/positional tolerance, because
+regular slopes k*pi/s are irrational.
 """
 
 from __future__ import annotations
@@ -119,95 +122,22 @@ def _between(a, b, p) -> bool:
     )
 
 
-def _dist_pt_seg(p, a, b) -> float:
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
-    px, py = float(p[0]), float(p[1])
-    vx, vy = bx - ax, by - ay
-    L2 = vx * vx + vy * vy
-    if L2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = max(0.0, min(1.0, ((px - ax) * vx + (py - ay) * vy) / L2))
-    return math.hypot(px - ax - t * vx, py - ay - t * vy)
+def _candidate_pairs(segs):
+    """Index pairs whose closed bounding boxes overlap (numpy).
 
-
-def _seg_dist(p1, p2, p3, p4) -> float:
-    if _float_proper_cross(p1, p2, p3, p4):
-        return 0.0
-    return min(
-        _dist_pt_seg(p1, p3, p4),
-        _dist_pt_seg(p2, p3, p4),
-        _dist_pt_seg(p3, p1, p2),
-        _dist_pt_seg(p4, p1, p2),
-    )
-
-
-def _float_proper_cross(p1, p2, p3, p4) -> bool:
-    d1 = _orient(p3, p4, p1)
-    d2 = _orient(p3, p4, p2)
-    d3 = _orient(p1, p2, p3)
-    d4 = _orient(p1, p2, p4)
-    return ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    )
-
-
-def _float_pair(p1, p2, p3, p4, allowed, eps):
-    """Tolerance version of _exact_pair against a set of allowed touch points.
-
-    Returns None if the segments keep clear (or touch only at an allowed
-    point), else a violation witness point.
+    Boxes are taken on float(coordinate); rounding to float is monotone, so
+    boxes that meet exactly still meet after it.
     """
-    # collinear-overlap guard first: parallel, close, long common span
-    ux, uy = p2[0] - p1[0], p2[1] - p1[1]
-    vx, vy = p4[0] - p3[0], p4[1] - p3[1]
-    lu = math.hypot(ux, uy)
-    lv = math.hypot(vx, vy)
-    if lu > 0 and lv > 0 and abs(ux * vy - uy * vx) <= eps * lu * lv:
-        h = max(_dist_pt_seg(p3, p1, p2), _dist_pt_seg(p4, p1, p2))
-        if h <= eps:
-            ts = sorted(((p[0] - p1[0]) * ux + (p[1] - p1[1]) * uy) / (lu * lu)
-                        for p in (p3, p4))
-            lo, hi = max(0.0, ts[0]), min(1.0, ts[1])
-            if (hi - lo) * lu > eps:
-                mid = (lo + hi) / 2
-                return (p1[0] + mid * ux, p1[1] + mid * uy)
-    if _float_proper_cross(p1, p2, p3, p4):
-        d1 = _orient(p3, p4, p1)
-        d2 = _orient(p3, p4, p2)
-        t = d1 / (d1 - d2)
-        return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
-    d = _seg_dist(p1, p2, p3, p4)
-    if d > eps:
-        return None
-    for a in allowed:
-        if _dist_pt_seg(a, p1, p2) <= eps and _dist_pt_seg(a, p3, p4) <= eps:
-            return None
-    # nearest approach as witness
-    best = min(
-        ((p, _dist_pt_seg(p, p3, p4)) for p in (p1, p2)),
-        key=lambda t: t[1],
-    )
-    best2 = min(
-        ((p, _dist_pt_seg(p, p1, p2)) for p in (p3, p4)),
-        key=lambda t: t[1],
-    )
-    p = best[0] if best[1] <= best2[1] else best2[0]
-    return (float(p[0]), float(p[1]))
-
-
-def _candidate_pairs(segs, eps):
-    """Index pairs whose eps-expanded bounding boxes overlap (numpy)."""
     m = len(segs)
     if m < 2:
         return []
     arr = np.array(
         [[float(p[0]), float(p[1]), float(q[0]), float(q[1])] for _, _, p, q in segs]
     )
-    lox = np.minimum(arr[:, 0], arr[:, 2]) - eps
-    hix = np.maximum(arr[:, 0], arr[:, 2]) + eps
-    loy = np.minimum(arr[:, 1], arr[:, 3]) - eps
-    hiy = np.maximum(arr[:, 1], arr[:, 3]) + eps
+    lox = np.minimum(arr[:, 0], arr[:, 2])
+    hix = np.maximum(arr[:, 0], arr[:, 2])
+    loy = np.minimum(arr[:, 1], arr[:, 3])
+    hiy = np.maximum(arr[:, 1], arr[:, 3])
     out = []
     chunk = max(1, int(4e6 // max(m, 1)))
     for i0 in range(0, m, chunk):
@@ -220,46 +150,44 @@ def _candidate_pairs(segs, eps):
     return out
 
 
-def check_noncrossing(dr: Drawing, tol: float = 1e-9):
+def _lift(dr: Drawing):
+    """(den, lift): den is the least common denominator of every coordinate
+    (floats are binary rationals), lift maps each polyline point p to the
+    integer point den * p."""
+    ratios = {
+        p: (p[0].as_integer_ratio(), p[1].as_integer_ratio())
+        for a in dr.edges
+        for p in a.poly
+    }
+    den = math.lcm(*{d for rx, ry in ratios.values() for _, d in (rx, ry)})
+    lift = {
+        p: (nx * (den // dx), ny * (den // dy))
+        for p, ((nx, dx), (ny, dy)) in ratios.items()
+    }
+    return den, lift
+
+
+def check_noncrossing(dr: Drawing):
     """(crossing_free, witness). Arcs of different edges may meet only at a
-    shared endpoint; collinear overlap is a violation."""
+    shared endpoint; collinear overlap is a violation. Decided exactly for
+    every coord_kind, on the drawing lifted to integers."""
     segs = _segments(dr)
-    exact = dr.coord_kind in ("int", "rational")
-    scale = 1.0
-    if segs:
-        scale = 1.0 + max(
-            abs(float(c)) for _, _, p, q in segs for c in (*p, *q)
-        )
-    eps_box = tol * scale
-    for i, j in _candidate_pairs(segs, eps_box):
+    den, lift = _lift(dr)
+    for i, j in _candidate_pairs(segs):
         ei, si, p1, p2 = segs[i]
         ej, sj, p3, p4 = segs[j]
         if ei == ej:
             continue
+        hit = _exact_pair(lift[p1], lift[p2], lift[p3], lift[p4])
+        if hit is None:
+            continue
+        kind, wx, wy = hit
         ea, eb = dr.edges[ei], dr.edges[ej]
         shared = {ea.u, ea.v} & {eb.u, eb.v}
-        allowed = [dr.points[v] for v in shared]
-        if exact:
-            hit = _exact_pair(p1, p2, p3, p4)
-            if hit is None:
-                continue
-            kind, wx, wy = hit
-            if kind == "point" and any(a[0] == wx and a[1] == wy for a in allowed):
-                continue
-            witness = CrossingWitness(
-                (ea.u, ea.v), si, (eb.u, eb.v), sj, (float(wx), float(wy))
-            )
-            return False, witness
-        else:
-            eps = tol * (1.0 + max(abs(float(c)) for p in (p1, p2, p3, p4) for c in p))
-            w = _float_pair(
-                tuple(map(float, p1)), tuple(map(float, p2)),
-                tuple(map(float, p3)), tuple(map(float, p4)),
-                [tuple(map(float, a)) for a in allowed], eps,
-            )
-            if w is not None:
-                witness = CrossingWitness((ea.u, ea.v), si, (eb.u, eb.v), sj, w)
-                return False, witness
+        if kind == "point" and any(lift[dr.points[v]] == (wx, wy) for v in shared):
+            continue
+        where = (float(Fraction(wx, den)), float(Fraction(wy, den)))
+        return False, CrossingWitness((ea.u, ea.v), si, (eb.u, eb.v), sj, where)
     return True, None
 
 
@@ -477,6 +405,18 @@ def check_gd_claims(dr: Drawing, d: int, tol: float = 1e-9) -> GdReport:
 # --- polyline proximity ------------------------------------------------------------
 
 
+def _dist_pt_seg(p, a, b) -> float:
+    ax, ay = float(a[0]), float(a[1])
+    bx, by = float(b[0]), float(b[1])
+    px, py = float(p[0]), float(p[1])
+    vx, vy = bx - ax, by - ay
+    L2 = vx * vx + vy * vy
+    if L2 == 0.0:
+        return math.hypot(px - ax, py - ay)
+    t = max(0.0, min(1.0, ((px - ax) * vx + (py - ay) * vy) / L2))
+    return math.hypot(px - ax - t * vx, py - ay - t * vy)
+
+
 def _dist_to_polyline(p, poly) -> float:
     return min(_dist_pt_seg(p, poly[i], poly[i + 1]) for i in range(len(poly) - 1))
 
@@ -526,7 +466,7 @@ def hausdorff_within(pa, pb, bound: float) -> bool:
 def verify_drawing(
     dr: Drawing, slopes: SlopeSet | None = None, tol: float = 1e-9
 ) -> VerifyReport:
-    crossing_free, witness = check_noncrossing(dr, tol)
+    crossing_free, witness = check_noncrossing(dr)
     census, distinct = slope_census(dr, tol)
     bends = max_bends(dr, tol)
     if slopes is None and dr.method == "twobend" and "s" in dr.meta:

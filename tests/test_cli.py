@@ -28,12 +28,13 @@ CROSSING = {
     ],
 }
 
-NEAR_TOUCH = {
+# two directions 1.5e-3 rad apart: distinct at tol 1e-9, ambiguous at 1e-3
+NEAR_SLOPES = {
     "method": "custom",
-    "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1e-6], [1.0, 1e-6]],
+    "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0015]],
     "edges": [
         {"u": 0, "v": 1, "poly": [[0.0, 0.0], [1.0, 0.0]]},
-        {"u": 2, "v": 3, "poly": [[0.0, 1e-6], [1.0, 1e-6]]},
+        {"u": 2, "v": 3, "poly": [[0.0, 1.0], [1.0, 1.0015]]},
     ],
 }
 
@@ -155,6 +156,22 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_coordinate_is_one_error_line(self, tmp_path, capsys, bad):
+        # the segment to the bad point would cross (1,0)-(0,1) if it were read
+        p = tmp_path / "d.json"
+        p.write_text(
+            '{"method":"custom","points":[[0.0,0.0],[%s,1.0],[1.0,0.0],[0.0,1.0]],'
+            '"edges":[{"u":0,"v":1,"poly":[[0.0,0.0],[%s,1.0]]},'
+            '{"u":2,"v":3,"poly":[[1.0,0.0],[0.0,1.0]]}]}' % (bad, bad),
+            encoding="utf-8",
+        )
+        assert run(["verify", "--in", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: non-finite coordinate")
+        assert err.count("\n") == 1
+
+
 def test_module_entry_point_runs_main():
     env = dict(os.environ)
     src = str(Path(fewslopes.__file__).resolve().parents[1])
@@ -226,14 +243,14 @@ class TestSvg:
 
 class TestToleranceEnv:
     def test_env_var_sets_default(self, tmp_path, monkeypatch):
-        dp = put(tmp_path, "d.json", NEAR_TOUCH)
+        dp = put(tmp_path, "d.json", NEAR_SLOPES)
         monkeypatch.delenv("FEWSLOPES_TOL", raising=False)
         assert run(["verify", "--in", dp, "--out", str(tmp_path / "a.json")]) == 0
         monkeypatch.setenv("FEWSLOPES_TOL", "1e-3")
         assert run(["verify", "--in", dp, "--out", str(tmp_path / "b.json")]) == 1
 
     def test_flag_overrides_env(self, tmp_path, monkeypatch):
-        dp = put(tmp_path, "d.json", NEAR_TOUCH)
+        dp = put(tmp_path, "d.json", NEAR_SLOPES)
         monkeypatch.setenv("FEWSLOPES_TOL", "1e-3")
         rc = run(["verify", "--in", dp, "--tol", "1e-9", "--out", str(tmp_path / "c.json")])
         assert rc == 0

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import capped_planar
 from fewslopes.drawing import Drawing, EdgeArc, SlopeSet
 from fewslopes.errors import AmbiguousBucket, SlopeOffGrid
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
@@ -127,14 +128,32 @@ class TestNoncrossing:
         ok, _ = check_noncrossing(dr)
         assert not ok
 
-    def test_tolerance_controls_near_touch(self):
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    def test_float_parallel_near_miss_clear_at_any_tol(self, tol):
         dr = mk(
             [(0.0, 0.0), (1.0, 0.0), (0.0, 1e-6), (1.0, 1e-6)],
             [(0, 1, [(0.0, 0.0), (1.0, 0.0)]), (2, 3, [(0.0, 1e-6), (1.0, 1e-6)])],
             kind="float",
         )
-        assert check_noncrossing(dr, tol=1e-9)[0]
-        assert not check_noncrossing(dr, tol=1e-3)[0]
+        assert check_noncrossing(dr) == (True, None)
+        assert verify_drawing(dr, tol=tol).crossing_free
+
+    def test_float_t_junction_flagged_exactly(self):
+        # (0.5, 0.25) lies exactly on the first segment, away from its ends
+        dr = mk(
+            [(0.0, 0.0), (0.75, 0.375), (0.5, 0.25), (0.5, 1.0)],
+            [(0, 1, [(0.0, 0.0), (0.75, 0.375)]), (2, 3, [(0.5, 0.25), (0.5, 1.0)])],
+            kind="float",
+        )
+        ok, w = check_noncrossing(dr)
+        assert not ok
+        assert w.where == (0.5, 0.25)
+
+    def test_glued_twobend_blocks_are_clear(self):
+        # glued child blocks far smaller than tol * max|coord| used to be
+        # reported as crossing by a scale-relative float epsilon
+        dr = draw_twobend(capped_planar(250, 0, 8))
+        assert check_noncrossing(dr) == (True, None)
 
     @pytest.mark.parametrize(
         "dr",
