@@ -82,6 +82,7 @@ from .verify import (
     hausdorff_within,
     max_bends,
     slope_census,
+    slope_classes,
     verify_drawing,
 )
 

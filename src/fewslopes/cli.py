@@ -33,7 +33,7 @@ from .jsonio import (
 from .onebend import draw_onebend
 from .straightline import draw_straight
 from .twobend import draw_low_degree, draw_twobend
-from .verify import VerifyReport, slope_census, verify_drawing
+from .verify import VerifyReport, slope_census, slope_classes, verify_drawing
 
 __all__ = ["RenderOptions", "render_svg", "run", "main"]
 
@@ -94,48 +94,27 @@ def _palette(k: int) -> list[str]:
     return [f"hsl({360.0 * i / k:.2f},65%,42%)" for i in range(k)]
 
 
-def _segment_buckets(dr: Drawing, tol: float = 1e-9):
-    """Census-aligned bucket id per polyline segment of every edge."""
-    census, _ = slope_census(dr, tol)
-    reps = [angle for angle, _ in census]
-    out = []
-    for arc in dr.edges:
-        row = []
-        for (px, py), (qx, qy) in zip(arc.poly, arc.poly[1:]):
-            theta = math.atan2(float(qx) - float(px), float(qy) - float(py)) % math.pi
-            row.append(
-                min(
-                    range(len(reps)),
-                    key=lambda i: min(
-                        abs(theta - reps[i]), math.pi - abs(theta - reps[i])
-                    ),
-                )
-            )
-        out.append(row)
-    return out, len(reps)
-
-
 def render_svg(dr: Drawing, o: RenderOptions | None = None) -> str:
     """One path per edge polyline, one circle per vertex, margin-fitted viewport.
 
-    With slope coloring on, a polyline whose segments fall in different slope
-    buckets is split at the color changes (one path per same-color run); the
-    set of stroke colors then matches the slope census exactly.
+    With slope coloring on, each segment takes the color of its class in
+    verify.slope_classes, and a polyline is split at the color changes (one
+    path per same-color run); the stroke colors then match the slope census.
     """
     o = o or RenderOptions()
     to_px = _fit(dr, o)
     if o.color_by_slope and dr.edges:
-        buckets, nbuckets = _segment_buckets(dr)
-        colors = _palette(nbuckets)
+        angles, classes = slope_classes(dr)
+        colors = _palette(len(angles))
     else:
-        buckets = [[0] * (len(arc.poly) - 1) for arc in dr.edges]
+        classes = [[0] * (len(arc.poly) - 1) for arc in dr.edges]
         colors = ["#1a1a1a"]
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{o.width}" '
         f'height="{o.height}" viewBox="0 0 {o.width} {o.height}">',
     ]
-    for arc, row in zip(dr.edges, buckets):
+    for arc, row in zip(dr.edges, classes):
         pts = [to_px(p) for p in arc.poly]
         start = 0
         while start < len(row):

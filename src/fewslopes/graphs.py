@@ -169,10 +169,14 @@ class Embedding:
             if sorted(self.rotation[v]) != list(g.adjacency[v]):
                 raise ValueError(f"rotation at {v} disagrees with adjacency")
         object.__setattr__(self, "rotation", tuple(tuple(r) for r in self.rotation))
-        object.__setattr__(self, "outer_face", tuple(self.outer_face))
-        if _rotate_min(self.outer_face) not in {_rotate_min(f) for f in self.faces}:
-            if not (g.n == 1 and self.outer_face == (0,)):
-                raise ValueError("outer_face is not a face of the rotation system")
+        o = tuple(self.outer_face)
+        object.__setattr__(self, "outer_face", o)
+        if g.n == 1 and o == (0,):
+            return
+        # the face of dart (o[0], o[1]) starts at o[0], so it must equal o
+        dart = len(o) >= 2 and o[0] in range(g.n) and o[1] in self.rotation[o[0]]
+        if not dart or self.trace_face(o[0], o[1]) != o:
+            raise ValueError("outer_face is not a face of the rotation system")
 
     def trace_face(self, u: int, v: int) -> tuple[int, ...]:
         return _trace_faces(self.rotation, [(u, v)])[0]
@@ -214,8 +218,9 @@ def planar_embed(g: PlanarGraph) -> Embedding:
     for v in range(g.n):
         order = tuple(cert.neighbors_cw_order(v))
         rotation.append(_rotate_min(order))
-    outer = min(_all_faces(rotation, g.edges), key=_largest_first)
-    emb = Embedding(g, tuple(rotation), outer)
+    faces = tuple(_all_faces(rotation, g.edges))
+    emb = Embedding(g, tuple(rotation), min(faces, key=_largest_first))
+    emb.__dict__["faces"] = faces  # the cached property, traced once here
     assert emb.euler_ok(), "face tracing violated Euler's formula"
     return emb
 
@@ -352,7 +357,7 @@ def triangulate(e: Embedding) -> Embedding:
     if g.labels is not None:
         labels = tuple(g.labels) + tuple(f"aux{i}" for i in range(n - g.n))
     g2 = PlanarGraph(n, tuple(sorted(edges)), labels)
-    faces = _all_faces(rot, g2.edges)
+    faces = tuple(_all_faces(rot, g2.edges))
     assert all(len(f) == 3 for f in faces), "triangulation left a big face"
     outer = faces[0] if outer_dart is None else _trace_faces(rot, [outer_dart])[0]
     emb = Embedding(
@@ -362,6 +367,7 @@ def triangulate(e: Embedding) -> Embedding:
         aux_vertices=frozenset(aux_vertices),
         aux_edges=frozenset(aux_edges),
     )
+    emb.__dict__["faces"] = faces
     assert emb.euler_ok()
     return emb
 

@@ -573,31 +573,32 @@ def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) ->
     blocks = _component_blocks(bct, comp)
     cuts = comp.intersection(bct.cut_vertices)
 
-    # root at a block owning a valid non-cut top vertex if possible
-    root_bi = root = None
+    # root at a non-cut top of any block if one draws: blocks glued at a cut
+    # top would leave the top's wedge, which then is dropped from meta
+    tops = sorted(
+        (verts[t] in cuts, bi, bg.degree(t), t)
+        for bi, (bg, verts, _) in enumerate(blocks)
+        for t in range(bg.n)
+        if bg.degree(t) < cap
+    )
+    root = None
     last_err = None
-    for bi, (bg, verts, to_local) in enumerate(blocks):
-        for t in sorted(
-            range(bg.n), key=lambda v: (verts[v] in cuts, bg.degree(v), v)
-        ):
-            if bg.degree(t) >= cap:
-                break
-            try:
-                rdr = draw_biconnected_twobend(_embed_with_outer(bg, t), t, slopes)
-            except (VerticesNotOnOuterFace, NotBiconnected, StOrderInfeasible) as exc:
-                last_err = exc
-                continue
-            root_bi, root = bi, _place(rdr, verts)
-            break
-        if root is not None:
-            break
+    for cut_top, root_bi, _, t in tops:
+        bg, verts, _ = blocks[root_bi]
+        try:
+            rdr = draw_biconnected_twobend(_embed_with_outer(bg, t), t, slopes)
+        except (VerticesNotOnOuterFace, NotBiconnected, StOrderInfeasible) as exc:
+            last_err = exc
+            continue
+        root = _place(rdr, verts)
+        break
     if root is None:
         raise last_err or DegreeTooHigh("no block vertex admits a free slope on top")
     if len(blocks) == 1:
         return root
 
     pts, arcs, meta = root.points, root.edges, root.meta
-    rw = meta["wedge"]
+    rw = meta.pop("wedge") if cut_top else meta["wedge"]
     root_wedge = Wedge(tuple(rw["apex"]), rw["start"], rw["span"])
     drawn_blocks = {root_bi}
     drawn_vertices = set(root.points)
@@ -691,8 +692,6 @@ def _glue(pts, arcs, c: int, child: Drawing, verts, slopes: SlopeSet, cursor, we
     # the least k >= 0 with radius * 2^-k <= rho, read off the binary exponents
     (mr, er), (mp, ep) = math.frexp(radius), math.frexp(rho)
     halvings = max(0, er - ep + (mr > mp))
-    if halvings > 900:
-        raise GluingFailed(f"child block at {c} cannot be shrunk into place")
     scale = math.ldexp(1.0, -halvings)
     dest = pts[c]
 
@@ -700,7 +699,13 @@ def _glue(pts, arcs, c: int, child: Drawing, verts, slopes: SlopeSet, cursor, we
         x, y = p[0] - apex[0], p[1] - apex[1]
         return (dest[0] + scale * (x * cs + y * sn), dest[1] + scale * (-x * sn + y * cs))
 
-    placed = _place(child, verts, move, rot_slots)
+    try:
+        placed = _place(child, verts, move, rot_slots)
+    except ValueError as exc:  # a shrunk piece rounds to a point at dest
+        raise GluingFailed(
+            f"child block at {c}, halved {halvings} times, is below float "
+            f"resolution at {dest}"
+        ) from exc
     return {**pts, **placed.points, c: dest}, arcs + placed.edges  # exact apex at c
 
 
@@ -711,7 +716,10 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
     """Two-bend drawing of a planar graph on regular slopes.
 
     Connected components are drawn independently and laid out side by side;
-    within a component, biconnected blocks are glued at cut vertices.
+    within a component, biconnected blocks are glued at cut vertices. The
+    first block hangs below a vertex that is not a cut vertex when one
+    admits a drawing; when only a cut vertex does, meta declares no wedge,
+    since the blocks glued at that top leave it.
     """
     d = g.max_degree
     if d <= 2:
@@ -734,6 +742,7 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
     if len(drawings) == 1:
         final = drawings[0]
         final.meta.setdefault("components", 1)
+        final.meta["d"] = d
         return final
 
     pts: dict[int, tuple[float, float]] = {}

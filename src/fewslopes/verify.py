@@ -3,15 +3,18 @@
 Every check here recomputes its answer from the polylines alone; nothing is
 shared with the drawing pipelines beyond the primitive types. Crossings are
 decided exactly for every coord_kind: float coordinates are binary rationals,
-so each drawing is scaled to integers by one common denominator. The slope
-census and bend count of "float" drawings, and contiguity and wedge
-containment of every drawing, use an angular/positional tolerance, because
-regular slopes k*pi/s are irrational.
+so each drawing is scaled to integers by one common denominator. One slope
+classification (slope_classes) gives every segment its slope class; the
+census, the bend count and the hub multiplicities of G_d all count those
+classes. It is exact for "int" and "rational" drawings; for "float" ones it,
+like contiguity and wedge containment of every drawing, uses an
+angular/positional tolerance, because regular slopes k*pi/s are irrational.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +27,7 @@ __all__ = [
     "CrossingWitness",
     "VerifyReport",
     "check_noncrossing",
+    "slope_classes",
     "slope_census",
     "max_bends",
     "check_contiguous",
@@ -208,84 +212,89 @@ def _exact_dir_key(dx, dy):
     return (ix, iy)
 
 
-def slope_census(dr: Drawing, tol: float = 1e-9):
-    """Bucket segment directions mod pi.
+def slope_classes(dr: Drawing, tol: float = 1e-9):
+    """(angles, classes): the slope classes of every segment direction mod pi.
 
-    Returns (census, distinct) where census is a tuple of (angle, count)
-    with angles measured clockwise from the upward vertical in [0, pi).
-    Raises AmbiguousBucket when float clusters are separated by more than
-    tol but less than 2*tol.
+    angles holds one angle per class, ascending in [0, pi) and measured
+    clockwise from the upward vertical; classes holds, per edge of dr.edges,
+    the class id (an index into angles) of each of its segments. Int and
+    rational drawings class directions exactly. Float drawings chain sorted
+    angles whose gaps are at most tol into one class, represented by the
+    middle of its span, and raise AmbiguousBucket when two classes are
+    separated by more than tol but less than 2*tol.
     """
-    segs = _segments(dr)
-    if not segs:
-        return (), 0
+    segs = [(p, q) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
     if dr.coord_kind in ("int", "rational"):
-        buckets: dict[tuple[int, int], int] = {}
-        for _, _, p, q in segs:
-            key = _exact_dir_key(q[0] - p[0], q[1] - p[1])
-            buckets[key] = buckets.get(key, 0) + 1
-        census = sorted(
-            (math.atan2(kx, ky) % math.pi, cnt) for (kx, ky), cnt in buckets.items()
-        )
-        return tuple(census), len(census)
+        labels = [_exact_dir_key(q[0] - p[0], q[1] - p[1]) for p, q in segs]
+        reps = {k: math.atan2(k[0], k[1]) % math.pi for k in labels}
+    else:
+        thetas = [
+            math.atan2(float(q[0]) - float(p[0]), float(q[1]) - float(p[1])) % math.pi
+            for p, q in segs
+        ]
+        labels, reps = _cluster(thetas, tol)
+    counts = Counter(labels)
+    order = sorted(reps, key=lambda c: (reps[c], counts[c]))
+    rank = {c: i for i, c in enumerate(order)}
+    flat = iter(labels)
+    classes = [tuple(rank[next(flat)] for _ in a.poly[1:]) for a in dr.edges]
+    return tuple(reps[c] for c in order), classes
 
-    thetas = sorted(
-        math.atan2(float(q[0]) - float(p[0]), float(q[1]) - float(p[1])) % math.pi
-        for _, _, p, q in segs
-    )
+
+def _cluster(thetas, tol):
+    """(labels, reps): labels[i] is the cluster of angle thetas[i] and
+    reps[c] the middle of cluster c's span."""
+    if not thetas:
+        return [], {}
     m = len(thetas)
-    gaps = [
-        (thetas[(i + 1) % m] - thetas[i]) % math.pi if m > 1 else 0.0
-        for i in range(m)
-    ]
-    if m == 1 or max(gaps) <= tol:
-        return ((thetas[0], m),), 1
-    cut = max(range(m), key=lambda i: gaps[i])
-    ordered = thetas[cut + 1 :] + thetas[: cut + 1]
-    clusters = [[ordered[0]]]
-    for a, b in zip(ordered, ordered[1:]):
-        if (b - a) % math.pi <= tol:
-            clusters[-1].append(b)
-        else:
-            clusters.append([b])
-    reps = []
-    for cl in clusters:
-        span = (cl[-1] - cl[0]) % math.pi
-        reps.append((cl[0] + span / 2) % math.pi)
-    for i in range(len(clusters)):
-        j = (i + 1) % len(clusters)
-        gap = (clusters[j][0] - clusters[i][-1]) % math.pi
+    idx = sorted(range(m), key=thetas.__getitem__)
+    gaps = [(thetas[idx[(i + 1) % m]] - thetas[idx[i]]) % math.pi for i in range(m)]
+    if max(gaps) <= tol:  # the chain closes around the circle
+        return [0] * m, {0: thetas[idx[0]]}
+    cut = max(range(m), key=gaps.__getitem__)
+    labels, ends = [0] * m, []  # ends[c] = [first, last] angle of cluster c
+    for i in idx[cut + 1 :] + idx[: cut + 1]:
+        t = thetas[i]
+        if not ends or (t - ends[-1][1]) % math.pi > tol:
+            ends.append([t, t])
+        ends[-1][1] = t
+        labels[i] = len(ends) - 1
+    reps = {c: (lo + ((hi - lo) % math.pi) / 2) % math.pi for c, (lo, hi) in enumerate(ends)}
+    for c in range(len(ends)):
+        c2 = (c + 1) % len(ends)
+        gap = (ends[c2][0] - ends[c][1]) % math.pi
         if gap < 2 * tol:
             raise AmbiguousBucket(
-                f"slope clusters at {reps[i]:.12f} and {reps[j]:.12f} separated "
+                f"slope clusters at {reps[c]:.12f} and {reps[c2]:.12f} separated "
                 f"by {gap:.3e} < 2*tol"
             )
-    census = sorted(zip(reps, (len(cl) for cl in clusters)))
-    return tuple(census), len(census)
+    return labels, reps
+
+
+def _census(angles, classes):
+    counts = Counter(c for row in classes for c in row)
+    return tuple((angle, counts[c]) for c, angle in enumerate(angles)), len(angles)
+
+
+def _bends(classes) -> int:
+    return max((sum(a != b for a, b in zip(row, row[1:])) for row in classes), default=0)
+
+
+def slope_census(dr: Drawing, tol: float = 1e-9):
+    """Count the segments of each slope class of slope_classes.
+
+    Returns (census, distinct) where census is a tuple of (angle, count),
+    one per class, with angles ascending in [0, pi) clockwise from the
+    upward vertical. Raises AmbiguousBucket as slope_classes does.
+    """
+    return _census(*slope_classes(dr, tol))
 
 
 def max_bends(dr: Drawing, tol: float = 1e-9) -> int:
-    """Largest bend count over edges, merging consecutive collinear pieces."""
-    exact = dr.coord_kind in ("int", "rational")
-    worst = 0
-    for a in dr.edges:
-        dirs = []
-        for i in range(len(a.poly) - 1):
-            dx = a.poly[i + 1][0] - a.poly[i][0]
-            dy = a.poly[i + 1][1] - a.poly[i][1]
-            if exact:
-                dirs.append(_exact_dir_key(dx, dy))
-            else:
-                dirs.append(math.atan2(float(dx), float(dy)) % math.pi)
-        merged = 1
-        for d0, d1 in zip(dirs, dirs[1:]):
-            if exact:
-                if d0 != d1:
-                    merged += 1
-            elif min((d1 - d0) % math.pi, (d0 - d1) % math.pi) > tol:
-                merged += 1
-        worst = max(worst, merged - 1)
-    return worst
+    """Largest bend count over edges: the number of slope-class changes
+    along an edge, so consecutive pieces of one class merge. Raises
+    AmbiguousBucket as slope_classes does."""
+    return _bends(slope_classes(dr, tol)[1])
 
 
 # --- per-vertex structure ---------------------------------------------------------
@@ -369,37 +378,27 @@ def check_gd_claims(dr: Drawing, d: int, tol: float = 1e-9) -> GdReport:
     """Consistency checks for drawings of the degree-d lower-bound family.
 
     Straight-line drawings need at least 3d-6 distinct slopes; one-bend
-    drawings at least ceil(3(d-1)/4). For one-bend drawings the segments
-    incident to the three degree-d hubs a, b, c (vertices 0, 1, 2) must not
-    repeat any slope more than 4 times.
+    drawings at least ceil(3(d-1)/4). For one-bend drawings the end segments
+    at the three degree-d hubs a, b, c (vertices 0, 1, 2) must not repeat any
+    slope class more than 4 times; hub_multiplicity counts them per class
+    angle. Slopes are the classes of slope_classes at tol.
     """
-    _, distinct = slope_census(dr, tol)
-    bends = max_bends(dr, tol)
+    angles, classes = slope_classes(dr, tol)
+    bends = _bends(classes)
     required = 3 * d - 6 if bends == 0 else -(-3 * (d - 1) // 4)
-    ok = distinct >= required
+    ok = len(angles) >= required
 
     hub_mult = None
     hub_ok = None
     if bends == 1:
-        exact = dr.coord_kind in ("int", "rational")
-        buckets: dict = {}
-        for a in dr.edges:
-            for hub, p, q in ((a.u, a.poly[0], a.poly[1]), (a.v, a.poly[-1], a.poly[-2])):
-                if hub not in (0, 1, 2):
-                    continue
-                dx, dy = q[0] - p[0], q[1] - p[1]
-                key = (
-                    _exact_dir_key(dx, dy)
-                    if exact
-                    else round((math.atan2(float(dx), float(dy)) % math.pi) / tol)
-                )
-                buckets[key] = buckets.get(key, 0) + 1
-        hub_mult = {
-            (math.atan2(k[0], k[1]) % math.pi if isinstance(k, tuple) else k * tol): c
-            for k, c in buckets.items()
-        }
-        hub_ok = all(c <= 4 for c in buckets.values())
-    return GdReport(d, distinct, required, ok, hub_mult, hub_ok)
+        hub_mult = dict(Counter(
+            angles[c]
+            for a, row in zip(dr.edges, classes)
+            for end, c in ((a.u, row[0]), (a.v, row[-1]))
+            if end in (0, 1, 2)
+        ))
+        hub_ok = all(c <= 4 for c in hub_mult.values())
+    return GdReport(d, len(angles), required, ok, hub_mult, hub_ok)
 
 
 # --- polyline proximity ------------------------------------------------------------
@@ -467,8 +466,9 @@ def verify_drawing(
     dr: Drawing, slopes: SlopeSet | None = None, tol: float = 1e-9
 ) -> VerifyReport:
     crossing_free, witness = check_noncrossing(dr)
-    census, distinct = slope_census(dr, tol)
-    bends = max_bends(dr, tol)
+    angles, classes = slope_classes(dr, tol)
+    census, distinct = _census(angles, classes)
+    bends = _bends(classes)
     if slopes is None and dr.method == "twobend" and "s" in dr.meta:
         slopes = SlopeSet(dr.meta["s"])
     contiguity = None

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line driver and SVG renderer."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +12,11 @@ import pytest
 
 import fewslopes
 from fewslopes.cli import RenderOptions, render_svg, run
+from fewslopes.drawing import Drawing, EdgeArc
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.jsonio import drawing_from_obj, dumps_canonical, graph_to_obj
 from fewslopes.straightline import draw_straight
+from fewslopes.verify import verify_drawing
 
 K5 = {"n": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]}
 
@@ -206,6 +209,29 @@ class TestSvg:
         _, paths, _ = svg_parts(text)
         strokes = {p.get("stroke") for p in paths}
         assert len(strokes) == 3
+
+    def test_float_colors_follow_slope_classes(self):
+        # one class chains 11 directions 0.9e-9 rad apart, wider than the
+        # 1e-9 tolerance; its last one lies nearer the next class's middle
+        # than its own, and shares an edge with the class's first one
+        tol = 1e-9
+        angs = [0.5 + 0.9 * j * tol for j in range(11)] + [0.5 + 11.5 * tol]
+        runs = [(angs[0], angs[10])] + [(a,) for a in angs[1:10]] + [(angs[11],)]
+        pts, arcs = {}, []
+        for i, run_angs in enumerate(runs):
+            poly = [(3.0 * i, 0.0)]
+            for a in run_angs:
+                poly.append((poly[-1][0] + math.sin(a), poly[-1][1] + math.cos(a)))
+            pts[2 * i], pts[2 * i + 1] = poly[0], poly[-1]
+            arcs.append(EdgeArc(2 * i, 2 * i + 1, tuple(poly)))
+        dr = Drawing("custom", pts, arcs, "float")
+        rep = verify_drawing(dr, tol=tol)
+        assert rep.distinct_slopes == 2 and rep.max_bends == 0
+        _, paths, _ = svg_parts(render_svg(dr))
+        assert len(paths) == len(arcs)  # no edge changes class, so none is split
+        strokes = [p.get("stroke") for p in paths]
+        assert len(set(strokes)) == rep.distinct_slopes
+        assert len(set(strokes[:-1])) == 1
 
     def test_no_color_single_stroke(self, tmp_path):
         text = self.draw_svg(

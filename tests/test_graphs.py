@@ -13,6 +13,7 @@ from fewslopes.errors import (
 )
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import (
+    Embedding,
     PlanarGraph,
     block_cut_tree,
     canonical_order,
@@ -85,6 +86,25 @@ class TestEmbedding:
         e = planar_embed(gen_octahedron())
         for f in e.faces:
             assert e.trace_face(f[0], f[1]) == f
+
+    def test_outer_face_may_start_anywhere(self):
+        e = planar_embed(CUBE)
+        f = e.outer_face
+        again = Embedding(e.graph, e.rotation, f[2:] + f[:2])
+        assert again.outer_face == f[2:] + f[:2]
+        assert again.faces == e.faces
+
+    def test_rejects_cycle_that_is_not_a_face(self):
+        e = planar_embed(complete(4))
+        with pytest.raises(ValueError, match="not a face"):
+            Embedding(e.graph, e.rotation, (0, 1, 2, 3))
+
+    def test_rejects_outer_face_through_non_adjacent_pair(self):
+        e = planar_embed(CUBE)
+        f = e.outer_face
+        assert not CUBE.has_edge(f[0], f[2])
+        with pytest.raises(ValueError, match="not a face"):
+            Embedding(e.graph, e.rotation, (f[0], f[2], f[1], f[3]))
 
     def test_rotation_arc_walks_clockwise(self):
         e = planar_embed(complete(4))

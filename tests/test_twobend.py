@@ -8,7 +8,7 @@ import pytest
 from conftest import bounded_stack, glued_blocks
 
 from fewslopes.drawing import EdgeArc, SlopeSet
-from fewslopes.errors import DegreeTooHigh, DegreeTooSmall, SlopesTooFew
+from fewslopes.errors import DegreeTooHigh, DegreeTooSmall, GluingFailed, SlopesTooFew
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
@@ -39,6 +39,23 @@ def k4_chain(blocks: int) -> PlanarGraph:
                 edges.append((vs[i], vs[j]))
         last = vs[-1]
     return PlanarGraph(n, tuple(edges))
+
+
+def k4(vs) -> list[tuple[int, int]]:
+    return [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]]
+
+
+def octahedron_pair() -> PlanarGraph:
+    """Two octahedra less an edge, each with a new vertex (6 and 13) joined
+    to the ends of the removed edge, and a bridge between the new vertices.
+    Every other vertex has degree 4 = 2s, so only 6 or 13 can be on top."""
+    octa = gen_octahedron()
+    a, b = octa.edges[0]
+    edges = []
+    for off in (0, 7):
+        edges += [(u + off, v + off) for u, v in octa.edges if (u, v) != (a, b)]
+        edges += [(a + off, 6 + off), (b + off, 6 + off)]
+    return PlanarGraph(14, tuple(edges + [(6, 13)]))
 
 
 def multi_block_graph() -> PlanarGraph:
@@ -146,6 +163,39 @@ class TestGluing:
         assert g.has_edge(*bottom)
         assert bottom in meta["nonvertical_middle_edges"]
         assert list(dr.points[meta["t"]]) == meta["wedge"]["apex"]
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            PlanarGraph(8, tuple(k4([0, 2, 3, 4]) + k4([1, 5, 6, 7]) + [(0, 1)])),
+            PlanarGraph(12, tuple(
+                k4([0, 2, 3, 4]) + k4([1, 5, 6, 7]) + k4([8, 9, 10, 11]) + [(0, 1), (7, 8)]
+            )),
+        ],
+        ids=["two_k4", "k4_path"],
+    )
+    def test_root_top_avoids_cut_vertices(self, g):
+        # the first block is the bridge (0, 1), both of whose ends are cut vertices
+        dr = draw_twobend(g)
+        assert dr.meta["t"] not in (0, 1)
+        rep = verify_drawing(dr)
+        assert rep.ok and rep.wedge_ok
+
+    def test_cut_vertex_top_drops_wedge(self):
+        dr = draw_twobend(octahedron_pair())
+        assert dr.meta["s"] == 2 and dr.meta["t"] in (6, 13)
+        assert "wedge" not in dr.meta
+        rep = verify_drawing(dr)
+        assert rep.wedge_ok is None and rep.ok
+
+    def test_meta_degree_is_the_graphs(self):
+        g = k4_chain(3)
+        assert draw_twobend(g).meta["d"] == g.max_degree == 6
+
+    def test_block_chain_beyond_float_resolution_is_typed(self):
+        # each glued K4 is halved against the clearance at its cut vertex
+        with pytest.raises(GluingFailed, match="below float resolution"):
+            draw_twobend(k4_chain(10))
 
     @pytest.mark.parametrize(
         "g", [k4_chain(3), glued_blocks(8, 4), multi_block_graph()],

@@ -22,6 +22,7 @@ from fewslopes.verify import (
     hausdorff_within,
     max_bends,
     slope_census,
+    slope_classes,
     verify_drawing,
 )
 
@@ -194,6 +195,13 @@ class TestSlopeCensus:
         dr = mk([(0, 0)], [])
         assert slope_census(dr) == ((), 0)
 
+    def test_classes_per_segment(self):
+        dr = mk(
+            [(0, 0), (1, 0), (0, 1), (1, 2)],
+            [(0, 1, [(0, 0), (1, 0)]), (2, 3, [(0, 1), (0, 2), (1, 2)])],
+        )
+        assert slope_classes(dr) == ((0.0, math.pi / 2), [(1,), (0, 1)])
+
     def test_direction_sign_irrelevant(self):
         dr = mk(
             [(0, 0), (1, 1), (2, 2), (1, 3)],
@@ -334,6 +342,28 @@ class TestGdClaims:
         assert rep.lower_bound_ok
         assert rep.hub_multiplicity_ok
         assert sum(rep.hub_multiplicity.values()) == 3 * d
+
+    def test_float_hub_class_counted_once(self):
+        # five hub end segments 1e-10 rad apart form one class at tol 1e-9,
+        # though angle / tol rounds two of them down and three up
+        tol = 1e-9
+        boundary = 0.5 + 0.5 * tol  # (k + 1/2) * tol for k = 5e8
+        pts = [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)]  # hubs 0, 1, 2
+        polys = []
+        for i, (hub, off) in enumerate(zip((0, 0, 1, 1, 2), (-1.5, -0.5, 0.5, 1.5, 2.5))):
+            ang = boundary + off * 0.1 * tol
+            sign = 1.0 if i % 2 == 0 else -1.0  # up or down: one slope
+            hx, hy = pts[hub]
+            bend = (hx + sign * math.sin(ang), hy + sign * math.cos(ang))
+            end = (bend[0] + 1.0, bend[1])
+            pts.append(end)
+            polys.append((hub, 3 + i, [(hx, hy), bend, end]))
+        dr = mk(pts, polys, kind="float")
+        census, distinct = slope_census(dr, tol)
+        assert distinct == 2 and census[0][1] == 5
+        rep = check_gd_claims(dr, 5, tol)
+        assert rep.hub_multiplicity == {census[0][0]: 5}
+        assert rep.hub_multiplicity_ok is False
 
     def test_required_counts_match_examples(self):
         straight = check_gd_claims(draw_straight(gen_gd(6)), 6)
