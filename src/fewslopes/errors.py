@@ -67,7 +67,9 @@ class InconsistentRadii(FewslopesError):
 
 class PrecisionExhausted(FewslopesError):
     """Floating point cannot represent the layout: packing centers come out
-    non-finite or overlapping, or two adjacent vertices snap to one point."""
+    non-finite or overlapping, a scaled center leaves the float range, a
+    snapped face is inverted or degenerate, or two adjacent vertices snap to
+    one point."""
 
 
 # --- one-bend errors ----------------------------------------------------------

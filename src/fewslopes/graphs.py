@@ -391,60 +391,91 @@ class StOrder:
         return {v: i for i, v in enumerate(self.order)}
 
 
-def _is_connected_subset(adj, keep: set) -> bool:
-    if not keep:
-        return False
-    start = next(iter(keep))
-    stack = [start]
-    seen = {start}
+def _cut_vertices(adj, keep) -> set[int]:
+    """Cut vertices of the connected induced subgraph G[keep].
+
+    One iterative depth-first search with Hopcroft–Tarjan lowpoints: low[u]
+    is the smallest discovery number reachable from u's subtree by one back
+    edge. A non-root u is a cut vertex iff some child c has
+    low[c] >= num[u]; the root iff it has two or more children.
+    """
+    root = next(iter(keep))
+    num = {root: 0}
+    low = {root: 0}
+    cuts = set()
+    root_children = 0
+    stack = [(root, iter(adj[root]))]
     while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w in keep and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(keep)
+        u, nbrs = stack[-1]
+        for w in nbrs:
+            if w not in keep:
+                continue
+            if w not in num:
+                num[w] = low[w] = len(num)
+                stack.append((w, iter(adj[w])))
+                break
+            if num[w] < low[u]:  # the tree edge to u's parent is harmless
+                low[u] = num[w]
+        else:
+            stack.pop()
+            if not stack:
+                break
+            p = stack[-1][0]
+            if p == root:
+                root_children += 1
+                continue
+            if low[u] < low[p]:
+                low[p] = low[u]
+            if low[u] >= num[p]:
+                cuts.add(p)
+    if root_children >= 2:
+        cuts.add(root)
+    return cuts
 
 
 def st_order(e: Embedding, s: int, t: int) -> StOrder:
     """Greedy st-order for a biconnected embedding with v_1 = s, v_n = t.
 
-    v_2 is chosen among the outer-cycle neighbors of s (smallest id first)
-    such that the graph minus {s, v_2} stays connected; the greedy peel then
-    always succeeds. Raises StOrderInfeasible when no admissible v_2 exists.
+    v_2 is the smallest-id outer-cycle neighbor of s that is not a cut
+    vertex of G - s, so G - {s, v_2} stays connected. Each later step
+    places the smallest-id frontier vertex (unplaced, with a placed
+    neighbor) that is neither t nor a cut vertex of the unplaced subgraph,
+    which therefore stays connected, and the peel always succeeds. A step
+    costs one lowpoint search over the unplaced subgraph plus sorting the
+    frontier, so O(n + m) per step. Raises StOrderInfeasible when no
+    admissible v_2 exists.
     """
     g = e.graph
     if s == t:
         raise ValueError("s and t must differ")
-    if g.n < 3 or not nx.is_biconnected(g.to_networkx()):
+    adj = g.adjacency
+    all_v = set(range(g.n))
+    if g.n < 3 or not g.is_connected() or _cut_vertices(adj, all_v):
         raise NotBiconnected("st_order requires a biconnected graph")
     outer = e.outer_face
     if s not in outer or t not in outer:
         raise VerticesNotOnOuterFace(f"s={s}, t={t} must both lie on the outer face")
-    adj = g.adjacency
     pos = outer.index(s)
     cyc_nbrs = sorted({outer[pos - 1], outer[(pos + 1) % len(outer)]} - {t})
-    all_v = set(range(g.n))
+    cuts_without_s = _cut_vertices(adj, all_v - {s})
     for v2 in cyc_nbrs:
-        if not _is_connected_subset(adj, all_v - {s, v2}):
+        if v2 in cuts_without_s:
             continue
         order = [s, v2]
-        placed = {s, v2}
-        rest = all_v - placed
+        rest = all_v - {s, v2}
+        frontier = {w for w in (*adj[s], *adj[v2]) if w in rest}
         while rest:
-            pick = None
-            for u in sorted(rest):
-                if u == t and len(rest) > 1:
-                    continue
-                if not any(w in placed for w in adj[u]):
-                    continue
-                if len(rest) == 1 or _is_connected_subset(adj, rest - {u}):
-                    pick = u
-                    break
+            cuts = _cut_vertices(adj, rest)
+            pick = next(
+                (u for u in sorted(frontier)
+                 if (u != t or len(rest) == 1) and u not in cuts),
+                None,
+            )
             assert pick is not None, "greedy st-order stalled on feasible input"
             order.append(pick)
-            placed.add(pick)
             rest.remove(pick)
+            frontier.remove(pick)
+            frontier.update(w for w in adj[pick] if w in rest)
         st = StOrder(tuple(order), s, t)
         _assert_st_valid(g, st)
         return st
@@ -563,11 +594,6 @@ class BlockCutTree:
             vs.add(u)
             vs.add(v)
         return tuple(sorted(vs))
-
-    def blocks_at(self, v: int) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(len(self.blocks)) if v in self.block_vertices(i)
-        )
 
 
 def block_cut_tree(g: PlanarGraph) -> BlockCutTree:

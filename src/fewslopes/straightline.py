@@ -75,7 +75,8 @@ def snap(cp: CirclePacking, d: int) -> SnappedLayout:
 
     Exact half-grid ties would make the displacement bound non-strict, so a
     detected (near-)tie retranslates the whole packing by a small asymmetric
-    offset and retries.
+    offset and retries. Raises PrecisionExhausted when a scaled center or
+    its grid step leaves the float range.
     """
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
@@ -110,9 +111,15 @@ def snap(cp: CirclePacking, d: int) -> SnappedLayout:
             g = d ** exps[i]
             x = (cp.centers[i][0] + off[0]) * scale
             y = (cp.centers[i][1] + off[1]) * scale
-            vx = g * round(x / g)
-            vy = g * round(y / g)
-            disp2 = (x - vx) ** 2 + (y - vy) ** 2
+            try:
+                vx = g * round(x / g)
+                vy = g * round(y / g)
+                disp2 = (x - vx) ** 2 + (y - vy) ** 2
+            except OverflowError as exc:
+                raise PrecisionExhausted(
+                    f"snapping the center of {i} to grid step {d}^{exps[i]} "
+                    f"overflows floats: {exc}"
+                ) from exc
             if disp2 >= 0.5 * g * g * (1.0 - 1e-12):
                 ok = False
                 break
@@ -134,25 +141,23 @@ class OrientationReport:
         return not self.violations
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def orientation_check(cp: CirclePacking, sl: SnappedLayout) -> OrientationReport:
-    """Signed area of every face: packing centers vs snapped points."""
+    """Exact signed area of every triangular face at the snapped integer
+    points against the orientation the embedding prescribes: inner faces
+    clockwise, the outer face counterclockwise (see graphs). A face that is
+    inverted or degenerate is a violation, whatever the float centers say."""
     if cp.embedding is None:
         raise ValueError("packing carries no embedding")
+    outer = cp.embedding.outer_face
+    outer_darts = {(outer[i - 1], outer[i]) for i in range(len(outer))}
     bad = []
     faces = cp.embedding.faces
     for face in faces:
         i, j, k = face
-        ci = sl.scaled_center(cp, i)
-        cj = sl.scaled_center(cp, j)
-        ck = sl.scaled_center(cp, k)
-        cross_f = (cj[0] - ci[0]) * (ck[1] - ci[1]) - (cj[1] - ci[1]) * (ck[0] - ci[0])
         pi, pj, pk = sl.points[i], sl.points[j], sl.points[k]
-        cross_i = (pj[0] - pi[0]) * (pk[1] - pi[1]) - (pj[1] - pi[1]) * (pk[0] - pi[0])
-        if _sign(cross_f) != _sign(cross_i):
+        cross = (pj[0] - pi[0]) * (pk[1] - pi[1]) - (pj[1] - pi[1]) * (pk[0] - pi[0])
+        sign = 1 if (i, j) in outer_darts else -1
+        if sign * cross <= 0:
             bad.append(face)
     return OrientationReport(faces_checked=len(faces), violations=tuple(bad))
 
@@ -186,7 +191,8 @@ def draw_straight(g: PlanarGraph) -> Drawing:
     """Exact-integer straight-line drawing of a planar graph, n >= 4.
 
     Raises PrecisionExhausted when float packing or snapping cannot resolve
-    the graph's smallest disks.
+    the graph's smallest disks: the layout leaves the float range, a snapped
+    face is inverted or degenerate, or two adjacent vertices meet.
     """
     if g.n < 4:
         raise ValueError(f"need n >= 4, got {g.n}")
@@ -197,7 +203,11 @@ def draw_straight(g: PlanarGraph) -> Drawing:
     cp = layout_centers(radii, et)
     sl = snap(cp, d_t)
     rep = orientation_check(cp, sl)
-    assert rep.ok, f"orientation violations: {rep.violations[:3]}"
+    if not rep.ok:
+        raise PrecisionExhausted(
+            f"{len(rep.violations)} of {rep.faces_checked} snapped faces are "
+            f"inverted or degenerate, e.g. {list(rep.violations[:3])}"
+        )
     pts = {v: sl.points[v] for v in range(g.n)}
     for u, v in g.edges:
         if pts[u] == pts[v]:

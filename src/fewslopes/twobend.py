@@ -65,12 +65,13 @@ def regular_slopes(d: int, s: int | None = None) -> SlopeSet:
 # --- routing pass: the master column list ---------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class _Column:
     """One pending vertical channel. x is assigned after routing finishes.
 
     A column can be reused once: a straight-up outgoing edge of the vertex
-    that consumed it stacks a fresh episode on the same x.
+    that consumed it stacks a fresh episode on the same x. Columns compare
+    by identity, so list.index finds one without comparing fields.
     """
 
     x: int = -1
@@ -83,7 +84,7 @@ class _Column:
         return None
 
 
-@dataclass
+@dataclass(eq=False)
 class _Episode:
     """A routed edge: opened at u toward target, closed when target is placed."""
 
@@ -162,16 +163,18 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
     if not placed_anchor:
         master.append(a_col)
 
-    # remaining vertices consume their pending columns bottom-up
+    # remaining vertices consume their pending columns bottom-up; live is the
+    # pending order, the columns of master that hold a live episode, and each
+    # vertex splices its own in-columns out of it and its new columns in
+    live = [c for c in master if c.live is not None]
     for v in order[1:]:
         ins = by_target[v]
         assert ins, f"vertex {v} has no earlier neighbor"
-        live = [c for c in master if c.live is not None]
-        live_idx = {id(c): i for i, c in enumerate(live)}
         for ep in ins:
             assert ep.column.live is ep, "incoming edge buried under a later episode"
-        ins.sort(key=lambda ep: live_idx[id(ep.column)])
-        idxs = [live_idx[id(ep.column)] for ep in ins]
+        at = {ep: live.index(ep.column) for ep in ins}
+        ins.sort(key=at.__getitem__)
+        idxs = [at[ep] for ep in ins]
         assert idxs == list(range(idxs[0], idxs[0] + len(idxs))), (
             f"incoming columns of {v} are not consecutive in the pending order"
         )
@@ -219,10 +222,14 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
                 lefts.append((kk, _Column(), w))
         for kk, col, w in lefts + rights:
             open_edge(v, w, kk, col)
+        left_cols = [c for _, c, _ in sorted(lefts)]
+        right_cols = [c for _, c, _ in sorted(rights)]
         mi = master.index(median_col)
-        master[mi:mi] = [c for _, c, _ in sorted(lefts)]
-        mi = master.index(median_col)
-        master[mi + 1 : mi + 1] = [c for _, c, _ in sorted(rights)]
+        master[mi : mi + 1] = left_cols + [median_col] + right_cols
+        # in the pending order the in-columns give way to the new columns,
+        # with the median between them when a straight-up edge reopened it
+        reopened = [median_col] if median_col.live is not None else []
+        live[idxs[0] : idxs[0] + r] = left_cols + reopened + right_cols
 
     assert all(c.live is None for c in master), "pending columns left unconsumed"
     for i, c in enumerate(master):

@@ -155,7 +155,7 @@ class TestExitCodes:
         gp = put(tmp_path, "g.json", graph_to_obj(gen_random_triangulation(60, 3)))
         assert run(["draw", "--method", "straight", "--in", gp]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: OverflowError: ")
+        assert err.startswith("error: PrecisionExhausted: ")
         assert err.count("\n") == 1
 
 

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import random
+
+import networkx as nx
 import pytest
+from conftest import capped_planar
 
 from fewslopes.errors import (
     Disconnected,
     NotBiconnected,
     NotPlanar,
     NotTriangulated,
+    StOrderInfeasible,
     VerticesNotOnOuterFace,
 )
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import (
     Embedding,
     PlanarGraph,
+    _cut_vertices,
     block_cut_tree,
     canonical_order,
     planar_embed,
@@ -184,6 +190,118 @@ class TestStOrder:
             st_order(e, e.outer_face[0], inner)
 
 
+def _connected_without(adj, keep: set) -> bool:
+    start = next(iter(keep))
+    stack, seen = [start], {start}
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in keep and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(keep)
+
+
+def greedy_st_order(e: Embedding, s: int, t: int) -> tuple[int, ...]:
+    """Oracle for st_order: the greedy it implements, with one search per
+    candidate. v_2 is the smallest outer-cycle neighbor of s that leaves
+    G - {s, v_2} connected; then each step places the smallest unplaced
+    vertex other than t that has a placed neighbor and leaves the unplaced
+    vertices connected."""
+    g = e.graph
+    if g.n < 3 or not nx.is_biconnected(g.to_networkx()):
+        raise NotBiconnected("oracle")
+    outer = e.outer_face
+    if s not in outer or t not in outer:
+        raise VerticesNotOnOuterFace("oracle")
+    adj = g.adjacency
+    pos = outer.index(s)
+    all_v = set(range(g.n))
+    for v2 in sorted({outer[pos - 1], outer[(pos + 1) % len(outer)]} - {t}):
+        if not _connected_without(adj, all_v - {s, v2}):
+            continue
+        order, placed = [s, v2], {s, v2}
+        rest = all_v - placed
+        while rest:
+            pick = next(
+                u for u in sorted(rest)
+                if (u != t or len(rest) == 1)
+                and any(w in placed for w in adj[u])
+                and (len(rest) == 1 or _connected_without(adj, rest - {u}))
+            )
+            order.append(pick)
+            placed.add(pick)
+            rest.remove(pick)
+        return tuple(order)
+    raise StOrderInfeasible("oracle")
+
+
+def _st_outcome(order_fn, e, s, t):
+    """The order as a tuple, or the name of the error raised."""
+    try:
+        order = order_fn(e, s, t)
+    except (NotBiconnected, StOrderInfeasible, VerticesNotOnOuterFace) as exc:
+        return type(exc).__name__
+    return getattr(order, "order", order)
+
+
+def _blocks(g: PlanarGraph):
+    bct = block_cut_tree(g)
+    for i, block in enumerate(bct.blocks):
+        verts = bct.block_vertices(i)
+        local = {v: j for j, v in enumerate(verts)}
+        yield PlanarGraph(len(verts), tuple((local[u], local[v]) for u, v in block))
+
+
+class TestStOrderMatchesGreedy:
+    @pytest.mark.parametrize("n,seed", [(4, 0), (8, 1), (15, 2), (30, 3), (60, 4)])
+    def test_every_outer_pair_of_a_triangulation(self, n, seed):
+        e = planar_embed(gen_random_triangulation(n, seed))
+        for s in e.outer_face:
+            for t in e.outer_face:
+                if s != t:
+                    want = _st_outcome(greedy_st_order, e, s, t)
+                    assert _st_outcome(st_order, e, s, t) == want, (s, t)
+
+    def test_every_block_of_a_capped_graph(self):
+        # long outer faces, so v_2 admissibility and the t-skip both matter
+        blocks = [b for b in _blocks(capped_planar(250, 0, 8)) if b.n >= 3]
+        assert sum(b.n for b in blocks) > 200
+        for bg in blocks:
+            e = planar_embed(bg)
+            outer = e.outer_face
+            for j, t in enumerate(outer):
+                s = outer[(j + 1) % len(outer)]
+                want = _st_outcome(greedy_st_order, e, s, t)
+                assert _st_outcome(st_order, e, s, t) == want, (bg.n, s, t)
+
+    def test_rejects_what_the_greedy_rejects(self):
+        two_triangles = PlanarGraph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)))
+        e = planar_embed(two_triangles)
+        assert _st_outcome(st_order, e, 0, 1) == "NotBiconnected"
+        assert _st_outcome(greedy_st_order, e, 0, 1) == "NotBiconnected"
+
+
+class TestCutVertices:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_networkx_on_connected_induced_subgraphs(self, seed):
+        rng = random.Random(seed)
+        g = capped_planar(120, seed, 6) if seed % 2 else gen_random_triangulation(80, seed)
+        G = g.to_networkx()
+        for _ in range(25):
+            keep = set(rng.sample(range(g.n), rng.randrange(2, g.n + 1)))
+            comp = max(nx.connected_components(G.subgraph(keep)), key=lambda c: (len(c), min(c)))
+            want = set(nx.articulation_points(G.subgraph(comp)))
+            assert _cut_vertices(g.adjacency, comp) == want
+
+    def test_path_and_cycle(self):
+        path = PlanarGraph(4, ((0, 1), (1, 2), (2, 3)))
+        assert _cut_vertices(path.adjacency, {0, 1, 2, 3}) == {1, 2}
+        assert _cut_vertices(path.adjacency, {2, 1, 0}) == {1}
+        assert _cut_vertices(path.adjacency, {3}) == set()
+        cycle = PlanarGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+        assert _cut_vertices(cycle.adjacency, {0, 1, 2, 3}) == set()
+
+
 class TestCanonicalOrder:
     def test_triangulation_support(self):
         e = planar_embed(gen_random_triangulation(25, 3))
@@ -204,7 +322,8 @@ class TestBlockCutTree:
         bct = block_cut_tree(g)
         assert len(bct.blocks) == 2
         assert bct.cut_vertices == (2,)
-        assert bct.blocks_at(2) == (0, 1)
+        at_2 = tuple(i for i in range(len(bct.blocks)) if 2 in bct.block_vertices(i))
+        assert at_2 == (0, 1)
 
     def test_path_splits_into_edges(self):
         g = PlanarGraph(4, ((0, 1), (1, 2), (2, 3)))

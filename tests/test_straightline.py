@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import bounded_stack
 
-from fewslopes.circlepack import ALPHA, PackParams, layout_centers, pack_radii
-from fewslopes.errors import PrecisionExhausted
+from fewslopes.circlepack import ALPHA, CirclePacking, PackParams, layout_centers, pack_radii
+from fewslopes.errors import FewslopesError, PrecisionExhausted
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
@@ -21,7 +23,16 @@ from fewslopes.straightline import (
     slope_bound,
     snap,
 )
-from fewslopes.verify import check_noncrossing, slope_census
+from fewslopes.verify import check_noncrossing, slope_census, verify_drawing
+
+
+def bench_instances():
+    """bench/instances.py, loaded by path: the benchmark's generators."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def packed(g):
@@ -116,6 +127,28 @@ class TestOrientation:
         )
         assert orientation_check(cp, bad).violations
 
+    def test_mirrored_layout_is_inverted_even_where_floats_agree(self):
+        # float centers and snapped points agree on every face's sign, and
+        # every face is turned against the embedding's orientation
+        g = gen_random_triangulation(20, 3)
+        cp = packed(g)
+        mirror = CirclePacking(
+            tuple((-x, y) for x, y in cp.centers), cp.radii, cp.outer,
+            cp.epsilon, cp.embedding,
+        )
+        sl = snap(mirror, g.max_degree)
+
+        def cross(a, b, c):
+            return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+        for face in cp.embedding.faces:
+            floats = cross(*(sl.scaled_center(mirror, v) for v in face))
+            ints = cross(*(sl.points[v] for v in face))
+            assert (floats > 0) == (ints > 0) and ints != 0
+        rep = orientation_check(mirror, sl)
+        assert set(rep.violations) == set(cp.embedding.faces)
+        assert orientation_check(cp, snap(cp, g.max_degree)).ok
+
 
 class TestDrawStraight:
     def test_octahedron_integer_noncrossing(self):
@@ -156,6 +189,24 @@ class TestDrawStraight:
         # the smallest disk is ~5e-20 of the outer ones: the float layout breaks
         with pytest.raises(PrecisionExhausted):
             draw_straight(bounded_stack(150, 1, 8))
+
+    @pytest.mark.parametrize(
+        "n,seed", [(125, 12837352374815378887), (150, 9698512278221236422)]
+    )
+    def test_snap_beyond_float_spacing_never_crosses(self, n, seed):
+        # straight-pack seed 1, round 0: snapped coordinates reach 3e20-9e21,
+        # where floats no longer hold the centers, and drawings used to cross
+        g = bench_instances().bounded_triangulation(n, 8, seed)
+        try:
+            dr = draw_straight(g)
+        except FewslopesError:
+            return
+        assert verify_drawing(dr).ok
+
+    def test_snap_overflow_is_typed(self):
+        # degree 21 needs snapping grids beyond float range
+        with pytest.raises(PrecisionExhausted, match="overflows floats"):
+            draw_straight(gen_random_triangulation(60, 3))
 
     def test_deterministic_bytes(self):
         g = gen_random_triangulation(20, 13)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
-from conftest import bounded_stack, glued_blocks
+from conftest import bounded_stack, capped_planar, glued_blocks
 
 from fewslopes.drawing import EdgeArc, SlopeSet
 from fewslopes.errors import DegreeTooHigh, DegreeTooSmall, GluingFailed, SlopesTooFew
@@ -19,7 +20,7 @@ from fewslopes.twobend import (
     draw_twobend,
     regular_slopes,
 )
-from fewslopes.verify import check_rotation, slope_census, verify_drawing
+from fewslopes.verify import check_noncrossing, check_rotation, slope_census, verify_drawing
 
 
 def k4_chain(blocks: int) -> PlanarGraph:
@@ -263,8 +264,51 @@ class TestLargerInstances:
         rep = verify_drawing(draw_twobend(g))
         assert rep.ok
 
+    def test_block_chain_at_scale(self):
+        # 1600 vertices in many blocks: st-ordering and routing stay near
+        # linear per step, so the whole graph draws in seconds
+        g = capped_planar(1600, 0, 8)
+        ok, witness = check_noncrossing(draw_twobend(g))
+        assert ok, witness
+
     def test_deterministic_bytes(self):
         g = bounded_stack(40, 5, 8)
         a = dumps_canonical(drawing_to_obj(draw_twobend(g)))
         b = dumps_canonical(drawing_to_obj(draw_twobend(g)))
         assert a == b
+
+
+# sha256 of the canonical JSON of each drawing, taken when st_order tested
+# every candidate with its own search and _route rebuilt the pending list
+# per vertex: the lowpoint st-order and the spliced pending list must keep
+# every order, column x and coordinate
+PINNED_BYTES = {
+    "octahedron": (lambda: draw_twobend(gen_octahedron(), SlopeSet(3)),
+        "65eabf4fac98ae7a9e9d92a3922cc86913fdd5885223633463a838b05e3f62d2",
+    ),
+    "k4_chain_3": (lambda: draw_twobend(k4_chain(3)),
+        "e503bcb28c2a296a3859bd648eb3f476f3b3bfc8f5199f572fa14779d2ca8312",
+    ),
+    "octahedron_pair": (lambda: draw_twobend(octahedron_pair()),
+        "801066ff59beaea0a7e0659b551114cbbdf423e5c7f5fd485e942ab48ff72248",
+    ),
+    "multi_block": (lambda: draw_twobend(multi_block_graph()),
+        "c9a12d3081334aeefe6358ac9c3a71871d23e01e6c14a52918dd20580206d944",
+    ),
+    "glued_blocks_8_4": (lambda: draw_twobend(glued_blocks(8, 4)),
+        "410172d068a8a4cedd0467cad68f4f9e79e66ac4dc350ca665bf0a00ceac5818",
+    ),
+    "bounded_stack_60_3_8": (lambda: draw_twobend(bounded_stack(60, 3, 8)),
+        "4d26f66d65cd7f66970694e847bb0f2314a78145423948fb0070c35400f3728b",
+    ),
+    "capped_planar_250_0_8": (lambda: draw_twobend(capped_planar(250, 0, 8)),
+        "6e1d12688f7d2a2bb1eebbf288036c6a909fcbf137ddb56c3bec09dc9ac886d6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+def test_drawing_bytes_are_pinned(name):
+    build, digest = PINNED_BYTES[name]
+    text = dumps_canonical(drawing_to_obj(build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
