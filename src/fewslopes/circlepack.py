@@ -1,9 +1,12 @@
 """Tangency circle packing for triangulations.
 
-Radii come from a uniform-neighbor fixed-point iteration (Collins-Stephenson
-style) with the three outer radii pinned to 1; centers are then laid out by a
-breadth-first walk over inner faces. The packing realizes: disks tangent iff
-vertices adjacent, interior angle sums 2*pi.
+Radii come from damped Newton steps on the log-radii of the interior
+vertices, the three outer radii pinned to 1: the interior angle sums are the
+gradient of a convex functional (Bobenko-Springborn 2004), whose Hessian is a
+weighted graph Laplacian, solved by conjugate gradients without BLAS so the
+radii do not depend on its thread count. Centers are then laid out by a
+breadth-first walk over inner faces, with no further refit. The packing
+realizes: disks tangent iff vertices adjacent, interior angle sums 2*pi.
 """
 
 from __future__ import annotations
@@ -60,32 +63,34 @@ class CirclePacking:
             self._validate_tangencies()
 
     def _validate_tangencies(self):
+        """Edges tangent within epsilon, other disks apart within epsilon; the
+        first offending edge, or pair (u, v) with u < v in lexicographic
+        order, is named."""
         g = self.embedding.graph
         c = np.asarray(self.centers)
         r = np.asarray(self.radii)
-        for u, v in g.edges:
-            gap = np.hypot(*(c[u] - c[v])) - (r[u] + r[v])
-            if abs(gap) > self.epsilon * (r[u] + r[v]):
-                raise ValueError(f"edge ({u},{v}) tangency residual {gap:.3e} too large")
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if g.has_edge(u, v):
-                    continue
-                dist = np.hypot(*(c[u] - c[v]))
-                if dist < (r[u] + r[v]) * (1.0 - self.epsilon):
-                    raise ValueError(f"non-adjacent disks {u},{v} overlap")
+        eu, ev = np.asarray(g.edges, dtype=np.intp).T
+        gap = np.hypot(*(c[eu] - c[ev]).T) - (r[eu] + r[ev])
+        bad = np.flatnonzero(np.abs(gap) > self.epsilon * (r[eu] + r[ev]))
+        if len(bad):
+            k = bad[0]
+            raise ValueError(f"edge ({eu[k]},{ev[k]}) tangency residual {gap[k]:.3e} too large")
+        for u in range(g.n - 1):
+            dist = np.hypot(*(c[u + 1 :] - c[u]).T)
+            overlap = dist < (r[u] + r[u + 1 :]) * (1.0 - self.epsilon)
+            overlap[[w - u - 1 for w in g.neighbors(u) if w > u]] = False
+            if overlap.any():
+                raise ValueError(f"non-adjacent disks {u},{u + 1 + np.argmax(overlap)} overlap")
 
-    def max_tangency_residual(self) -> float:
-        g = self.embedding.graph
-        worst = 0.0
-        for u, v in g.edges:
-            su = self.radii[u] + self.radii[v]
-            gap = math.hypot(
-                self.centers[u][0] - self.centers[v][0],
-                self.centers[u][1] - self.centers[v][1],
-            ) - su
-            worst = max(worst, abs(gap) / su)
-        return worst
+
+def _tangency_residual(centers, radii, edges) -> float:
+    """Worst relative tangency residual |dist(u, v) - (r_u + r_v)| / (r_u + r_v)
+    over the given edges."""
+    c = np.asarray(centers, dtype=float)
+    r = np.asarray(radii, dtype=float)
+    u, v = np.asarray(edges, dtype=np.intp).T
+    s = r[u] + r[v]
+    return float(np.max(np.abs(np.hypot(*(c[u] - c[v]).T) - s) / s))
 
 
 def _check_packable(e: Embedding):
@@ -97,83 +102,124 @@ def _check_packable(e: Embedding):
         raise NotTriangulated("outer face must be a triangle")
 
 
+def _inner_faces(e: Embedding) -> np.ndarray:
+    """Inner faces as rows (i, j, k); the outer face holds dart outer[0:2]."""
+    o = e.outer_face
+    return np.array(
+        [f for f in e.faces if (o[0], o[1]) not in zip(f, f[1:] + f[:1])], dtype=np.intp
+    )
+
+
+def _face_terms(u: np.ndarray, faces: np.ndarray):
+    """Corner angles and Laplacian side weights of every inner face at log-radii u.
+
+    Row f holds face (i, j, k); theta[f, c] is the angle at corner faces[f, c]
+    of the triangle of centers, and w[f, c] = h / (r_a + r_b) on the side from
+    a = faces[f, c] to b = faces[f, c + 1 mod 3], with h the inradius of the
+    triangle. Each face is scaled by its largest radius first: both are
+    scale-free, and the ratios stay in floats however far the radii spread.
+    """
+    uf = u[faces]
+    rho = np.exp(uf - uf.max(axis=1, keepdims=True))
+    h = np.sqrt(rho.prod(axis=1, keepdims=True) / rho.sum(axis=1, keepdims=True))
+    theta = 2.0 * np.arctan2(h, rho)
+    w = h / (rho + np.roll(rho, -1, axis=1))
+    return theta, w
+
+
+def _laplacian_solve(ia, ib, w, m: int, rhs: np.ndarray) -> np.ndarray:
+    """Solve L x = rhs for the weighted Laplacian on interior vertices 0..m-1.
+
+    Side k joins ia[k] and ib[k] with weight w[k]; index m stands for every
+    pinned outer vertex, whose value is 0. Jacobi-preconditioned conjugate
+    gradients to relative residual 1e-6, with products from np.bincount and
+    dot products from np.sum: nothing goes through BLAS, so the result does
+    not depend on its thread count.
+    """
+
+    def apply(x):
+        xe = np.append(x, 0.0)
+        flow = w * (xe[ia] - xe[ib])
+        return (np.bincount(ia, flow, m + 1) - np.bincount(ib, flow, m + 1))[:m]
+
+    inv_diag = 1.0 / (np.bincount(ia, w, m + 1) + np.bincount(ib, w, m + 1))[:m]
+    x = np.zeros(m)
+    res = rhs.copy()
+    z = inv_diag * res
+    step = z.copy()
+    rz = np.sum(res * z)
+    stop = 1e-12 * np.sum(rhs * rhs)
+    for _ in range(10 * m):
+        if np.sum(res * res) <= stop:
+            break
+        q = apply(step)
+        alpha = rz / np.sum(step * q)
+        x += alpha * step
+        res -= alpha * q
+        z = inv_diag * res
+        rz, rz_old = np.sum(res * z), rz
+        step = z + (rz / rz_old) * step
+    return x
+
+
 def pack_radii(e: Embedding, p: PackParams | None = None) -> np.ndarray:
     """Radii of the tangency packing with outer radii = 1.
 
-    Interior radii are iterated until every interior angle sum is within
-    p.epsilon of 2*pi.
+    Damped Newton on the log-radii u of the interior vertices, from radii
+    0.5, until every interior angle sum is within p.epsilon of 2*pi; the
+    angle sums are the gradient of a convex functional (Bobenko-Springborn
+    2004). Their Jacobian is minus a weighted graph Laplacian: in an inner
+    face (i, j, k), d(theta_i)/d(u_j) = h / (r_i + r_j) with h the inradius
+    of the triangle of centers, and the diagonal is minus the row sum, as
+    angles are scale-free. Each step solves L delta = Theta - 2*pi by
+    deterministic conjugate gradients and halves its length until the
+    2-norm of the angle residual decreases. p.max_iters caps Newton steps.
     """
     p = p or PackParams()
     _check_packable(e)
-    g = e.graph
-    n = g.n
-    outer = set(e.outer_face)
-    interior = np.array([v for v in range(n) if v not in outer], dtype=int)
-    if len(interior) == 0:
+    n = e.graph.n
+    interior = np.ones(n, dtype=bool)
+    interior[list(e.outer_face)] = False
+    m = int(interior.sum())
+    if m == 0:
         raise ValueError("no interior vertices")
+    faces = _inner_faces(e)
+    pos = np.full(n, m, dtype=np.intp)
+    pos[interior] = np.arange(m)
+    ia = pos[faces].ravel()
+    ib = pos[np.roll(faces, -1, axis=1)].ravel()
 
-    # corner (v; a, b): consecutive neighbors a,b of interior v in rotation
-    cv, ca, cb = [], [], []
-    for pos, v in enumerate(interior):
-        rot = e.rotation[v]
-        k = len(rot)
-        for j in range(k):
-            cv.append(pos)
-            ca.append(rot[j])
-            cb.append(rot[(j + 1) % k])
-    cv = np.array(cv, dtype=int)
-    ca = np.array(ca, dtype=int)
-    cb = np.array(cb, dtype=int)
-    degs = np.array([g.degree(v) for v in interior], dtype=float)
-    m = len(interior)
+    def residuals(u):
+        theta, w = _face_terms(u, faces)
+        sums = np.bincount(faces.ravel(), theta.ravel(), n)[interior]
+        return sums - _TWO_PI, w.ravel()
 
-    r = np.ones(n, dtype=float)
-    r[interior] = 0.5
-
-    def angle_sums(rr) -> np.ndarray:
-        rv = rr[interior][cv]
-        ra = rr[ca]
-        rb = rr[cb]
-        s2 = (ra * rb) / ((rv + ra) * (rv + rb))
-        theta = 2.0 * np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0)))
-        return np.bincount(cv, weights=theta, minlength=m)
-
-    delta_prev = None
-    lam_prev = None
+    u = np.zeros(n)
+    u[interior] = math.log(0.5)
+    res, w = residuals(u)
     iters = 0
     while True:
-        sums = angle_sums(r)
-        residual = float(np.max(np.abs(sums - _TWO_PI)))
+        residual = float(np.max(np.abs(res)))
         if residual <= p.epsilon:
             break
         if iters >= p.max_iters:
             raise NoConvergence(p.max_iters, residual)
         iters += 1
-        # uniform-neighbor update: pretend all k neighbors share one radius
-        ri = r[interior]
-        beta = np.sin(sums / (2.0 * degs))
-        rhat = ri * beta / (1.0 - beta)
-        delta_ang = np.sin(np.pi / degs)
-        rnew = rhat * (1.0 - delta_ang) / delta_ang
-        delta = rnew - ri
-        # superstep: extrapolate along the (near-geometric) convergence path
-        nd = float(np.linalg.norm(delta))
-        if delta_prev is not None and nd > 0:
-            lam = nd / delta_prev
-            if lam_prev is not None and 0.0 < lam < 1.0 and abs(lam - lam_prev) < 0.05 * lam:
-                boosted = ri + delta * (1.0 + lam / (1.0 - lam))
-                if np.all(boosted > 0):
-                    trial = r.copy()
-                    trial[interior] = boosted
-                    if np.max(np.abs(angle_sums(trial) - _TWO_PI)) < residual:
-                        r = trial
-                        delta_prev, lam_prev = None, None
-                        continue
-            lam_prev = lam
-        delta_prev = nd
-        r[interior] = rnew
+        delta = _laplacian_solve(ia, ib, w, m, res)
+        norm = np.sum(res * res)
+        for halvings in range(60):
+            trial = u.copy()
+            trial[interior] += delta / 2.0 ** halvings
+            trial_res, trial_w = residuals(trial)
+            if np.sum(trial_res * trial_res) < norm:
+                break
+        else:
+            # no step length lowers the residual: floats resolve no more
+            raise NoConvergence(iters, residual)
+        u, res, w = trial, trial_res, trial_w
+    # bench/tracer.py parses this record; each "sweep" is one Newton step
     log.debug("pack_radii converged in %d sweeps, residual %.3e", iters, residual)
-    return r
+    return np.exp(u)
 
 
 def layout_centers(radii, e: Embedding) -> CirclePacking:
@@ -185,6 +231,9 @@ def layout_centers(radii, e: Embedding) -> CirclePacking:
     placed vertex are cross-checked and raise InconsistentRadii beyond
     tolerance. Centers that come out non-finite or not a valid packing, as
     when the radii span more than floats resolve, raise PrecisionExhausted.
+    The centers are not refitted afterwards: the stored epsilon is 1.5 times
+    the worst relative tangency residual of the placement (at least 1e-10),
+    and CirclePacking validates against it.
     """
     _check_packable(e)
     r = np.asarray(radii, dtype=float)
@@ -241,9 +290,8 @@ def layout_centers(radii, e: Embedding) -> CirclePacking:
 
     assert len(pos) == g.n, "layout BFS failed to reach every vertex"
     arr = np.array([pos[v] for v in range(g.n)])
-    worst = _polish_centers(arr, r, e, anchors=(a, b))
     centers = tuple((float(x), float(y)) for x, y in arr)
-    stored_eps = max(1e-10, worst * 1.5)
+    stored_eps = max(1e-10, _tangency_residual(arr, r, g.edges) * 1.5)
     try:
         return CirclePacking(
             centers=centers,
@@ -254,55 +302,6 @@ def layout_centers(radii, e: Embedding) -> CirclePacking:
         )
     except ValueError as exc:
         raise PrecisionExhausted(f"float center layout is not a packing: {exc}") from exc
-
-
-def _polish_centers(pos: np.ndarray, r: np.ndarray, e: Embedding, anchors) -> float:
-    """Gauss-Newton sweeps on per-vertex relative tangency residuals.
-
-    BFS placement alone drifts to ~1e-8 relative residual on deeply nested
-    circles; a few local refits push that to ~1e-10. The two anchor vertices
-    stay fixed to preserve the normalization. Returns the final worst
-    relative residual over edges; raises PrecisionExhausted when a center
-    meets a neighbor's in floats.
-    """
-    g = e.graph
-    order = sorted(range(g.n), key=lambda v: -r[v])
-    nbrs = {v: np.array(g.neighbors(v), dtype=int) for v in range(g.n)}
-
-    def worst_residual() -> float:
-        worst = 0.0
-        for u, v in g.edges:
-            su = r[u] + r[v]
-            gap = abs(math.hypot(*(pos[u] - pos[v])) - su) / su
-            if not gap <= worst:  # keeps a NaN gap
-                worst = gap
-        return worst
-
-    for _ in range(50):
-        for w in order:
-            if w in anchors:
-                continue
-            nb = nbrs[w]
-            t = r[w] + r[nb]
-            for _ in range(2):
-                d = pos[nb] - pos[w]
-                dist = np.hypot(d[:, 0], d[:, 1])
-                if not dist.all():
-                    raise PrecisionExhausted(f"center of {w} meets a neighbor's in floats")
-                res = (dist - t) / t
-                u = d / dist[:, None]
-                jac = u / t[:, None]
-                a_mat = jac.T @ jac
-                grad = jac.T @ res
-                try:
-                    step = np.linalg.solve(a_mat, grad)
-                except np.linalg.LinAlgError:
-                    break
-                pos[w] += step
-        worst = worst_residual()
-        if worst < 1e-12:
-            break
-    return worst
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,6 @@ class SlopeSet:
             return None
         return k % (2 * self.s)
 
-    def undirected_index(self, dx: float, dy: float, tol: float = 1e-9) -> int | None:
-        k = self.directed_index(dx, dy, tol)
-        return None if k is None else k % self.s
-
     def is_contiguous(self, indices) -> bool:
         """True iff the directed-slope index set forms one arc mod 2s."""
         ks = sorted(set(i % (2 * self.s) for i in indices))

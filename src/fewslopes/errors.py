@@ -50,11 +50,12 @@ class StOrderInfeasible(FewslopesError):
 # --- circle packing errors ----------------------------------------------------
 
 class NoConvergence(FewslopesError):
-    """Radius iteration did not reach the target residual within the cap."""
+    """Radius iteration did not reach the target residual: it hit the step
+    cap, or no step length lowered the residual any more."""
 
     def __init__(self, max_iters: int, residual: float):
         super().__init__(
-            f"packing solver hit iteration cap {max_iters} "
+            f"packing solver stopped after {max_iters} steps "
             f"(max angle residual {residual:.3e})"
         )
         self.max_iters = max_iters

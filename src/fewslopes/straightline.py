@@ -63,12 +63,6 @@ class SnappedLayout:
             if x % g or y % g:
                 raise ValueError(f"point ({x},{y}) not divisible by {g}")
 
-    def scaled_center(self, cp: CirclePacking, i: int) -> tuple[float, float]:
-        return (
-            (cp.centers[i][0] + self.offset[0]) * self.scale,
-            (cp.centers[i][1] + self.offset[1]) * self.scale,
-        )
-
 
 def snap(cp: CirclePacking, d: int) -> SnappedLayout:
     """Snap scaled centers to per-vertex power-of-d grids.

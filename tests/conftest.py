@@ -6,10 +6,22 @@ graphs (and therefore byte-identical drawings downstream).
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 from fewslopes.families import gen_random_triangulation
 from fewslopes.graphs import PlanarGraph
+
+BENCH_INSTANCES = Path(__file__).resolve().parents[1] / "bench" / "instances.py"
+
+
+def bench_instances():
+    """bench/instances.py, loaded by path: the benchmark's generators."""
+    spec = importlib.util.spec_from_file_location("bench_instances", BENCH_INSTANCES)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def bounded_stack(n: int, seed: int, dmax: int) -> PlanarGraph:

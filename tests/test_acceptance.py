@@ -142,7 +142,8 @@ def test_snapped_integer_drawings_meet_grid_invariants():
         root2 = math.sqrt(2.0)
         for v in range(g.n):
             assert dr.points[v] == sl.points[v]
-            cx, cy = sl.scaled_center(cp, v)
+            cx = (cp.centers[v][0] + sl.offset[0]) * sl.scale
+            cy = (cp.centers[v][1] + sl.offset[1]) * sl.scale
             disp = math.hypot(sl.points[v][0] - cx, sl.points[v][1] - cy)
             assert disp < d ** sl.exponents[v] / root2
 

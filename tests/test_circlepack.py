@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import bench_instances
 
 from fewslopes.circlepack import (
     ALPHA,
@@ -79,16 +80,42 @@ class TestRadii:
             pack_radii(e, PackParams(epsilon=1e-15, max_iters=1))
         assert err.value.residual > 1e-15
 
+    def test_unreachable_epsilon_stops_at_float_resolution(self):
+        e = planar_embed(gen_random_triangulation(30, 4))
+        with pytest.raises(NoConvergence) as err:
+            pack_radii(e, PackParams(epsilon=0.0))
+        assert 0.0 < err.value.residual < 1e-12
+        assert err.value.max_iters < 20
+
     def test_deterministic(self):
         e = planar_embed(gen_random_triangulation(30, 4))
         assert np.array_equal(pack_radii(e), pack_radii(e))
+
+    def test_thousand_vertices_within_twenty_newton_steps(self):
+        e = planar_embed(bench_instances().bounded_triangulation(1000, 8, 1))
+        r = pack_radii(e, PackParams(epsilon=1e-12, max_iters=20))
+        # the angle of corner (v; a, b) from its half-angle sine, per rotation
+        for v in range(e.graph.n):
+            if v in e.outer_face:
+                continue
+            rot = e.rotation[v]
+            total = 0.0
+            for a, b in zip(rot, rot[1:] + rot[:1]):
+                s2 = r[a] * r[b] / ((r[v] + r[a]) * (r[v] + r[b]))
+                total += 2.0 * math.asin(math.sqrt(s2))
+            assert abs(total - 2.0 * math.pi) < 1e-11
 
 
 class TestLayout:
     @pytest.mark.parametrize("g", [gen_octahedron(), gen_random_triangulation(40, 8)])
     def test_tangency_residual_small(self, g):
         cp = packed(g)
-        assert cp.max_tangency_residual() < 1e-8
+        worst = max(
+            abs(math.dist(cp.centers[u], cp.centers[v]) - (cp.radii[u] + cp.radii[v]))
+            / (cp.radii[u] + cp.radii[v])
+            for u, v in g.edges
+        )
+        assert worst < 1e-8
         assert cp.epsilon >= 1e-10
 
     def test_interior_angles_close_round(self):

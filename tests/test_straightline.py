@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bounded_stack
+from conftest import BENCH_INSTANCES, bench_instances, bounded_stack
 
+import fewslopes
 from fewslopes.circlepack import ALPHA, CirclePacking, PackParams, layout_centers, pack_radii
 from fewslopes.errors import FewslopesError, PrecisionExhausted
 from fewslopes.families import gen_octahedron, gen_random_triangulation
@@ -26,13 +29,34 @@ from fewslopes.straightline import (
 from fewslopes.verify import check_noncrossing, slope_census, verify_drawing
 
 
-def bench_instances():
-    """bench/instances.py, loaded by path: the benchmark's generators."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "instances.py"
-    spec = importlib.util.spec_from_file_location("bench_instances", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+# straight-pack seed 1, round 0: n = 100 and n = 150
+ROUND0 = ((100, 3912054301459775401), (150, 9698512278221236422))
+
+# draws ROUND0 in a fresh interpreter: one sha256 of the canonical JSON, or
+# the exception's type, per instance
+DRAW_ROUND0 = f"""
+import hashlib, importlib.util, sys
+from fewslopes.jsonio import drawing_to_obj, dumps_canonical
+from fewslopes.straightline import draw_straight
+spec = importlib.util.spec_from_file_location("bench_instances", sys.argv[1])
+mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mod)
+for n, seed in {ROUND0!r}:
+    try:
+        dr = draw_straight(mod.bounded_triangulation(n, 8, seed))
+    except Exception as exc:
+        print(type(exc).__name__)
+    else:
+        print(hashlib.sha256(dumps_canonical(drawing_to_obj(dr)).encode()).hexdigest())
+"""
+
+
+def scaled_center(sl, cp, i):
+    """Center i of cp, translated and scaled as snap does before rounding."""
+    return (
+        (cp.centers[i][0] + sl.offset[0]) * sl.scale,
+        (cp.centers[i][1] + sl.offset[1]) * sl.scale,
+    )
 
 
 def packed(g):
@@ -85,7 +109,7 @@ class TestSnap:
         for i, s in enumerate(sl.exponents):
             assert d ** s <= ratios[i] * (1 + 1e-12)
             assert ratios[i] < d ** (s + 1) * (1 + 1e-12)
-            ox, oy = sl.scaled_center(cp, i)
+            ox, oy = scaled_center(sl, cp, i)
             vx, vy = sl.points[i]
             assert math.hypot(ox - vx, oy - vy) < d ** s / math.sqrt(2.0)
 
@@ -142,7 +166,7 @@ class TestOrientation:
             return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
         for face in cp.embedding.faces:
-            floats = cross(*(sl.scaled_center(mirror, v) for v in face))
+            floats = cross(*(scaled_center(sl, mirror, v) for v in face))
             ints = cross(*(sl.points[v] for v in face))
             assert (floats > 0) == (ints > 0) and ints != 0
         rep = orientation_check(mirror, sl)
@@ -203,9 +227,40 @@ class TestDrawStraight:
             return
         assert verify_drawing(dr).ok
 
+    def test_thousand_vertices_verify_or_fail_typed(self):
+        g = bench_instances().bounded_triangulation(1000, 8, 1)
+        assert g.n == 1000 and g.max_degree == 8
+        try:
+            dr = draw_straight(g)
+        except FewslopesError:
+            return
+        assert verify_drawing(dr).ok
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        src = str(Path(fewslopes.__file__).resolve().parents[1])
+        procs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OMP_NUM_THREADS=threads,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            )
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", DRAW_ROUND0, str(BENCH_INSTANCES)],
+                env=env, stdout=subprocess.PIPE, text=True,
+            ))
+        outs = [p.communicate(timeout=300)[0] for p in procs]
+        assert [p.returncode for p in procs] == [0, 0]
+        assert len(outs[0].split()) == len(ROUND0)
+        assert outs[0] == outs[1]
+
     def test_snap_overflow_is_typed(self):
-        # degree 21 needs snapping grids beyond float range
+        # degree 26 needs snapping grids beyond float range
         with pytest.raises(PrecisionExhausted, match="overflows floats"):
+            draw_straight(gen_random_triangulation(60, 0))
+        # degree 21 snaps inside floats, but every face of it inverted
+        with pytest.raises(PrecisionExhausted):
             draw_straight(gen_random_triangulation(60, 3))
 
     def test_deterministic_bytes(self):
