@@ -273,8 +273,20 @@ def tshape_representation(e: Embedding) -> TShapeRep:
 
 
 def _verify_contacts(shapes, edges, contacts) -> list[str]:
-    """Exact check: touch points exist iff edges do, once, where recorded."""
-    n = len(shapes)
+    """Exact check: touch points exist iff edges do, once, where recorded.
+
+    Hats are horizontal and legs vertical, so every test is a sort, never a
+    pair loop. With legs sorted by column, the legs a hat may touch are one
+    searchsorted range of columns, then filtered by row. With hats sorted by
+    (row, left end) and legs by (column, bottom), the hats or legs that
+    overlap one of them form a contiguous run after it. The edge test walks
+    only the touching pairs and the edges.
+
+    The problem list has a fixed order, which the retraction retry and its
+    error message rely on: "hat crosses leg" by (hat, leg); then overlapping
+    hats and intersecting legs by pair, hats first; then, only when those are
+    absent, the edge problems by pair.
+    """
     cx = np.array([s.center[0] for s in shapes])
     cy = np.array([s.center[1] for s in shapes])
     hx1 = np.array([s.hat_left[0] for s in shapes])
@@ -282,47 +294,77 @@ def _verify_contacts(shapes, edges, contacts) -> list[str]:
     ly = np.array([s.leg_bottom[1] for s in shapes])
 
     # hat of i vs leg of j (coordinates are small ints: comparisons exact)
-    cover_x = (hx1[:, None] <= cx[None, :]) & (cx[None, :] <= hx2[:, None])
-    cover_y = (ly[None, :] <= cy[:, None]) & (cy[:, None] <= cy[None, :])
-    hit = cover_x & cover_y
-    np.fill_diagonal(hit, False)
-    strict_x = (hx1[:, None] < cx[None, :]) & (cx[None, :] < hx2[:, None])
-    strict_y = (ly[None, :] < cy[:, None]) & (cy[:, None] < cy[None, :])
-    crossing = strict_x & strict_y
-    np.fill_diagonal(crossing, False)
-
-    problems = []
-    for i, j in zip(*np.nonzero(crossing)):
-        problems.append(f"hat of {i} crosses leg of {j}")
+    by_col = np.argsort(cx, kind="stable")
+    col = cx[by_col]
+    hi, at = _expand(np.searchsorted(col, hx1, "left"), np.searchsorted(col, hx2, "right"))
+    hj = by_col[at]
+    keep = (ly[hj] <= cy[hi]) & (cy[hi] <= cy[hj]) & (hi != hj)
+    hi, hj = hi[keep], hj[keep]
+    cross = (hx1[hi] < cx[hj]) & (cx[hj] < hx2[hi]) & (ly[hj] < cy[hi]) & (cy[hi] < cy[hj])
+    problems = [
+        f"hat of {i} crosses leg of {j}"
+        for i, j in sorted(zip(hi[cross].tolist(), hj[cross].tolist()))
+    ]
     # same-row hats / same-column legs must stay strictly apart
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cy[i] == cy[j] and max(hx1[i], hx1[j]) <= min(hx2[i], hx2[j]):
-                problems.append(f"hats of {i},{j} overlap")
-            if cx[i] == cx[j] and max(ly[i], ly[j]) <= min(cy[i], cy[j]):
-                problems.append(f"legs of {i},{j} intersect")
+    clash = [
+        (i, j, what)
+        for what, pairs in (
+            ("hats of {},{} overlap", _run_pairs(cy, hx1, hx2)),
+            ("legs of {},{} intersect", _run_pairs(cx, ly, cy)),
+        )
+        for i, j in pairs
+    ]
+    problems += [what.format(i, j) for i, j, what in sorted(clash)]  # "hats" < "legs"
     if problems:
         return problems
 
+    cx, cy = cx.tolist(), cy.tolist()
+    hits = set(zip(hi.tolist(), hj.tolist()))
     recorded = {(c.u, c.v): c for c in contacts}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pts = set()
-            if hit[i, j]:
-                pts.add((int(cx[j]), int(cy[i])))
-            if hit[j, i]:
-                pts.add((int(cx[i]), int(cy[j])))
-            key = (i, j)
-            if key in edges:
-                if len(pts) != 1:
-                    problems.append(f"edge {key}: {len(pts)} touch points")
-                elif key not in recorded or recorded[key].point != next(iter(pts)):
-                    problems.append(f"edge {key}: touch point mismatch")
-            elif pts:
-                problems.append(f"non-edge {key} touches at {sorted(pts)}")
+    for key in sorted({(min(i, j), max(i, j)) for i, j in hits} | edges):
+        i, j = key
+        pts = set()
+        if (i, j) in hits:
+            pts.add((cx[j], cy[i]))
+        if (j, i) in hits:
+            pts.add((cx[i], cy[j]))
+        if key in edges:
+            if len(pts) != 1:
+                problems.append(f"edge {key}: {len(pts)} touch points")
+            elif key not in recorded or recorded[key].point != next(iter(pts)):
+                problems.append(f"edge {key}: touch point mismatch")
+        elif pts:
+            problems.append(f"non-edge {key} touches at {sorted(pts)}")
     if not problems and len(recorded) != len(edges):
         problems.append("contact count differs from edge count")
     return problems
+
+
+def _expand(lo, hi):
+    """(owner, k): one entry per k in [lo[owner], hi[owner]), by owner."""
+    size = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(len(lo)), size)
+    k = np.arange(int(size.sum())) + np.repeat(lo - (np.cumsum(size) - size), size)
+    return owner, k
+
+
+def _run_pairs(line, lo, hi):
+    """Pairs (i, j), i < j, of intervals [lo, hi] (lo <= hi) on the same
+    line that meet.
+
+    Sorted by (line, lo), the intervals meeting one interval and starting at
+    or after it are the run up to the first one that starts beyond its hi.
+    """
+    order = np.lexsort((lo, line))
+    ends = np.unique(np.concatenate((lo, hi)))
+    span = len(ends)
+    # one sortable int64 per (line, end) pair
+    line_rank = np.unique(line, return_inverse=True)[1].ravel()
+    key = (line_rank * span + np.searchsorted(ends, lo))[order]
+    stop = np.searchsorted(key, (line_rank * span + np.searchsorted(ends, hi))[order], "right")
+    a, b = _expand(np.arange(1, len(order) + 1), stop)
+    a, b = order[a], order[b]
+    return zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
 
 
 # --- numbering and drawing -------------------------------------------------

@@ -3,7 +3,10 @@
 Every check here recomputes its answer from the polylines alone; nothing is
 shared with the drawing pipelines beyond the primitive types. Crossings are
 decided exactly for every coord_kind: float coordinates are binary rationals,
-so each drawing is scaled to integers by one common denominator. One slope
+so each drawing is scaled to integers by one common denominator, segment by
+segment. A sort-and-sweep over bounding boxes proposes the segment pairs to
+test, in ascending order; two segments that end at a vertex their edges
+share, matched by vertex id, need one orientation test. One slope
 classification (slope_classes) gives every segment its slope class; the
 census, the bend count and the hub multiplicities of G_d all count those
 classes. It is exact for "int" and "rational" drawings; for "float" ones it,
@@ -70,15 +73,6 @@ class VerifyReport:
         return self.crossing_free and cont and self.wedge_ok is not False
 
 
-def _segments(dr: Drawing):
-    """Flat list of (edge index, segment index, p, q)."""
-    out = []
-    for ei, a in enumerate(dr.edges):
-        for si in range(len(a.poly) - 1):
-            out.append((ei, si, a.poly[si], a.poly[si + 1]))
-    return out
-
-
 # --- crossing test ----------------------------------------------------------------
 
 
@@ -126,69 +120,117 @@ def _between(a, b, p) -> bool:
     )
 
 
-def _candidate_pairs(segs):
-    """Index pairs whose closed bounding boxes overlap (numpy).
+_PAIR_BUDGET = 1 << 18  # x-overlap pairs _candidate_pairs expands at once
 
-    Boxes are taken on float(coordinate); rounding to float is monotone, so
-    boxes that meet exactly still meet after it.
+
+def _candidate_pairs(boxes):
+    """Index pairs (i, j), i < j, ascending, whose closed bounding boxes
+    overlap; boxes is an (m, 4) float array of segment ends (px, py, qx, qy).
+
+    Sort and sweep: sorted by left edge, the boxes that start at or after a
+    box and meet its x-range form one run, whose end searchsorted finds. The
+    runs are expanded about _PAIR_BUDGET pairs at a time and filtered by
+    y. Boxes are taken on float(coordinate); rounding to float is monotone,
+    so boxes that meet exactly still meet after it.
     """
-    m = len(segs)
+    m = len(boxes)
     if m < 2:
         return []
-    arr = np.array(
-        [[float(p[0]), float(p[1]), float(q[0]), float(q[1])] for _, _, p, q in segs]
-    )
-    lox = np.minimum(arr[:, 0], arr[:, 2])
-    hix = np.maximum(arr[:, 0], arr[:, 2])
-    loy = np.minimum(arr[:, 1], arr[:, 3])
-    hiy = np.maximum(arr[:, 1], arr[:, 3])
-    out = []
-    chunk = max(1, int(4e6 // max(m, 1)))
-    for i0 in range(0, m, chunk):
-        i1 = min(m, i0 + chunk)
-        ox = (lox[i0:i1, None] <= hix[None, :]) & (hix[i0:i1, None] >= lox[None, :])
-        oy = (loy[i0:i1, None] <= hiy[None, :]) & (hiy[i0:i1, None] >= loy[None, :])
-        ii, jj = np.nonzero(ox & oy)
-        keep = ii + i0 < jj
-        out.extend(zip((ii + i0)[keep].tolist(), jj[keep].tolist()))
-    return out
+    lox = np.minimum(boxes[:, 0], boxes[:, 2])
+    hix = np.maximum(boxes[:, 0], boxes[:, 2])
+    loy = np.minimum(boxes[:, 1], boxes[:, 3])
+    hiy = np.maximum(boxes[:, 1], boxes[:, 3])
+    order = np.argsort(lox, kind="stable")
+    lox, hix, loy, hiy = lox[order], hix[order], loy[order], hiy[order]
+    size = np.searchsorted(lox, hix, "right") - np.arange(1, m + 1)
+    last = np.cumsum(size)  # last[p]: pairs in the runs of positions <= p
+    out_i, out_j = [], []
+    p0 = 0
+    while p0 < m:
+        done = int(last[p0 - 1]) if p0 else 0
+        p1 = max(p0 + 1, int(np.searchsorted(last, done + _PAIR_BUDGET, "right")))
+        run = size[p0:p1]
+        a = np.repeat(np.arange(p0, p1), run)
+        # the run of position p starts at p + 1 and at pair number last[p] - size[p]
+        shift = np.arange(p0 + 1, p1 + 1) - (last[p0:p1] - run)
+        b = np.arange(done, int(last[p1 - 1])) + np.repeat(shift, run)
+        keep = (loy[a] <= hiy[b]) & (hiy[a] >= loy[b])
+        a, b = order[a[keep]], order[b[keep]]
+        out_i.append(np.minimum(a, b))
+        out_j.append(np.maximum(a, b))
+        p0 = p1
+    ii, jj = np.concatenate(out_i), np.concatenate(out_j)
+    asc = np.argsort(ii * m + jj)
+    return list(zip(ii[asc].tolist(), jj[asc].tolist()))
 
 
 def _lift(dr: Drawing):
-    """(den, lift): den is the least common denominator of every coordinate
-    (floats are binary rationals), lift maps each polyline point p to the
-    integer point den * p."""
-    ratios = {
-        p: (p[0].as_integer_ratio(), p[1].as_integer_ratio())
-        for a in dr.edges
-        for p in a.poly
-    }
-    den = math.lcm(*{d for rx, ry in ratios.values() for _, d in (rx, ry)})
-    lift = {
-        p: (nx * (den // dx), ny * (den // dy))
-        for p, ((nx, dx), (ny, dy)) in ratios.items()
-    }
-    return den, lift
+    """(den, segs, vertex_pt, boxes): den is the least common denominator of
+    every coordinate (floats are binary rationals), and lifting maps a point
+    p to the integer point den * p. segs lists, per segment, its edge index,
+    its index in the edge, its lifted ends and the vertex ids at those ends
+    (None at a bend); vertex_pt maps each vertex id to its lifted point;
+    boxes holds the float ends (px, py, qx, qy), one row per segment."""
+    ratios = [[(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in a.poly] for a in dr.edges]
+    dens = {d for row in ratios for rx, ry in row for _, d in (rx, ry)}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    segs, vertex_pt = [], {}
+    for ei, (a, row) in enumerate(zip(dr.edges, ratios)):
+        pts = [(nx * scale[dx], ny * scale[dy]) for (nx, dx), (ny, dy) in row]
+        vertex_pt[a.u], vertex_pt[a.v] = pts[0], pts[-1]
+        last = len(pts) - 2
+        for si in range(last + 1):
+            segs.append((
+                ei, si, pts[si], pts[si + 1],
+                a.u if si == 0 else None, a.v if si == last else None,
+            ))
+    boxes = np.array(
+        [[float(p[0]), float(p[1]), float(q[0]), float(q[1])]
+         for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
+    )
+    return den, segs, vertex_pt, boxes
 
 
 def check_noncrossing(dr: Drawing):
     """(crossing_free, witness). Arcs of different edges may meet only at a
     shared endpoint; collinear overlap is a violation. Decided exactly for
-    every coord_kind, on the drawing lifted to integers."""
-    segs = _segments(dr)
-    den, lift = _lift(dr)
-    for i, j in _candidate_pairs(segs):
-        ei, si, p1, p2 = segs[i]
-        ej, sj, p3, p4 = segs[j]
+    every coord_kind, on the drawing lifted to integers.
+
+    Candidate pairs come from a sort-and-sweep over bounding boxes, in
+    ascending segment order, so the first violation (the witness) does not
+    depend on the broad phase. Two segments that both end at the point of a
+    vertex their edges share (by vertex id, not by point) meet only there
+    when they turn at it: one exact orientation decides. Every other pair,
+    and a shared end with collinear segments, goes through the full exact
+    intersection test.
+    """
+    den, segs, vertex_pt, boxes = _lift(dr)
+    for i, j in _candidate_pairs(boxes):
+        ei, si, p1, p2, hi, ti = segs[i]
+        ej, sj, p3, p4, hj, tj = segs[j]
         if ei == ej:
             continue
-        hit = _exact_pair(lift[p1], lift[p2], lift[p3], lift[p4])
+        # h*, t*: vertex at the segment's first / second end, None at a bend
+        if hi is not None and hi == hj:
+            turn = _orient(p1, p2, p4)
+        elif hi is not None and hi == tj:
+            turn = _orient(p1, p2, p3)
+        elif ti is not None and ti == hj:
+            turn = _orient(p2, p1, p4)
+        elif ti is not None and ti == tj:
+            turn = _orient(p2, p1, p3)
+        else:
+            turn = 0
+        if turn:
+            continue
+        hit = _exact_pair(p1, p2, p3, p4)
         if hit is None:
             continue
         kind, wx, wy = hit
         ea, eb = dr.edges[ei], dr.edges[ej]
         shared = {ea.u, ea.v} & {eb.u, eb.v}
-        if kind == "point" and any(lift[dr.points[v]] == (wx, wy) for v in shared):
+        if kind == "point" and any(vertex_pt[v] == (wx, wy) for v in shared):
             continue
         where = (float(Fraction(wx, den)), float(Fraction(wy, den)))
         return False, CrossingWitness((ea.u, ea.v), si, (eb.u, eb.v), sj, where)
@@ -200,11 +242,10 @@ def check_noncrossing(dr: Drawing):
 
 def _exact_dir_key(dx, dy):
     """Canonical primitive integer direction mod pi."""
-    fx, fy = Fraction(dx), Fraction(dy)
-    den = fx.denominator * fy.denominator
-    ix = int(fx * den)
-    iy = int(fy * den)
-    g = math.gcd(abs(ix), abs(iy))
+    nx, qx = dx.as_integer_ratio()
+    ny, qy = dy.as_integer_ratio()
+    ix, iy = nx * qy, ny * qx
+    g = math.gcd(ix, iy)
     ix //= g
     iy //= g
     if ix < 0 or (ix == 0 and iy < 0):

@@ -2,21 +2,33 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from conftest import bench_instances
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
 from fewslopes.onebend import (
+    Contact,
+    TShape,
+    _verify_contacts,
     contact_numbering,
     draw_onebend,
     slope_alpha,
     slope_beta,
     tshape_representation,
 )
-from fewslopes.verify import check_noncrossing, hausdorff_within, max_bends, slope_census
+from fewslopes.verify import (
+    check_noncrossing,
+    hausdorff_within,
+    max_bends,
+    slope_census,
+    verify_drawing,
+)
 
 
 class TestSlopeValues:
@@ -122,3 +134,172 @@ class TestDrawOnebend:
         a = dumps_canonical(drawing_to_obj(draw_onebend(g)))
         b = dumps_canonical(drawing_to_obj(draw_onebend(g)))
         assert a == b
+
+
+def loop_verify_contacts(shapes, edges, contacts) -> list[str]:
+    """Reference for _verify_contacts: n x n matrices and pair loops."""
+    n = len(shapes)
+    cx = np.array([s.center[0] for s in shapes])
+    cy = np.array([s.center[1] for s in shapes])
+    hx1 = np.array([s.hat_left[0] for s in shapes])
+    hx2 = np.array([s.hat_right[0] for s in shapes])
+    ly = np.array([s.leg_bottom[1] for s in shapes])
+
+    cover_x = (hx1[:, None] <= cx[None, :]) & (cx[None, :] <= hx2[:, None])
+    cover_y = (ly[None, :] <= cy[:, None]) & (cy[:, None] <= cy[None, :])
+    hit = cover_x & cover_y
+    np.fill_diagonal(hit, False)
+    strict_x = (hx1[:, None] < cx[None, :]) & (cx[None, :] < hx2[:, None])
+    strict_y = (ly[None, :] < cy[:, None]) & (cy[:, None] < cy[None, :])
+    crossing = strict_x & strict_y
+    np.fill_diagonal(crossing, False)
+
+    problems = []
+    for i, j in zip(*np.nonzero(crossing)):
+        problems.append(f"hat of {i} crosses leg of {j}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if cy[i] == cy[j] and max(hx1[i], hx1[j]) <= min(hx2[i], hx2[j]):
+                problems.append(f"hats of {i},{j} overlap")
+            if cx[i] == cx[j] and max(ly[i], ly[j]) <= min(cy[i], cy[j]):
+                problems.append(f"legs of {i},{j} intersect")
+    if problems:
+        return problems
+
+    recorded = {(c.u, c.v): c for c in contacts}
+    for i in range(n):
+        for j in range(i + 1, n):
+            pts = set()
+            if hit[i, j]:
+                pts.add((int(cx[j]), int(cy[i])))
+            if hit[j, i]:
+                pts.add((int(cx[i]), int(cy[j])))
+            key = (i, j)
+            if key in edges:
+                if len(pts) != 1:
+                    problems.append(f"edge {key}: {len(pts)} touch points")
+                elif key not in recorded or recorded[key].point != next(iter(pts)):
+                    problems.append(f"edge {key}: touch point mismatch")
+            elif pts:
+                problems.append(f"non-edge {key} touches at {sorted(pts)}")
+    if not problems and len(recorded) != len(edges):
+        problems.append("contact count differs from edge count")
+    return problems
+
+
+def _t(cx, cy, left, right, bottom):
+    return TShape((cx, cy), (left, cy), (right, cy), (cx, bottom))
+
+
+def _perturbed(shapes, rng, k):
+    """shapes with k random T-shapes redrawn, some onto another's row or
+    column, so that every kind of problem shows up."""
+    shapes = list(shapes)
+    for v in rng.sample(range(len(shapes)), k):
+        cx, cy = shapes[v].center
+        if rng.random() < 0.5:  # move one end: contacts appear or vanish
+            t = shapes[v]
+            ends = [t.hat_left[0], t.hat_right[0], t.leg_bottom[1]]
+            ends[rng.randrange(3)] += rng.choice((-2, -1, 1, 2))
+            left, right, bottom = ends
+            if left < cx < right and bottom < cy:
+                shapes[v] = _t(cx, cy, left, right, bottom)
+            continue
+        if rng.random() < 0.3:
+            cx = rng.choice(shapes).center[0]
+        if rng.random() < 0.3:
+            cy = rng.choice(shapes).center[1]
+        cx += rng.choice((0, 0, -1, 1))
+        cy += rng.choice((0, 0, -1, 1))
+        shapes[v] = _t(cx, cy, cx - rng.randint(1, 12), cx + rng.randint(1, 12), cy - rng.randint(1, 12))
+    return shapes
+
+
+class TestContactsMatchLoop:
+    """_verify_contacts returns the problem list of the pair loop, in its
+    order: the retraction retry and its error message depend on it."""
+
+    @pytest.mark.parametrize("n,seed", [(300, 1), (300, 2), (1000, 1)])
+    def test_bench_representations(self, n, seed):
+        g = bench_instances().bounded_triangulation(n, 8, seed)
+        rep = tshape_representation(planar_embed(g))
+        edges = set(g.edges)
+        assert _verify_contacts(rep.shapes, edges, rep.contacts) == []
+        assert loop_verify_contacts(rep.shapes, edges, rep.contacts) == []
+        for k in (1, 3):
+            shapes = _perturbed(rep.shapes, random.Random(n + seed + k), k)
+            want = loop_verify_contacts(shapes, edges, rep.contacts)
+            assert want
+            assert _verify_contacts(shapes, edges, rep.contacts) == want
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_perturbed_small_representations(self, seed):
+        g = gen_random_triangulation(25, seed % 5)
+        rep = tshape_representation(planar_embed(g))
+        rng = random.Random(seed)
+        shapes = _perturbed(rep.shapes, rng, rng.randint(0, 4))
+        edges = set(rng.sample(g.edges, len(g.edges) - rng.randint(0, 2)))
+        contacts = list(rep.contacts)
+        for ci in rng.sample(range(len(contacts)), rng.randint(0, 2)):
+            c = contacts[ci]
+            contacts[ci] = Contact(c.u, c.v, (c.point[0], c.point[1] + 1), c.hat_vertex)
+        want = loop_verify_contacts(shapes, edges, contacts)
+        assert _verify_contacts(shapes, edges, contacts) == want
+
+    # (shapes, edges, contacts, the only problem)
+    KINDS = {
+        "hat-crosses-leg": (
+            [_t(4, 4, 0, 8, 0), _t(2, 6, 1, 3, 2)], set(), [], "hat of 0 crosses leg of 1"
+        ),
+        "hats-overlap": ([_t(2, 4, 0, 4, 0), _t(5, 4, 3, 7, 0)], set(), [], "hats of 0,1 overlap"),
+        "legs-intersect": (
+            [_t(2, 6, 1, 3, 4), _t(2, 4, 1, 3, 2)], set(), [], "legs of 0,1 intersect"
+        ),
+        "edge-without-touch": (
+            [_t(2, 4, 1, 3, 0), _t(8, 4, 7, 9, 0)], {(0, 1)}, [], "edge (0, 1): 0 touch points"
+        ),
+        "touch-point-mismatch": (
+            [_t(2, 4, 1, 5, 0), _t(5, 6, 4, 6, 3)],
+            {(0, 1)},
+            [Contact(0, 1, (5, 3), hat_vertex=0)],
+            "edge (0, 1): touch point mismatch",
+        ),
+        "unrecorded-contact": (
+            [_t(2, 4, 1, 5, 0), _t(5, 6, 4, 6, 3)], {(0, 1)}, [], "edge (0, 1): touch point mismatch"
+        ),
+        "touching-non-edge": (
+            [_t(2, 4, 1, 5, 0), _t(5, 6, 4, 6, 3)], set(), [], "non-edge (0, 1) touches at [(5, 4)]"
+        ),
+        "extra-contact": (
+            [_t(2, 4, 1, 5, 0), _t(5, 6, 4, 6, 3), _t(20, 4, 19, 21, 0)],
+            {(0, 1)},
+            [Contact(0, 1, (5, 4), hat_vertex=0), Contact(0, 2, (20, 4), hat_vertex=0)],
+            "contact count differs from edge count",
+        ),
+    }
+
+    def test_overlaps_come_by_pair_whatever_the_row_or_column(self):
+        shapes = [
+            _t(2, 6, 1, 3, 4),
+            _t(10, 8, 8, 12, 7),
+            _t(13, 8, 11, 15, 7),
+            _t(2, 4, 1, 3, 2),
+            _t(30, 2, 28, 32, 1),
+            _t(33, 2, 31, 35, 1),
+        ]
+        want = ["legs of 0,3 intersect", "hats of 1,2 overlap", "hats of 4,5 overlap"]
+        assert loop_verify_contacts(shapes, set(), []) == want
+        assert _verify_contacts(shapes, set(), []) == want
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_each_problem_kind(self, kind):
+        # Two touch points would need two same-row hats that reach each
+        # other's column; those overlap, and overlap is reported first.
+        shapes, edges, contacts, problem = self.KINDS[kind]
+        assert loop_verify_contacts(shapes, edges, contacts) == [problem]
+        assert _verify_contacts(shapes, edges, contacts) == [problem]
+
+
+def test_onebend_at_3000_vertices_certifies():
+    dr = draw_onebend(bench_instances().bounded_triangulation(3000, 8, 1))
+    assert verify_drawing(dr).ok

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import capped_planar
+from conftest import bench_instances, capped_planar
+from fewslopes import verify
 from fewslopes.drawing import Drawing, EdgeArc, SlopeSet
 from fewslopes.errors import AmbiguousBucket, SlopeOffGrid
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
@@ -15,7 +18,10 @@ from fewslopes.onebend import draw_onebend
 from fewslopes.straightline import draw_straight
 from fewslopes.twobend import draw_twobend
 from fewslopes.verify import (
+    CrossingWitness,
     VerifyReport,
+    _candidate_pairs,
+    _exact_pair,
     check_contiguous,
     check_gd_claims,
     check_noncrossing,
@@ -178,6 +184,168 @@ class TestNoncrossing:
         )
         assert not check_noncrossing(dr)[0]
         assert not brute_noncrossing(dr)
+
+
+def matrix_pairs(boxes):
+    """Reference broad phase: the full m x m box-overlap matrix."""
+    lox = np.minimum(boxes[:, 0], boxes[:, 2])
+    hix = np.maximum(boxes[:, 0], boxes[:, 2])
+    loy = np.minimum(boxes[:, 1], boxes[:, 3])
+    hiy = np.maximum(boxes[:, 1], boxes[:, 3])
+    ox = (lox[:, None] <= hix[None, :]) & (hix[:, None] >= lox[None, :])
+    oy = (loy[:, None] <= hiy[None, :]) & (hiy[:, None] >= loy[None, :])
+    ii, jj = np.nonzero(ox & oy)
+    keep = ii < jj
+    return list(zip(ii[keep].tolist(), jj[keep].tolist()))
+
+
+def pairwise_noncrossing(dr):
+    """Reference crossing check: every pair of segments, ascending, lifted
+    through Fraction points."""
+    segs = [
+        (ei, si, p, q)
+        for ei, a in enumerate(dr.edges)
+        for si, (p, q) in enumerate(zip(a.poly, a.poly[1:]))
+    ]
+    den = math.lcm(*{Fraction(c).denominator for a in dr.edges for p in a.poly for c in p})
+
+    def lift(p):
+        return (int(Fraction(p[0]) * den), int(Fraction(p[1]) * den))
+
+    for i, (ei, si, p1, p2) in enumerate(segs):
+        for ej, sj, p3, p4 in segs[i + 1 :]:
+            if ei == ej:
+                continue
+            hit = _exact_pair(lift(p1), lift(p2), lift(p3), lift(p4))
+            if hit is None:
+                continue
+            kind, wx, wy = hit
+            ea, eb = dr.edges[ei], dr.edges[ej]
+            shared = {ea.u, ea.v} & {eb.u, eb.v}
+            if kind == "point" and any(lift(dr.points[v]) == (wx, wy) for v in shared):
+                continue
+            where = (float(Fraction(wx, den)), float(Fraction(wy, den)))
+            return False, CrossingWitness((ea.u, ea.v), si, (eb.u, eb.v), sj, where)
+    return True, None
+
+
+def seg_boxes(dr):
+    return np.array(
+        [[float(p[0]), float(p[1]), float(q[0]), float(q[1])]
+         for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
+    )
+
+
+def random_drawing(rng, kind):
+    """Polylines on a small grid between random vertices: many touching
+    boxes, axis-parallel pieces, shared vertices, vertices drawn at one
+    point, crossings and overlaps."""
+    scale = {"int": 1, "rational": Fraction(1, 3), "float": 0.25}[kind]
+    nv = rng.randint(3, 9)
+    pts = {v: (rng.randint(0, 6) * scale, rng.randint(0, 6) * scale) for v in range(nv)}
+    arcs, used = [], set()
+    for _ in range(rng.randint(2, 12)):
+        u, v = sorted(rng.sample(range(nv), 2))
+        if (u, v) in used:
+            continue
+        bends = [(rng.randint(0, 6) * scale, rng.randint(0, 6) * scale)
+                 for _ in range(rng.randint(0, 2))]
+        poly = [pts[u], *bends, pts[v]]
+        if all(p != q for p, q in zip(poly, poly[1:])):
+            used.add((u, v))
+            arcs.append(EdgeArc(u, v, tuple(poly)))
+    return Drawing("custom", pts, tuple(arcs), kind, {})
+
+
+class TestBroadPhase:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sweep_matches_matrix_on_random_segments(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        m = rng.randint(2, 80)
+        rows = []
+        for _ in range(m):
+            x, y = rng.randint(0, 9), rng.randint(0, 9)
+            shape = rng.randrange(4)  # free, horizontal, vertical, point
+            dx = rng.randint(-4, 4) if shape in (0, 1) else 0
+            dy = rng.randint(-4, 4) if shape in (0, 2) else 0
+            rows.append([x, y, x + dx, y + dy])
+        boxes = np.array(rows, dtype=float)
+        want = matrix_pairs(boxes)
+        for budget in (1, 7, 1 << 18):  # one position, several, all at once
+            monkeypatch.setattr(verify, "_PAIR_BUDGET", budget)
+            assert _candidate_pairs(boxes) == want
+
+    def test_sweep_matches_matrix_on_a_onebend_drawing(self, monkeypatch):
+        dr = draw_onebend(bench_instances().bounded_triangulation(300, 8, 1))
+        boxes = seg_boxes(dr)
+        want = matrix_pairs(boxes)
+        assert len(want) > 5000
+        monkeypatch.setattr(verify, "_PAIR_BUDGET", 1000)
+        assert _candidate_pairs(boxes) == want
+
+    def test_fewer_than_two_boxes(self):
+        assert _candidate_pairs(np.zeros((1, 4))) == []
+
+
+class TestCrossingMatchesPairwise:
+    """check_noncrossing gives the verdict and witness of checking every
+    pair of segments in order."""
+
+    @pytest.mark.parametrize("kind", ["int", "rational", "float"])
+    def test_random_drawings(self, kind):
+        rng = random.Random(kind)
+        crossing = 0
+        for _ in range(150):
+            dr = random_drawing(rng, kind)
+            want = pairwise_noncrossing(dr)
+            assert check_noncrossing(dr) == want
+            crossing += not want[0]
+        assert 20 < crossing < 150
+
+    def test_onebend_drawing_with_moved_bends(self):
+        dr = draw_onebend(gen_random_triangulation(20, 1))
+        rng = random.Random(0)
+        crossing = 0
+        for _ in range(12):
+            arcs = list(dr.edges)
+            for k in rng.sample(range(len(arcs)), 2):
+                a = arcs[k]
+                bx, by = a.poly[1]
+                bend = (bx + Fraction(rng.randint(-9, 9), 8), by + Fraction(rng.randint(-9, 9), 8))
+                arcs[k] = EdgeArc(a.u, a.v, (a.poly[0], bend, a.poly[2]))
+            moved = Drawing(dr.method, dr.points, tuple(arcs), dr.coord_kind, dr.meta)
+            want = pairwise_noncrossing(moved)
+            assert check_noncrossing(moved) == want
+            crossing += not want[0]
+        assert 0 < crossing < 12
+
+
+class TestSharedVertex:
+    def test_two_vertices_at_one_point_cross(self):
+        # edges (0,1) and (2,3) share no vertex, but both leave (0,0)
+        dr = mk(
+            [(0, 0), (2, 1), (0, 0), (1, 2)],
+            [(0, 1, [(0, 0), (2, 1)]), (2, 3, [(0, 0), (1, 2)])],
+        )
+        ok, w = check_noncrossing(dr)
+        assert not ok
+        assert w.where == (0.0, 0.0)
+
+    def test_collinear_overlap_from_a_shared_vertex(self):
+        dr = mk(
+            [(0, 0), (2, 0), (3, 0)],
+            [(0, 1, [(0, 0), (2, 0)]), (0, 2, [(0, 0), (1, 0), (3, 0)])],
+        )
+        ok, w = check_noncrossing(dr)
+        assert not ok
+        assert (w.edge_a, w.edge_b) == ((0, 1), (0, 2))
+
+    def test_turning_at_a_shared_vertex_is_clear(self):
+        dr = mk(
+            [(0, 0), (2, 0), (0, 2)],
+            [(0, 1, [(0, 0), (1, 1), (2, 0)]), (0, 2, [(0, 0), (1, 2), (0, 2)])],
+        )
+        assert check_noncrossing(dr) == (True, None)
 
 
 class TestSlopeCensus:
