@@ -60,8 +60,6 @@ from .onebend import (
     TShapeRep,
     contact_numbering,
     draw_onebend,
-    slope_alpha,
-    slope_beta,
     tshape_representation,
 )
 from .straightline import (

@@ -41,20 +41,20 @@ __all__ = ["RenderOptions", "render_svg", "run", "main"]
 # --- rendering ---------------------------------------------------------------------
 
 
+_MARGIN = 24.0
+_STROKE_WIDTH = 1.5
+_VERTEX_RADIUS = 3.0
+
+
 @dataclass(frozen=True)
 class RenderOptions:
     width: int = 800
     height: int = 600
-    margin: float = 24.0
-    stroke_width: float = 1.5
-    vertex_radius: float = 3.0
     color_by_slope: bool = True
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("render dimensions must be positive")
-        if self.margin < 0 or self.stroke_width <= 0 or self.vertex_radius <= 0:
-            raise ValueError("margin, stroke width and vertex radius must be positive")
 
 
 def _fit(dr: Drawing, o: RenderOptions):
@@ -68,19 +68,19 @@ def _fit(dr: Drawing, o: RenderOptions):
         xs.append(float(x))
         ys.append(float(y))
     if not xs:
-        return lambda p: (o.margin, o.margin)
+        return lambda p: (_MARGIN, _MARGIN)
     x0, y0 = min(xs), min(ys)
     span_x, span_y = max(xs) - x0, max(ys) - y0
-    usable_w = max(o.width - 2 * o.margin, 1.0)
-    usable_h = max(o.height - 2 * o.margin, 1.0)
+    usable_w = max(o.width - 2 * _MARGIN, 1.0)
+    usable_h = max(o.height - 2 * _MARGIN, 1.0)
     scale = 1.0
     if span_x > 0 or span_y > 0:
         scale = min(
             usable_w / span_x if span_x > 0 else math.inf,
             usable_h / span_y if span_y > 0 else math.inf,
         )
-    off_x = o.margin + (usable_w - span_x * scale) / 2
-    off_y = o.margin + (usable_h - span_y * scale) / 2
+    off_x = _MARGIN + (usable_w - span_x * scale) / 2
+    off_y = _MARGIN + (usable_h - span_y * scale) / 2
 
     def to_px(p):
         x, y = float(p[0]), float(p[1])
@@ -126,13 +126,13 @@ def render_svg(dr: Drawing, o: RenderOptions | None = None) -> str:
             )
             parts.append(
                 f'<path d={quoteattr(d)} fill="none" stroke={quoteattr(colors[row[start]])} '
-                f'stroke-width="{o.stroke_width}"/>'
+                f'stroke-width="{_STROKE_WIDTH}"/>'
             )
             start = end + 1
     for v in sorted(dr.points):
         x, y = to_px(dr.points[v])
         parts.append(
-            f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{o.vertex_radius}" fill="#1a1a1a"/>'
+            f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{_VERTEX_RADIUS}" fill="#1a1a1a"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -335,7 +335,7 @@ def triangulate(e: Embedding) -> Embedding:
         if apex_pos is not None:
             w = [face[(apex_pos + j) % k] for j in range(k)]  # w[0] = apex
             a = w[0]
-            # rot[a]: (w1, w2, ..., w_{k-1}) must читать consecutively
+            # rot[a]: (w1, w2, ..., w_{k-1}) must read consecutively
             ia = rot[a].index(w[1])
             for j in range(2, k - 1):
                 rot[a].insert(ia + j - 1, w[j])

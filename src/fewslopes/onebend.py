@@ -10,6 +10,10 @@ where an almost-horizontal line (slope -1/(2iN)) through the hat-side vertex
 crosses an almost-vertical line (slope 2jN) through the leg-side vertex; the
 indices i, j come from the per-vertex contact numbering, giving at most 2d
 distinct slopes, and the bend stays within distance 1/2 of the contact path.
+
+Everything is computed in Python integers: columns on a dyadic grid, the
+T-shapes in doubled units, and each bend as an integer numerator over the one
+denominator 1 + 4ijN^2 of its edge, made a rational only at the output.
 """
 
 from __future__ import annotations
@@ -29,22 +33,10 @@ __all__ = [
     "Contact",
     "TShapeRep",
     "ContactNumbering",
-    "slope_alpha",
-    "slope_beta",
     "tshape_representation",
     "contact_numbering",
     "draw_onebend",
 ]
-
-
-def slope_alpha(i: int, n: int) -> Fraction:
-    """Almost-horizontal slope family: line from the origin to (2in, -1)."""
-    return Fraction(-1, 2 * i * n)
-
-
-def slope_beta(i: int, n: int) -> Fraction:
-    """Almost-vertical slope family: line from the origin to (1, 2in)."""
-    return Fraction(2 * i * n)
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,10 @@ def tshape_representation(e: Embedding) -> TShapeRep:
     order = co.order
     rows = {v: n_rep - i for i, v in enumerate(order)}  # first vertex on top row
     v1, v2 = order[0], order[1]
-    legx: dict[int, Fraction] = {v1: Fraction(0), v2: Fraction(1)}
+    # Columns live on the grid of multiples of 2**-n_rep, scaled to ints: a
+    # new column halves a gap between earlier ones, so the vertex at
+    # canonical position i is at most i halvings deep and (a + b) >> 1 is exact.
+    legx = {v1: 0, v2: 1 << n_rep}
 
     # tips: hat end sits exactly on a support leg; rests: a middle leg lands
     # on the hat's top. Contact point is always (leg column, hat row).
@@ -213,15 +208,14 @@ def tshape_representation(e: Embedding) -> TShapeRep:
         # own column: midpoint of the widest free gap inside the hat
         seq = xs[:1] + [legx[w] for w in mids] + xs[-1:]
         j = max(range(len(seq) - 1), key=lambda t: (seq[t + 1] - seq[t], -t))
-        legx[v] = (seq[j] + seq[j + 1]) / 2
+        legx[v] = (seq[j] + seq[j + 1]) >> 1
         contour[lo : lo + len(sup)] = [w_p, v, w_q]
 
     cols = sorted(set(legx.values()))
     rank = {x: i + 1 for i, x in enumerate(cols)}
 
     for attempt in range(4):
-        mult = 4 ** attempt
-        half = Fraction(1, 2)
+        mult = 2 * 4**attempt  # doubled units: a half-unit nudge is 1
         shapes = []
         for v in range(g.n):
             cx = rank[legx[v]] * mult
@@ -230,23 +224,20 @@ def tshape_representation(e: Embedding) -> TShapeRep:
             def end(side: str, outermost, nudge):
                 tip = hat_tip[v][side]
                 if tip is not None and tip[1]:
-                    return Fraction(rank[legx[tip[0]]] * mult)
+                    return rank[legx[tip[0]]] * mult
                 rest_cols = [rank[legx[w]] * mult for w, req in hat_rests[v] if req]
                 rest_cols = [c for c in rest_cols if (c < cx if side == "left" else c > cx)]
                 if rest_cols:
-                    return Fraction(outermost(rest_cols)) + nudge
-                return Fraction(cx) + nudge
+                    return outermost(rest_cols) + nudge
+                return cx + nudge
 
-            hx1 = end("left", min, -half)
-            hx2 = end("right", max, half)
             req_rows = [r * mult for r, req in leg_marks[v] if req]
-            ly = Fraction(min(req_rows)) if req_rows else Fraction(cy) - half
             shapes.append(
                 TShape(
-                    center=(2 * cx, 2 * cy),
-                    hat_left=(int(2 * hx1), 2 * cy),
-                    hat_right=(int(2 * hx2), 2 * cy),
-                    leg_bottom=(2 * cx, int(2 * ly)),
+                    center=(cx, cy),
+                    hat_left=(end("left", min, -1), cy),
+                    hat_right=(end("right", max, 1), cy),
+                    leg_bottom=(cx, min(req_rows) if req_rows else cy - 1),
                 )
             )
 
@@ -255,7 +246,7 @@ def tshape_representation(e: Embedding) -> TShapeRep:
                 Contact(
                     min(h, l),
                     max(h, l),
-                    (2 * rank[legx[l]] * mult, 2 * rows[h] * mult),
+                    (rank[legx[l]] * mult, rows[h] * mult),
                     hat_vertex=h,
                 )
                 for h, l, req in recs
@@ -403,7 +394,13 @@ def contact_numbering(rep: TShapeRep) -> ContactNumbering:
 
 
 def draw_onebend(g: PlanarGraph) -> Drawing:
-    """One-bend drawing with at most 2*d_T slopes, exact rational bends."""
+    """One-bend drawing with at most 2*d_T slopes, exact rational bends.
+
+    The bend of an edge with contact indices i (hat side) and j (leg side)
+    is where the line of slope -1/p, p = 2iN, through the hat vertex meets
+    the line of slope q = 2jN through the leg vertex. Both coordinates are
+    integers over the one denominator 1 + pq = 1 + 4ijN^2 of that edge.
+    """
     if g.n < 2:
         raise ValueError(f"need n >= 2, got {g.n}")
     e = planar_embed(g)
@@ -411,21 +408,21 @@ def draw_onebend(g: PlanarGraph) -> Drawing:
     num = contact_numbering(rep)
     big_n = max(rep.n, rep.grid[0], rep.grid[1])
     points = {v: rep.shapes[v].center for v in range(g.n)}
-    quarter = Fraction(1, 4)
     arcs = []
     for ci, c in enumerate(rep.contacts):
         h, l = c.hat_vertex, c.leg_vertex
-        i = num.index_at(h, ci)
-        j = num.index_at(l, ci)
-        a = slope_alpha(i, big_n)
-        b = slope_beta(j, big_n)
+        p = 2 * num.index_at(h, ci) * big_n
+        q = 2 * num.index_at(l, ci) * big_n
+        den = 1 + p * q
         hx, hy = points[h]
         lx, ly = points[l]
-        x = (Fraction(ly - hy) + a * hx - b * lx) / (a - b)
-        y = hy + a * (x - hx)
+        dx, dy = lx - hx, ly - hy
+        x = lx * den - dx - p * dy
+        y = hy * den + dy - q * dx
         px, py = c.point
-        assert (x - px) ** 2 < quarter and (y - py) ** 2 < quarter, "bend strayed"
-        arcs.append(EdgeArc(c.u, c.v, (points[c.u], (x, y), points[c.v])))
+        assert 2 * abs(x - px * den) < den and 2 * abs(y - py * den) < den, "bend strayed"
+        bend = (Fraction(x, den), Fraction(y, den))
+        arcs.append(EdgeArc(c.u, c.v, (points[c.u], bend, points[c.v])))
     return Drawing(
         method="onebend",
         points=points,

@@ -42,6 +42,7 @@ from .graphs import (
     planar_embed,
     st_order,
 )
+from .verify import check_wedge
 
 _TWO_PI = 2.0 * math.pi
 
@@ -634,8 +635,9 @@ def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) ->
     meta["blocks"] = len(blocks)
     meta["cut_vertices"] = sorted(cuts)
     meta["nonvertical_middle_edges"] = _nonvertical_middle_edges(arcs)
-    meta["wedge_contained"] = _composite_in_wedge(pts, arcs, meta)
-    return Drawing("twobend", pts, arcs, "float", meta)
+    dr = Drawing("twobend", pts, arcs, "float", meta)
+    dr.meta["wedge_contained"] = check_wedge(dr) is True
+    return dr
 
 
 def _nonvertical_middle_edges(arcs) -> list[tuple[int, int]]:
@@ -643,19 +645,6 @@ def _nonvertical_middle_edges(arcs) -> list[tuple[int, int]]:
         {tuple(sorted((a.u, a.v))) for a in arcs
          if len(a.poly) == 4 and abs(a.poly[2][0] - a.poly[1][0]) > 1e-12}
     )
-
-
-def _composite_in_wedge(pts, arcs, meta) -> bool:
-    w = meta.get("wedge")
-    if w is None:
-        return False
-    wedge = Wedge(tuple(w["apex"]), w["start"], w["span"])
-    apex_pt = tuple(w["apex"])
-    for a in arcs:
-        for p in a.poly:
-            if tuple(p) != apex_pt and not wedge.contains(p, tol=1e-9):
-                return False
-    return True
 
 
 def _glue(pts, arcs, c: int, child: Drawing, verts, slopes: SlopeSet, cursor, wedge):

@@ -253,12 +253,6 @@ class TestSvg:
     def test_render_options_validation(self):
         with pytest.raises(ValueError):
             RenderOptions(width=0)
-        with pytest.raises(ValueError):
-            RenderOptions(margin=-1.0)
-        with pytest.raises(ValueError):
-            RenderOptions(stroke_width=0.0)
-        with pytest.raises(ValueError):
-            RenderOptions(vertex_radius=0.0)
 
     def test_library_render_is_xml(self):
         text = render_svg(draw_straight(gen_octahedron()))

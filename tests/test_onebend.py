@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -18,8 +19,6 @@ from fewslopes.onebend import (
     _verify_contacts,
     contact_numbering,
     draw_onebend,
-    slope_alpha,
-    slope_beta,
     tshape_representation,
 )
 from fewslopes.verify import (
@@ -31,22 +30,34 @@ from fewslopes.verify import (
 )
 
 
-class TestSlopeValues:
-    def test_near_horizontal_family(self):
-        # line through (0,0) and (2*i*n, -1)
-        assert slope_alpha(2, 5) == Fraction(-1, 20)
-        assert slope_alpha(1, 7) == Fraction(-1, 14)
-
-    def test_near_vertical_family(self):
-        # line through (0,0) and (1, 2*i*n)
-        assert slope_beta(2, 5) == Fraction(20)
-        assert slope_beta(3, 4) == Fraction(24)
-
-    def test_families_never_collide(self):
-        n = 9
-        vals = [slope_alpha(i, n) for i in range(1, n + 1)]
-        vals += [slope_beta(i, n) for i in range(1, n + 1)]
-        assert len(set(vals)) == len(vals)
+class TestDrawnSlopeFamilies:
+    @pytest.mark.parametrize(
+        "g",
+        [gen_octahedron(), gen_gd(6), gen_random_triangulation(30, 2)],
+        ids=["octahedron", "gd_6", "random_triangulation_30_2"],
+    )
+    def test_segments_take_the_numbered_family_slopes(self, g):
+        # hat side: slope -1/(2iN); leg side: slope 2jN, i and j the
+        # contact's ranks in the hat and leg vertex's numbering
+        rep = tshape_representation(planar_embed(g))
+        num = contact_numbering(rep)
+        dr = draw_onebend(g)
+        big_n = dr.meta["N"]
+        by_edge = {(c.u, c.v): ci for ci, c in enumerate(rep.contacts)}
+        for arc in dr.edges:
+            ci = by_edge[(arc.u, arc.v)]
+            c = rep.contacts[ci]
+            bx, by = arc.poly[1]
+            hx, hy = dr.points[c.hat_vertex]
+            lx, ly = dr.points[c.leg_vertex]
+            i = num.index_at(c.hat_vertex, ci)
+            j = num.index_at(c.leg_vertex, ci)
+            assert (by - hy) / (bx - hx) == Fraction(-1, 2 * i * big_n)
+            assert (ly - by) / (lx - bx) == Fraction(2 * j * big_n)
+        d_t = dr.meta["d_T"]
+        family = [Fraction(-1, 2 * i * big_n) for i in range(1, d_t + 1)]
+        family += [Fraction(2 * j * big_n) for j in range(1, d_t + 1)]
+        assert len(set(family)) == 2 * d_t  # the two families never collide
 
 
 class TestTShapes:
@@ -303,3 +314,43 @@ class TestContactsMatchLoop:
 def test_onebend_at_3000_vertices_certifies():
     dr = draw_onebend(bench_instances().bounded_triangulation(3000, 8, 1))
     assert verify_drawing(dr).ok
+
+
+# sha256 of the canonical JSON of each drawing, taken when the columns,
+# T-shape ends and bends were computed in Fraction arithmetic: the integer
+# construction must keep every coordinate
+PINNED_BYTES = {
+    "octahedron": (lambda: draw_onebend(gen_octahedron()),
+        "fbb71b7de2d3f52653f3446c982bc038d363bd2f7efdca51e09f8e1189cd5805",
+    ),
+    "gd_5": (lambda: draw_onebend(gen_gd(5)),
+        "adbb7d35aa0ca349e36a00ad1242a549ab4ae0ac5cae219f9badd6080706d907",
+    ),
+    "gd_6": (lambda: draw_onebend(gen_gd(6)),
+        "4e1c57e66d259707df6d7d563c673a85136dcf146c6dd809ae03c8c3ff819d6d",
+    ),
+    "gd_7": (lambda: draw_onebend(gen_gd(7)),
+        "0ec22dc339246a13632d8a7a85f3509188c997c0d1a424408bea6382c475996e",
+    ),
+    "random_triangulation_30_2": (lambda: draw_onebend(gen_random_triangulation(30, 2)),
+        "df42d13fddb71aedd99a1395f8eaf7ba823ea8d2ad41f654b1b68cc3a5d0fc55",
+    ),
+    "single_edge": (lambda: draw_onebend(PlanarGraph(2, ((0, 1),))),
+        "7eb10073c1c26db4aa32ae61ae496373e21c0f08ff7644173f95cc2a2a8d5a75",
+    ),
+    "five_cycle_with_chord": (
+        lambda: draw_onebend(PlanarGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)))),
+        "130d573364a307ecc7bb34f130f6b37280967c1d0caa3dd56f9f93c81a5464d8",
+    ),
+    "bounded_triangulation_300_8_1": (
+        lambda: draw_onebend(bench_instances().bounded_triangulation(300, 8, 1)),
+        "701c17ba6cf4ce14b209aed1c0c5d86cbf0e41a3f9727afda23732019b021378",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+def test_onebend_bytes_are_pinned(name):
+    build, digest = PINNED_BYTES[name]
+    text = dumps_canonical(drawing_to_obj(build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
