@@ -22,6 +22,7 @@ from .errors import (
     SlopeOffGrid,
     SlopesTooFew,
     StOrderInfeasible,
+    TooFewVertices,
     VerticesNotOnOuterFace,
 )
 from .circlepack import (

@@ -41,6 +41,11 @@ class VerticesNotOnOuterFace(FewslopesError):
     """A designated vertex is not on the outer face of the embedding."""
 
 
+class TooFewVertices(FewslopesError, ValueError):
+    """The graph has fewer vertices than the pipeline's construction needs.
+    It is a ValueError too, as the size is a bad argument value."""
+
+
 class StOrderInfeasible(FewslopesError):
     """No vertex order with the requested endpoints satisfies the
     earlier/later-neighbor condition together with the outer-face

@@ -11,6 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -391,28 +393,30 @@ class StOrder:
         return {v: i for i, v in enumerate(self.order)}
 
 
-def _cut_vertices(adj, keep) -> set[int]:
-    """Cut vertices of the connected induced subgraph G[keep].
+def _blocks(adj, keep) -> list[set[int]]:
+    """Vertex sets of the blocks of the connected induced subgraph G[keep];
+    a single vertex has none.
 
     One iterative depth-first search with Hopcroft–Tarjan lowpoints: low[u]
     is the smallest discovery number reachable from u's subtree by one back
-    edge. A non-root u is a cut vertex iff some child c has
-    low[c] >= num[u]; the root iff it has two or more children.
+    edge. When a child c of u finishes with low[c] >= num[u], u and the
+    vertices discovered since c, c included, form a block.
     """
     root = next(iter(keep))
     num = {root: 0}
     low = {root: 0}
-    cuts = set()
-    root_children = 0
-    stack = [(root, iter(adj[root]))]
+    found: list[int] = []  # discovered vertices not yet in a finished block
+    blocks = []
+    stack = [(root, iter(adj[root]), 0)]
     while stack:
-        u, nbrs = stack[-1]
+        u, nbrs, since = stack[-1]
         for w in nbrs:
             if w not in keep:
                 continue
             if w not in num:
                 num[w] = low[w] = len(num)
-                stack.append((w, iter(adj[w])))
+                stack.append((w, iter(adj[w]), len(found)))
+                found.append(w)
                 break
             if num[w] < low[u]:  # the tree edge to u's parent is harmless
                 low[u] = num[w]
@@ -421,16 +425,53 @@ def _cut_vertices(adj, keep) -> set[int]:
             if not stack:
                 break
             p = stack[-1][0]
-            if p == root:
-                root_children += 1
-                continue
             if low[u] < low[p]:
                 low[p] = low[u]
             if low[u] >= num[p]:
-                cuts.add(p)
-    if root_children >= 2:
-        cuts.add(root)
-    return cuts
+                block = set(found[since:])
+                block.add(p)
+                del found[since:]
+                blocks.append(block)
+    return blocks
+
+
+class _Blocks:
+    """The blocks of a connected induced subgraph G[rest] while rest loses
+    one non-cut vertex at a time: each block's vertex set by id, and the ids
+    of the blocks at each vertex. A vertex is a cut vertex iff it lies in
+    two or more blocks."""
+
+    def __init__(self, adj, rest):
+        self.adj = adj
+        self.sets: dict[int, set[int]] = {}
+        self.at: dict[int, set[int]] = {v: set() for v in rest}
+        self.ids = itertools.count()
+        self._split(rest)
+
+    def _split(self, keep) -> None:
+        for block in _blocks(self.adj, keep):
+            b = next(self.ids)
+            self.sets[b] = block
+            for v in block:
+                self.at[v].add(b)
+
+    def is_cut(self, v: int) -> bool:
+        return len(self.at[v]) >= 2
+
+    def remove(self, v: int) -> None:
+        """Drop the non-cut vertex v. Every block but the one holding v stays
+        a block of what remains; that one, less v, is split by one search."""
+        held = self.at.pop(v)
+        assert len(held) <= 1, f"removed cut vertex {v}"
+        if not held:  # v was the last vertex
+            return
+        b = held.pop()
+        block = self.sets.pop(b)
+        block.remove(v)
+        for w in block:
+            self.at[w].remove(b)
+        if len(block) >= 2:
+            self._split(block)
 
 
 def st_order(e: Embedding, s: int, t: int) -> StOrder:
@@ -440,9 +481,12 @@ def st_order(e: Embedding, s: int, t: int) -> StOrder:
     vertex of G - s, so G - {s, v_2} stays connected. Each later step
     places the smallest-id frontier vertex (unplaced, with a placed
     neighbor) that is neither t nor a cut vertex of the unplaced subgraph,
-    which therefore stays connected, and the peel always succeeds. A step
-    costs one lowpoint search over the unplaced subgraph plus sorting the
-    frontier, so O(n + m) per step. Raises StOrderInfeasible when no
+    which therefore stays connected, and the peel always succeeds.
+
+    The blocks of the unplaced subgraph are kept from step to step: placing
+    a non-cut vertex changes only the one block that holds it, so a step
+    costs one lowpoint search of that block, not of the whole unplaced
+    subgraph, plus sorting the frontier. Raises StOrderInfeasible when no
     admissible v_2 exists.
     """
     g = e.graph
@@ -450,30 +494,31 @@ def st_order(e: Embedding, s: int, t: int) -> StOrder:
         raise ValueError("s and t must differ")
     adj = g.adjacency
     all_v = set(range(g.n))
-    if g.n < 3 or not g.is_connected() or _cut_vertices(adj, all_v):
+    if g.n < 3 or [all_v] != _blocks(adj, all_v):
         raise NotBiconnected("st_order requires a biconnected graph")
     outer = e.outer_face
     if s not in outer or t not in outer:
         raise VerticesNotOnOuterFace(f"s={s}, t={t} must both lie on the outer face")
     pos = outer.index(s)
     cyc_nbrs = sorted({outer[pos - 1], outer[(pos + 1) % len(outer)]} - {t})
-    cuts_without_s = _cut_vertices(adj, all_v - {s})
+    blocks_without_s = _blocks(adj, all_v - {s})
     for v2 in cyc_nbrs:
-        if v2 in cuts_without_s:
+        if sum(v2 in b for b in blocks_without_s) > 1:
             continue
         order = [s, v2]
         rest = all_v - {s, v2}
+        blocks = _Blocks(adj, rest)
         frontier = {w for w in (*adj[s], *adj[v2]) if w in rest}
         while rest:
-            cuts = _cut_vertices(adj, rest)
             pick = next(
                 (u for u in sorted(frontier)
-                 if (u != t or len(rest) == 1) and u not in cuts),
+                 if (u != t or len(rest) == 1) and not blocks.is_cut(u)),
                 None,
             )
             assert pick is not None, "greedy st-order stalled on feasible input"
             order.append(pick)
             rest.remove(pick)
+            blocks.remove(pick)
             frontier.remove(pick)
             frontier.update(w for w in adj[pick] if w in rest)
         st = StOrder(tuple(order), s, t)
@@ -511,8 +556,16 @@ class CanonicalOrder:
 
 
 def canonical_order(e: Embedding) -> CanonicalOrder:
-    """Reverse-deletion canonical order: repeatedly strip a non-chord outer
-    vertex, exposing its interior neighbors on the cycle."""
+    """Reverse-deletion canonical order: repeatedly strip the smallest-id
+    outer vertex other than v_1, v_2 that has no chord, exposing its
+    interior neighbors on the cycle.
+
+    Each cycle vertex keeps a count of its cycle neighbors, and a vertex
+    with no chord has exactly two. A deletion changes only the counts of its
+    two cycle neighbors and of the vertices next to the exposed ones, so a
+    step costs the degrees it touches, not a recount of the whole cycle; a
+    heap of the vertices whose count reached two gives the smallest one.
+    """
     if not e.is_triangulated():
         raise NotTriangulated("canonical order requires a triangulation")
     g = e.graph
@@ -524,20 +577,25 @@ def canonical_order(e: Embedding) -> CanonicalOrder:
     rot = {v: list(e.rotation[v]) for v in range(n)}
     present = set(range(n))
     cycle = list(e.outer_face)
+    on_cycle = set(cycle)
     v1, v2 = cycle[0], cycle[1]
     order = [0] * n
     support: list[tuple[int, ...]] = [()] * n
+    chords = {v: sum(1 for w in rot[v] if w in on_cycle) for v in cycle}
+    ready = [v for v in cycle if chords[v] == 2 and v not in (v1, v2)]
+    heapq.heapify(ready)
+
+    def count(w: int, by: int) -> None:
+        chords[w] += by
+        if chords[w] == 2 and w not in (v1, v2):
+            heapq.heappush(ready, w)
 
     for k in range(n - 1, 1, -1):
-        cycset = set(cycle)
-        pick = None
-        for v in sorted(cycle):
-            if v in (v1, v2):
-                continue
-            if sum(1 for w in rot[v] if w in cycset) == 2:
-                pick = v
-                break
-        assert pick is not None, "no canonical candidate; embedding inconsistent"
+        # entries go stale when a count leaves 2; a picked vertex never returns
+        while ready and (ready[0] not in on_cycle or chords[ready[0]] != 2):
+            heapq.heappop(ready)
+        assert ready, "no canonical candidate; embedding inconsistent"
+        pick = heapq.heappop(ready)
         i = cycle.index(pick)
         c_l, c_r = cycle[i - 1], cycle[(i + 1) % len(cycle)]
         # (c_r, c_l) are rotation-consecutive at an outer vertex, so walking
@@ -551,14 +609,26 @@ def canonical_order(e: Embedding) -> CanonicalOrder:
                 break
             arc.append(r[j])
         assert len(arc) == len(r) - 2, "outer-cycle orientation invariant broken"
-        assert all(w not in cycset for w in arc), "chord vertex picked"
+        assert all(w not in on_cycle for w in arc), "chord vertex picked"
         order[k] = pick
         support[k] = tuple([c_l] + arc + [c_r])
         cycle[i:i + 1] = arc
+        on_cycle.remove(pick)
+        del chords[pick]
+        count(c_l, -1)
+        count(c_r, -1)
         present.remove(pick)
         for w in rot[pick]:
             rot[w].remove(pick)
         del rot[pick]
+        on_cycle.update(arc)
+        for a in arc:
+            nbrs = [w for w in rot[a] if w in on_cycle]
+            chords[a] = 0
+            count(a, len(nbrs))
+            for w in nbrs:
+                if w not in arc:
+                    count(w, 1)
 
     assert present == {v1, v2}
     order[0], order[1] = v1, v2

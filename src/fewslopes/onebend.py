@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .drawing import Drawing, EdgeArc
-from .errors import RetractionFailed
+from .errors import RetractionFailed, TooFewVertices
 from .graphs import Embedding, PlanarGraph, canonical_order, planar_embed, triangulate
 
 __all__ = [
@@ -402,7 +402,7 @@ def draw_onebend(g: PlanarGraph) -> Drawing:
     integers over the one denominator 1 + pq = 1 + 4ijN^2 of that edge.
     """
     if g.n < 2:
-        raise ValueError(f"need n >= 2, got {g.n}")
+        raise TooFewVertices(f"need n >= 2, got {g.n}")
     e = planar_embed(g)
     rep = tshape_representation(e)
     num = contact_numbering(rep)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circlepack import ALPHA, CirclePacking, PackParams, layout_centers, pack_radii
 from .drawing import Drawing, EdgeArc
-from .errors import PrecisionExhausted
+from .errors import PrecisionExhausted, TooFewVertices
 from .graphs import PlanarGraph, planar_embed, triangulate
 
 __all__ = [
@@ -189,7 +189,7 @@ def draw_straight(g: PlanarGraph) -> Drawing:
     face is inverted or degenerate, or two adjacent vertices meet.
     """
     if g.n < 4:
-        raise ValueError(f"need n >= 4, got {g.n}")
+        raise TooFewVertices(f"need n >= 4, got {g.n}")
     e = planar_embed(g)
     et = e if e.is_triangulated() else triangulate(e)
     d_t = et.graph.max_degree

@@ -22,7 +22,10 @@ point of the partly assembled drawing.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .drawing import Drawing, EdgeArc, SlopeSet, Wedge
 from .errors import (
@@ -482,10 +485,64 @@ def _place(dr: Drawing, verts, f=None, turn: int = 0) -> Drawing:
     return Drawing(dr.method, pts, arcs, dr.coord_kind, meta)
 
 
+class _Composite:
+    """The drawing glued so far, grown in place by each glue.
+
+    Besides the points and arcs in graph ids it keeps, for each vertex, the
+    indices of the arcs that end there, and every segment as a float64 row
+    (x0, y0, x1, y1) with the (arc index, segment index) it came from. Each
+    vertex point is a row too, a segment of length zero from (-1, vertex).
+    """
+
+    def __init__(self, dr: Drawing):
+        self.pts: dict[int, tuple[float, float]] = {}
+        self.arcs: list[EdgeArc] = []
+        self.at: dict[int, list[int]] = defaultdict(list)
+        self.first_row: list[int] = []  # arc index -> row of its first segment
+        self.point_row: dict[int, int] = {}
+        self.src: list[tuple[int, int]] = []
+        self.buf = np.empty((256, 4))
+        self.add(dr.points, dr.edges)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.buf[: len(self.src)]
+
+    def arcs_at(self, v: int) -> list[EdgeArc]:
+        return [self.arcs[i] for i in self.at[v]]
+
+    def add(self, pts, arcs) -> None:
+        """Update the points with pts and append arcs, with their rows."""
+        rows = []
+        for v, p in pts.items():
+            if v not in self.pts:
+                self.point_row[v] = len(self.src)
+                rows.append((*p, *p))
+                self.src.append((-1, v))
+        self.pts.update(pts)
+        for a in arcs:
+            i = len(self.arcs)
+            self.arcs.append(a)
+            self.at[a.u].append(i)
+            self.at[a.v].append(i)
+            self.first_row.append(len(self.src))
+            for j, (p, q) in enumerate(a.segments):
+                rows.append((*p, *q))
+                self.src.append((i, j))
+        if not rows:
+            return
+        end, start = len(self.src), len(self.src) - len(rows)
+        if end > len(self.buf):
+            grown = np.empty((max(end, 2 * len(self.buf)), 4))
+            grown[:start] = self.buf[:start]
+            self.buf = grown
+        self.buf[start:end] = rows
+
+
 def _used_slots_at(pts, arcs, v: int, slopes: SlopeSet) -> set[int]:
     """Directed slots taken at v, read from the stored slope indices: an end
     segment of undirected index k takes slot k, or k + s when it points
-    against direction k."""
+    against direction k. Arcs that do not end at v are skipped."""
     used = set()
     p = pts[v]
     for a in arcs:
@@ -501,33 +558,75 @@ def _used_slots_at(pts, arcs, v: int, slopes: SlopeSet) -> set[int]:
     return used
 
 
-def _clearance(pts, arcs, v: int, wedge: Wedge | None) -> float:
+def _clearance(comp: _Composite, v: int, wedge: Wedge | None) -> float:
     """Half the distance from v to the nearest foreign feature.
 
     The first segment of an edge leaving v is radial at v and occupies its
     own angular slot, so only its far end constrains the clearance; every
-    other segment constrains by true point-segment distance.
+    other segment, and every vertex point but v's, constrains by true
+    point-segment distance.
+
+    Only the features near v are measured. numpy gives every row of comp
+    the gap between v and the row's bounding box, a lower bound on the
+    row's distance. The scalar code measures v's own rows, the row of least
+    gap, and then every row whose gap is within a rounding margin of the
+    best distance so far; the rest are farther than that distance, so the
+    result is the float a scan of every feature gives.
     """
-    p = pts[v]
+    p = comp.pts[v]
     best = math.inf
-    for w, q in pts.items():
-        if w != v:
-            best = min(best, math.hypot(q[0] - p[0], q[1] - p[1]))
-    for a in arcs:
-        segs = a.segments
-        for i, (q0, q1) in enumerate(segs):
-            if a.u == v and i == 0:
-                far = q1
-            elif a.v == v and i == len(segs) - 1:
-                far = q0
-            else:
-                best = min(best, _dist_point_segment(p, q0, q1))
-                continue
-            best = min(best, math.hypot(far[0] - p[0], far[1] - p[1]))
     if wedge is not None and (p[0], p[1]) != tuple(wedge.apex):
         for ang in (wedge.start, wedge.start + wedge.span):
             best = min(best, _dist_point_ray(p, wedge.apex, ang))
+    own = [comp.point_row[v]]
+    for i in comp.at[v]:
+        a = comp.arcs[i]
+        r = comp.first_row[i] + (0 if a.u == v else len(a.poly) - 2)
+        own.append(r)
+        best = min(best, _row_distance(comp, p, v, r))
+    rows = comp.rows
+    x0, y0, x1, y1 = rows.T
+    gx = np.maximum(np.maximum(np.minimum(x0, x1) - p[0], p[0] - np.maximum(x0, x1)), 0.0)
+    gy = np.maximum(np.maximum(np.minimum(y0, y1) - p[1], p[1] - np.maximum(y0, y1)), 0.0)
+    gap = np.hypot(gx, gy)
+    gap[own] = math.inf
+    nearest = int(np.argmin(gap))
+    if gap[nearest] == math.inf:
+        return best / 2.0
+    best = min(best, _row_distance(comp, p, v, nearest))
+    # Every coordinate, p's included, is at most big in magnitude, so each
+    # difference of two of them is off by at most 2u*big (u = 2^-53) and
+    # each is at most 2*big. The gap takes two such differences and a hypot,
+    # so it exceeds the bounding-box distance by at most about 9u*big. The
+    # scalar distance is off by at most a few such differences: its
+    # projection lands on a point of the segment, and its residual and
+    # hypot add about 17u*big. A margin of 2^12 ulps of big, at least
+    # 2^-41*big, covers the sum 2^7 times over, and floors at the smallest
+    # subnormal when coordinates underflow; so a row whose gap exceeds
+    # best + margin measures more than best in floats too.
+    big = float(np.abs(rows).max())
+    margin = 4096.0 * math.ulp(big)
+    for r in np.flatnonzero(gap <= best + margin).tolist():
+        best = min(best, _row_distance(comp, p, v, r))
     return best / 2.0
+
+
+def _row_distance(comp: _Composite, p, v: int, r: int) -> float:
+    """The distance from p, the point of v, to the feature of row r, in the
+    scalar arithmetic of a scan of every feature."""
+    i, j = comp.src[r]
+    if i < 0:
+        q = comp.pts[j]
+        return math.hypot(q[0] - p[0], q[1] - p[1])
+    a = comp.arcs[i]
+    q0, q1 = a.poly[j], a.poly[j + 1]
+    if a.u == v and j == 0:
+        far = q1
+    elif a.v == v and j == len(a.poly) - 2:
+        far = q0
+    else:
+        return _dist_point_segment(p, q0, q1)
+    return math.hypot(far[0] - p[0], far[1] - p[1])
 
 
 def _dist_point_segment(p, a, b) -> float:
@@ -605,7 +704,8 @@ def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) ->
     if len(blocks) == 1:
         return root
 
-    pts, arcs, meta = root.points, root.edges, root.meta
+    comp = _Composite(root)
+    meta = root.meta
     rw = meta.pop("wedge") if cut_top else meta["wedge"]
     root_wedge = Wedge(tuple(rw["apex"]), rw["start"], rw["span"])
     drawn_blocks = {root_bi}
@@ -627,15 +727,15 @@ def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) ->
             child = draw_biconnected_twobend(
                 _embed_with_outer(bg, to_local[c]), to_local[c], slopes
             )
-            pts, arcs = _glue(pts, arcs, c, child, bverts, slopes, cursor, root_wedge)
+            _glue(comp, c, child, bverts, slopes, cursor, root_wedge)
             drawn_blocks.add(bi)
             drawn_vertices.update(bverts)
             progressed = True
 
     meta["blocks"] = len(blocks)
     meta["cut_vertices"] = sorted(cuts)
-    meta["nonvertical_middle_edges"] = _nonvertical_middle_edges(arcs)
-    dr = Drawing("twobend", pts, arcs, "float", meta)
+    meta["nonvertical_middle_edges"] = _nonvertical_middle_edges(comp.arcs)
+    dr = Drawing("twobend", comp.pts, comp.arcs, "float", meta)
     dr.meta["wedge_contained"] = check_wedge(dr) is True
     return dr
 
@@ -647,12 +747,17 @@ def _nonvertical_middle_edges(arcs) -> list[tuple[int, int]]:
     )
 
 
-def _glue(pts, arcs, c: int, child: Drawing, verts, slopes: SlopeSet, cursor, wedge):
+def _glue(comp: _Composite, c: int, child: Drawing, verts, slopes: SlopeSet, cursor, wedge):
     """Rotate, shrink and attach a child block drawing, whose local vertex i
-    is verts[i], at cut vertex c."""
+    is verts[i], at cut vertex c of comp.
+
+    The slots taken at c are read from the arcs at c and the shrink from
+    the clearance at c, which measures only the features near c; comp then
+    gains the child's points, arcs and rows in place.
+    """
     s = slopes.s
     m = 2 * s
-    used = _used_slots_at(pts, arcs, c, slopes)
+    used = _used_slots_at(comp.pts, comp.arcs_at(c), c, slopes)
     lo, hi = child.meta["fan_slots"]
     need = hi - lo + 1
     if len(used) + need > m:
@@ -678,7 +783,7 @@ def _glue(pts, arcs, c: int, child: Drawing, verts, slopes: SlopeSet, cursor, we
     phi = rot_slots * math.pi / s
     cs, sn = math.cos(phi), math.sin(phi)
 
-    rho = _clearance(pts, arcs, c, wedge)
+    rho = _clearance(comp, c, wedge)
     if not math.isfinite(rho) or rho <= 0:
         rho = 1.0
     radius = max(
@@ -689,7 +794,7 @@ def _glue(pts, arcs, c: int, child: Drawing, verts, slopes: SlopeSet, cursor, we
     (mr, er), (mp, ep) = math.frexp(radius), math.frexp(rho)
     halvings = max(0, er - ep + (mr > mp))
     scale = math.ldexp(1.0, -halvings)
-    dest = pts[c]
+    dest = comp.pts[c]
 
     def move(p):
         x, y = p[0] - apex[0], p[1] - apex[1]
@@ -702,7 +807,7 @@ def _glue(pts, arcs, c: int, child: Drawing, verts, slopes: SlopeSet, cursor, we
             f"child block at {c}, halved {halvings} times, is below float "
             f"resolution at {dest}"
         ) from exc
-    return {**pts, **placed.points, c: dest}, arcs + placed.edges  # exact apex at c
+    comp.add({**placed.points, c: dest}, placed.edges)  # exact apex at c
 
 
 # --- entry points ----------------------------------------------------------------

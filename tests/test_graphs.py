@@ -6,7 +6,7 @@ import random
 
 import networkx as nx
 import pytest
-from conftest import capped_planar
+from conftest import bench_instances, capped_planar
 
 from fewslopes.errors import (
     Disconnected,
@@ -18,9 +18,10 @@ from fewslopes.errors import (
 )
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import (
+    CanonicalOrder,
     Embedding,
     PlanarGraph,
-    _cut_vertices,
+    _blocks,
     block_cut_tree,
     canonical_order,
     planar_embed,
@@ -244,7 +245,7 @@ def _st_outcome(order_fn, e, s, t):
     return getattr(order, "order", order)
 
 
-def _blocks(g: PlanarGraph):
+def _block_graphs(g: PlanarGraph):
     bct = block_cut_tree(g)
     for i, block in enumerate(bct.blocks):
         verts = bct.block_vertices(i)
@@ -264,7 +265,7 @@ class TestStOrderMatchesGreedy:
 
     def test_every_block_of_a_capped_graph(self):
         # long outer faces, so v_2 admissibility and the t-skip both matter
-        blocks = [b for b in _blocks(capped_planar(250, 0, 8)) if b.n >= 3]
+        blocks = [b for b in _block_graphs(capped_planar(250, 0, 8)) if b.n >= 3]
         assert sum(b.n for b in blocks) > 200
         for bg in blocks:
             e = planar_embed(bg)
@@ -281,7 +282,11 @@ class TestStOrderMatchesGreedy:
         assert _st_outcome(greedy_st_order, e, 0, 1) == "NotBiconnected"
 
 
-class TestCutVertices:
+def _block_sets(blocks) -> set[frozenset]:
+    return {frozenset(b) for b in blocks}
+
+
+class TestBlocks:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_networkx_on_connected_induced_subgraphs(self, seed):
         rng = random.Random(seed)
@@ -290,16 +295,56 @@ class TestCutVertices:
         for _ in range(25):
             keep = set(rng.sample(range(g.n), rng.randrange(2, g.n + 1)))
             comp = max(nx.connected_components(G.subgraph(keep)), key=lambda c: (len(c), min(c)))
-            want = set(nx.articulation_points(G.subgraph(comp)))
-            assert _cut_vertices(g.adjacency, comp) == want
+            want = _block_sets(nx.biconnected_components(G.subgraph(comp)))
+            assert _block_sets(_blocks(g.adjacency, comp)) == want
 
-    def test_path_and_cycle(self):
+    def test_path_cycle_and_single_vertex(self):
         path = PlanarGraph(4, ((0, 1), (1, 2), (2, 3)))
-        assert _cut_vertices(path.adjacency, {0, 1, 2, 3}) == {1, 2}
-        assert _cut_vertices(path.adjacency, {2, 1, 0}) == {1}
-        assert _cut_vertices(path.adjacency, {3}) == set()
+        assert _block_sets(_blocks(path.adjacency, {0, 1, 2, 3})) == {
+            frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})
+        }
+        assert _block_sets(_blocks(path.adjacency, {2, 1, 0})) == {
+            frozenset({0, 1}), frozenset({1, 2})
+        }
+        assert _blocks(path.adjacency, {3}) == []
         cycle = PlanarGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
-        assert _cut_vertices(cycle.adjacency, {0, 1, 2, 3}) == set()
+        assert _blocks(cycle.adjacency, {0, 1, 2, 3}) == [{0, 1, 2, 3}]
+
+
+def rebuild_canonical_order(e: Embedding) -> CanonicalOrder:
+    """Oracle for canonical_order: the same reverse deletion, rebuilding the
+    cycle set and recounting every cycle vertex's cycle neighbors at each
+    step."""
+    n = e.graph.n
+    rot = {v: list(e.rotation[v]) for v in range(n)}
+    cycle = list(e.outer_face)
+    v1, v2 = cycle[0], cycle[1]
+    order = [0] * n
+    support = [()] * n
+    for k in range(n - 1, 1, -1):
+        cycset = set(cycle)
+        pick = next(
+            v for v in sorted(cycle)
+            if v not in (v1, v2) and sum(1 for w in rot[v] if w in cycset) == 2
+        )
+        i = cycle.index(pick)
+        c_l, c_r = cycle[i - 1], cycle[(i + 1) % len(cycle)]
+        r = rot[pick]
+        j = r.index(c_l)
+        arc = []
+        while True:
+            j = (j + 1) % len(r)
+            if r[j] == c_r:
+                break
+            arc.append(r[j])
+        order[k] = pick
+        support[k] = tuple([c_l] + arc + [c_r])
+        cycle[i:i + 1] = arc
+        for w in rot[pick]:
+            rot[w].remove(pick)
+        del rot[pick]
+    order[0], order[1] = v1, v2
+    return CanonicalOrder(tuple(order), tuple(support))
 
 
 class TestCanonicalOrder:
@@ -314,6 +359,16 @@ class TestCanonicalOrder:
     def test_rejects_non_triangulation(self):
         with pytest.raises(NotTriangulated):
             canonical_order(planar_embed(CUBE))
+
+    @pytest.mark.parametrize("n,seed", [(4, 0), (5, 1), (12, 2), (40, 3), (90, 4), (200, 5)])
+    def test_matches_rebuild_on_random_triangulations(self, n, seed):
+        e = planar_embed(gen_random_triangulation(n, seed))
+        assert canonical_order(e) == rebuild_canonical_order(e)
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_matches_rebuild_on_bench_triangulations(self, n):
+        e = planar_embed(bench_instances().bounded_triangulation(n, 8, 1))
+        assert canonical_order(e) == rebuild_canonical_order(e)
 
 
 class TestBlockCutTree:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import bench_instances
+from fewslopes.errors import TooFewVertices
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
@@ -139,6 +140,11 @@ class TestDrawOnebend:
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError):
             draw_onebend(PlanarGraph(1, ()))
+
+    @pytest.mark.parametrize("n", range(2))
+    def test_too_few_vertices_is_typed(self, n):
+        with pytest.raises(TooFewVertices, match=f"got {n}"):
+            draw_onebend(PlanarGraph(n, ()))
 
     def test_deterministic_bytes(self):
         g = gen_gd(5)

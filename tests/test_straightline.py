@@ -14,7 +14,7 @@ from conftest import BENCH_INSTANCES, bench_instances, bounded_stack
 
 import fewslopes
 from fewslopes.circlepack import ALPHA, CirclePacking, PackParams, layout_centers, pack_radii
-from fewslopes.errors import FewslopesError, PrecisionExhausted
+from fewslopes.errors import FewslopesError, PrecisionExhausted, TooFewVertices
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
@@ -208,6 +208,12 @@ class TestDrawStraight:
     def test_small_graphs_rejected(self):
         with pytest.raises(ValueError):
             draw_straight(PlanarGraph(3, ((0, 1), (1, 2), (0, 2))))
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_too_few_vertices_is_typed(self, n):
+        g = PlanarGraph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+        with pytest.raises(TooFewVertices, match=f"got {n}"):
+            draw_straight(g)
 
     def test_unresolvable_packing_is_typed(self):
         # the smallest disk is ~5e-20 of the outer ones: the float layout breaks

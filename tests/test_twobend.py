@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 
 import pytest
-from conftest import bounded_stack, capped_planar, glued_blocks
+from conftest import bench_instances, bounded_stack, capped_planar, glued_blocks
 
-from fewslopes.drawing import EdgeArc, SlopeSet
+from fewslopes import graphs, twobend
+from fewslopes.drawing import Drawing, EdgeArc, SlopeSet
 from fewslopes.errors import DegreeTooHigh, DegreeTooSmall, GluingFailed, SlopesTooFew
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
 from fewslopes.twobend import (
+    _dist_point_ray,
+    _dist_point_segment,
     _used_slots_at,
     draw_biconnected_twobend,
     draw_low_degree,
@@ -266,8 +270,10 @@ class TestLargerInstances:
         assert rep.ok
 
     def test_block_chain_at_scale(self):
-        # 1600 vertices in many blocks: st-ordering and routing stay near
-        # linear per step, so the whole graph draws in seconds
+        # 1600 vertices in many blocks: a st-order step searches only the
+        # block of the vertex it places and a glue measures only the
+        # features near its cut vertex, so the whole graph draws in well
+        # under a second
         g = capped_planar(1600, 0, 8)
         ok, witness = check_noncrossing(draw_twobend(g))
         assert ok, witness
@@ -279,10 +285,138 @@ class TestLargerInstances:
         assert a == b
 
 
+def scan_clearance(pts, arcs, v, wedge) -> float:
+    """Oracle for _clearance: half the least distance from v to every other
+    point and every segment, a radial segment at v counted by its far end,
+    and to the wedge's rays."""
+    p = pts[v]
+    best = math.inf
+    for w, q in pts.items():
+        if w != v:
+            best = min(best, math.hypot(q[0] - p[0], q[1] - p[1]))
+    for a in arcs:
+        segs = a.segments
+        for i, (q0, q1) in enumerate(segs):
+            if a.u == v and i == 0:
+                far = q1
+            elif a.v == v and i == len(segs) - 1:
+                far = q0
+            else:
+                best = min(best, _dist_point_segment(p, q0, q1))
+                continue
+            best = min(best, math.hypot(far[0] - p[0], far[1] - p[1]))
+    if wedge is not None and (p[0], p[1]) != tuple(wedge.apex):
+        for ang in (wedge.start, wedge.start + wedge.span):
+            best = min(best, _dist_point_ray(p, wedge.apex, ang))
+    return best / 2.0
+
+
+class TestClearance:
+    @pytest.mark.parametrize(
+        "g,glues",
+        [(glued_blocks(8, 4), 2), (k4_chain(9), 8), (capped_planar(250, 0, 8), 4)],
+        ids=["glued_blocks", "k4_chain_9", "capped_planar_250"],
+    )
+    def test_equals_full_scan_at_every_glue(self, monkeypatch, g, glues):
+        real = twobend._clearance
+        seen = []
+
+        def checked(comp, v, wedge):
+            got = real(comp, v, wedge)
+            assert got == scan_clearance(comp.pts, comp.arcs, v, wedge), v
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(twobend, "_clearance", checked)
+        draw_twobend(g)
+        assert len(seen) == glues
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_full_scan_on_random_polylines(self, seed):
+        # long bent arcs whose boxes hold many points, at unit scale and in
+        # a cluster 1e-9 wide at coordinates near 1e3, where every distance
+        # carries rounding error
+        rng = random.Random(seed)
+        base, size = (0.0, 10.0) if seed % 2 else (1000.1, 1e-9)
+
+        def pt():
+            return (base + size * rng.random(), base + size * rng.random())
+
+        pts = {v: pt() for v in range(25)}
+        arcs = []
+        for _ in range(40):
+            u, v = rng.sample(range(25), 2)
+            poly = (pts[u], *(pt() for _ in range(rng.randrange(3))), pts[v])
+            arcs.append(EdgeArc(u, v, poly, (0,) * (len(poly) - 1)))
+        comp = twobend._Composite(Drawing("twobend", pts, arcs, "float", {}))
+        for v in pts:
+            assert twobend._clearance(comp, v, None) == scan_clearance(pts, arcs, v, None), v
+
+    def test_deep_chain_shrinks_below_the_margin(self, monkeypatch):
+        # k4_chain(9) reaches clearances below the prefilter's rounding
+        # margin, 2^-41 to 2^-40 of the largest coordinate, so
+        # test_equals_full_scan_at_every_glue covers the case where the
+        # margin, not the gap, decides
+        real = twobend._clearance
+        ratios = []
+
+        def recorded(comp, v, wedge):
+            got = real(comp, v, wedge)
+            ratios.append(got / max(abs(c) for p in comp.pts.values() for c in p))
+            return got
+
+        monkeypatch.setattr(twobend, "_clearance", recorded)
+        draw_twobend(k4_chain(9))
+        assert min(ratios) < 2.0**-41
+
+
+def test_st_order_searches_only_the_changed_block(monkeypatch):
+    # a step splits only the block of the vertex it places, so the searches
+    # cover a small share of the unplaced vertices summed over all steps
+    real_blocks, real_st_order = graphs._blocks, twobend.st_order
+    searched = unplaced = 0
+
+    def counted_blocks(adj, keep):
+        nonlocal searched
+        searched += len(keep)
+        return real_blocks(adj, keep)
+
+    def counted_st_order(e, s, t):
+        nonlocal unplaced
+        st = real_st_order(e, s, t)
+        n = len(st.order)
+        unplaced += (n - 1) * (n - 2) // 2  # |rest| is n - 2, ..., 1
+        return st
+
+    monkeypatch.setattr(graphs, "_blocks", counted_blocks)
+    monkeypatch.setattr(twobend, "st_order", counted_st_order)
+    draw_twobend(capped_planar(1600, 0, 8))
+    assert unplaced > 10**5
+    assert searched < 0.10 * unplaced, (searched, unplaced)
+
+
+# twobend-blocks seed 1, round 0: (n, seed) of bench_instances().capped_planar
+TWOBEND_BLOCKS_ROUND0 = {
+    150: 9699978853088943037,
+    225: 15608320593117688252,
+    300: 16030627719229544678,
+    375: 4380220430956175233,
+    450: 11703788607160492643,
+    525: 1353994463432362869,
+    600: 5893131959065055312,
+}
+
+
+def _bench_twobend(n: int):
+    return draw_twobend(bench_instances().capped_planar(n, 8, TWOBEND_BLOCKS_ROUND0[n]))
+
+
 # sha256 of the canonical JSON of each drawing, taken when st_order tested
 # every candidate with its own search and _route rebuilt the pending list
 # per vertex: the lowpoint st-order and the spliced pending list must keep
-# every order, column x and coordinate
+# every order, column x and coordinate. The twobend-blocks digests were
+# taken when st_order searched the whole unplaced subgraph per step and
+# _clearance scanned every feature of the composite per glue.
 PINNED_BYTES = {
     "octahedron": (lambda: draw_twobend(gen_octahedron(), SlopeSet(3)),
         "65eabf4fac98ae7a9e9d92a3922cc86913fdd5885223633463a838b05e3f62d2",
@@ -304,6 +438,27 @@ PINNED_BYTES = {
     ),
     "capped_planar_250_0_8": (lambda: draw_twobend(capped_planar(250, 0, 8)),
         "6e1d12688f7d2a2bb1eebbf288036c6a909fcbf137ddb56c3bec09dc9ac886d6",
+    ),
+    "twobend_blocks_150": (lambda: _bench_twobend(150),
+        "58c53baa7329e69aa89d30cda5259adf2e2e7e2f4ee501c4c688e9b806d5d034",
+    ),
+    "twobend_blocks_225": (lambda: _bench_twobend(225),
+        "b4f3e31f0194d1ccf6b7d3e017ce107dfb50dbafc117d4e649914e790f86aa8f",
+    ),
+    "twobend_blocks_300": (lambda: _bench_twobend(300),
+        "9b9820a704c8c3568dc17d1da89033739046da0f8ac0443954a0fb78cafa42a7",
+    ),
+    "twobend_blocks_375": (lambda: _bench_twobend(375),
+        "69d8a8d3dbc2546f0d9ef01c5050ac8c7e4fcac9c0e0deda7a865168efafc8ce",
+    ),
+    "twobend_blocks_450": (lambda: _bench_twobend(450),
+        "9a2b0bd9c5120f499ac1676f7c873c7e9cbdee18c81e057bdeadfbaf28893033",
+    ),
+    "twobend_blocks_525": (lambda: _bench_twobend(525),
+        "b50fce1c13d3614c678aa4b45da96760828104232a0c211233f778f23b51693a",
+    ),
+    "twobend_blocks_600": (lambda: _bench_twobend(600),
+        "e3a83ecb97d9345be8404bb0e88779510ece2b966c24537736c4edf48a20547a",
     ),
 }
 
