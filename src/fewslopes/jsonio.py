@@ -35,8 +35,10 @@ def _num_to_obj(x, kind: str):
     if kind == "int":
         return int(x)
     if kind == "rational":
-        f = Fraction(x)
-        return {"dec": format(float(f), ".17g"), "frac": f"{f.numerator}/{f.denominator}"}
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        num, den = x.numerator, x.denominator  # an int is num/1
+        return {"dec": format(num / den, ".17g"), "frac": f"{num}/{den}"}
     return float(x)
 
 

@@ -462,10 +462,12 @@ def draw_biconnected_twobend(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
 # --- block gluing ----------------------------------------------------------------
 
 
-def _place(dr: Drawing, verts, f=None, turn: int = 0) -> Drawing:
-    """dr with vertex i (and meta's t, v1, v2) renamed to verts[i], every
-    point mapped through f and every slope index advanced by turn mod s: the
-    clockwise rotation f applies, in slots of pi/s. meta's wedge stays put."""
+def _place(dr: Drawing, verts, f=None, turn: int = 0):
+    """(points, arcs, meta) of dr with vertex i (and meta's t, v1, v2)
+    renamed to verts[i], every point mapped through f and every slope index
+    advanced by turn mod s: the clockwise rotation f applies, in slots of
+    pi/s. meta's wedge stays put. EdgeArc raises ValueError when f maps the
+    two ends of a piece to one point."""
     s = dr.meta["s"]
     f = f or (lambda p: p)
     pts = {verts[v]: f(p) for v, p in dr.points.items()}
@@ -482,7 +484,7 @@ def _place(dr: Drawing, verts, f=None, turn: int = 0) -> Drawing:
     for key in ("t", "v1", "v2"):
         if key in meta:
             meta[key] = verts[meta[key]]
-    return Drawing(dr.method, pts, arcs, dr.coord_kind, meta)
+    return pts, arcs, meta
 
 
 class _Composite:
@@ -494,7 +496,7 @@ class _Composite:
     vertex point is a row too, a segment of length zero from (-1, vertex).
     """
 
-    def __init__(self, dr: Drawing):
+    def __init__(self, pts, arcs):
         self.pts: dict[int, tuple[float, float]] = {}
         self.arcs: list[EdgeArc] = []
         self.at: dict[int, list[int]] = defaultdict(list)
@@ -502,7 +504,7 @@ class _Composite:
         self.point_row: dict[int, int] = {}
         self.src: list[tuple[int, int]] = []
         self.buf = np.empty((256, 4))
-        self.add(dr.points, dr.edges)
+        self.add(pts, arcs)
 
     @property
     def rows(self) -> np.ndarray:
@@ -701,15 +703,15 @@ def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) ->
         break
     if root is None:
         raise last_err or DegreeTooHigh("no block vertex admits a free slope on top")
+    pts, arcs, meta = root
     if len(blocks) == 1:
-        return root
+        return Drawing("twobend", pts, arcs, "float", meta)
 
-    comp = _Composite(root)
-    meta = root.meta
+    comp = _Composite(pts, arcs)
     rw = meta.pop("wedge") if cut_top else meta["wedge"]
     root_wedge = Wedge(tuple(rw["apex"]), rw["start"], rw["span"])
     drawn_blocks = {root_bi}
-    drawn_vertices = set(root.points)
+    drawn_vertices = set(pts)
     cursor: dict[int, int] = {}
 
     progressed = True
@@ -801,13 +803,13 @@ def _glue(comp: _Composite, c: int, child: Drawing, verts, slopes: SlopeSet, cur
         return (dest[0] + scale * (x * cs + y * sn), dest[1] + scale * (-x * sn + y * cs))
 
     try:
-        placed = _place(child, verts, move, rot_slots)
+        pts, arcs, _ = _place(child, verts, move, rot_slots)
     except ValueError as exc:  # a shrunk piece rounds to a point at dest
         raise GluingFailed(
             f"child block at {c}, halved {halvings} times, is below float "
             f"resolution at {dest}"
         ) from exc
-    comp.add({**placed.points, c: dest}, placed.edges)  # exact apex at c
+    comp.add({**pts, c: dest}, arcs)  # exact apex at c
 
 
 # --- entry points ----------------------------------------------------------------
@@ -855,9 +857,9 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
         ]
         lo_x, hi_x = min(xs), max(xs)
         shift = x_off - lo_x
-        placed = _place(dr, range(g.n), lambda p: (p[0] + shift, p[1]))
-        pts.update(placed.points)
-        arcs += placed.edges
+        placed_pts, placed_arcs, _ = _place(dr, range(g.n), lambda p: (p[0] + shift, p[1]))
+        pts.update(placed_pts)
+        arcs += placed_arcs
         x_off += (hi_x - lo_x) + max(1.0, 0.05 * (hi_x - lo_x))
     meta = {
         "d": d,

@@ -2,14 +2,17 @@
 
 Every check here recomputes its answer from the polylines alone; nothing is
 shared with the drawing pipelines beyond the primitive types. Crossings are
-decided exactly for every coord_kind: float coordinates are binary rationals,
-so each drawing is scaled to integers by one common denominator, segment by
-segment. A sort-and-sweep over bounding boxes proposes the segment pairs to
-test, in ascending order; two segments that end at a vertex their edges
-share, matched by vertex id, need one orientation test. One slope
-classification (slope_classes) gives every segment its slope class; the
-census, the bend count and the hub multiplicities of G_d all count those
-classes. It is exact for "int" and "rational" drawings; for "float" ones it,
+decided exactly for every coord_kind. A sort-and-sweep over bounding boxes
+proposes the segment pairs to test, in ascending order. A float filter with
+a proven error bound, which covers both the float arithmetic and the
+rounding of the coordinates to float, settles in one numpy pass every pair
+it can prove harmless; the rest are decided exactly on integers, each pair
+scaled by the least common denominator of its own coordinates (float
+coordinates are binary rationals), with no denominator common to the whole
+drawing. Two segments that end at a vertex their edges share, matched by
+vertex id, need one orientation test. One slope classification
+(slope_classes) gives every segment its slope class; the census, the bend
+count and the hub multiplicities of G_d all count those classes. It is exact for "int" and "rational" drawings; for "float" ones it,
 like contiguity and wedge containment of every drawing, uses an
 angular/positional tolerance, because regular slopes k*pi/s are irrational.
 """
@@ -120,22 +123,34 @@ def _between(a, b, p) -> bool:
     )
 
 
+def _float(c) -> float:
+    """The float nearest the exact coordinate c, saturating at +-inf beyond
+    the float range. Rounding stays monotone, so boxes that meet exactly
+    still meet after it."""
+    try:
+        return c.numerator / c.denominator if type(c) is Fraction else float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
 _PAIR_BUDGET = 1 << 18  # x-overlap pairs _candidate_pairs expands at once
+_FILTER_CHUNK = 1 << 15  # candidate pairs _settled tests at once
 
 
 def _candidate_pairs(boxes):
-    """Index pairs (i, j), i < j, ascending, whose closed bounding boxes
-    overlap; boxes is an (m, 4) float array of segment ends (px, py, qx, qy).
+    """Index arrays (ii, jj), ii < jj, in ascending order of (i, j), of the
+    segment pairs whose closed bounding boxes overlap; boxes is an (m, 4)
+    float array of segment ends (px, py, qx, qy).
 
     Sort and sweep: sorted by left edge, the boxes that start at or after a
     box and meet its x-range form one run, whose end searchsorted finds. The
     runs are expanded about _PAIR_BUDGET pairs at a time and filtered by
-    y. Boxes are taken on float(coordinate); rounding to float is monotone,
-    so boxes that meet exactly still meet after it.
+    y. Boxes are taken on the floats nearest the coordinates; rounding to
+    float is monotone, so boxes that meet exactly still meet after it.
     """
     m = len(boxes)
     if m < 2:
-        return []
+        return np.empty(0, np.int64), np.empty(0, np.int64)
     lox = np.minimum(boxes[:, 0], boxes[:, 2])
     hix = np.maximum(boxes[:, 0], boxes[:, 2])
     loy = np.minimum(boxes[:, 1], boxes[:, 3])
@@ -161,56 +176,160 @@ def _candidate_pairs(boxes):
         p0 = p1
     ii, jj = np.concatenate(out_i), np.concatenate(out_j)
     asc = np.argsort(ii * m + jj)
-    return list(zip(ii[asc].tolist(), jj[asc].tolist()))
+    return ii[asc], jj[asc]
 
 
-def _lift(dr: Drawing):
-    """(den, segs, vertex_pt, boxes): den is the least common denominator of
-    every coordinate (floats are binary rationals), and lifting maps a point
-    p to the integer point den * p. segs lists, per segment, its edge index,
-    its index in the edge, its lifted ends and the vertex ids at those ends
-    (None at a bend); vertex_pt maps each vertex id to its lifted point;
-    boxes holds the float ends (px, py, qx, qy), one row per segment."""
-    ratios = [[(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in a.poly] for a in dr.edges]
-    dens = {d for row in ratios for rx, ry in row for _, d in (rx, ry)}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    segs, vertex_pt = [], {}
-    for ei, (a, row) in enumerate(zip(dr.edges, ratios)):
-        pts = [(nx * scale[dx], ny * scale[dy]) for (nx, dx), (ny, dy) in row]
-        vertex_pt[a.u], vertex_pt[a.v] = pts[0], pts[-1]
-        last = len(pts) - 2
-        for si in range(last + 1):
-            segs.append((
-                ei, si, pts[si], pts[si + 1],
-                a.u if si == 0 else None, a.v if si == last else None,
-            ))
-    boxes = np.array(
-        [[float(p[0]), float(p[1]), float(q[0]), float(q[1])]
-         for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
-    )
-    return den, segs, vertex_pt, boxes
+def _orient_filtered(o, a, b):
+    """(d, err): the float orientation of the points o, a, b, each a pair
+    of float arrays (x, y), and a bound on its distance from the exact
+    orientation of the exact points those floats were rounded from.
+
+    Let u = 2^-53 and eta = 2^-1075, half the least subnormal. A coordinate
+    c rounds to the float c~ with |c~ - c| <= u|c~| + eta; floats, and ints
+    up to 2^53, are exact. With A = |a~x| + |o~x| the float difference
+    a~x - o~x is off from ax - ox by at most 2uA + 2eta, and both are at
+    most A(1 + u) + 2eta in size. With B = |b~y| + |o~y| likewise, the
+    rounded product of the two differences is off from the exact one by at
+    most (2uA + 2eta)B(1 + u) + (A(1 + u) + 2eta)(2uB + 2eta) for the
+    inputs, uAB(1 + u)^2 for its own rounding and eta for underflow: below
+    5uAB(1 + 3u) + 2.01eta(A + B) + 1.01eta. The other product, with C and
+    D, is the same, and the final subtraction adds u(AB + CD)(1 + u)^3. So
+    with T = AB + CD and S = A + B + C + D,
+        |d~ - d| <= 6.01u T + 2.01eta S + 2.02eta.
+    err = 2^-49 T~ + 2^-1072 (S~ + 1) covers this even though T~, S~ and
+    err are computed in floats. 2^-49 = 16u leaves a factor 2.6 over 6.01u
+    for their relative rounding. Underflow in T~ and in 2^-49 T~ loses
+    less than 2eta, and since S~ + 1 >= 1 the product 2^-1072 (S~ + 1) is
+    at least 7/8 of its exact value 8eta(S~ + 1), so the second term is
+    above 2.01eta S + 2.02eta + 2eta. An input at +-inf makes err inf or
+    NaN, and every comparison with it false.
+    """
+    (ox, oy), (ax, ay), (bx, by) = o, a, b
+    d = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+    mo_x, mo_y = np.abs(ox), np.abs(oy)
+    sa = np.abs(ax) + mo_x
+    sb = np.abs(by) + mo_y
+    sc = np.abs(ay) + mo_y
+    sd = np.abs(bx) + mo_x
+    err = 2.0**-49 * (sa * sb + sc * sd) + 2.0**-1072 * (sa + sb + sc + sd + 1.0)
+    return d, err
+
+
+def _settled(ends, edge, head, tail, ii, jj):
+    """Mask of the pairs (ii[k], jj[k]) that need no exact test: pairs of
+    one edge, and pairs the float filter proves do not violate.
+
+    A pair is proven apart when the filter proves d1 d2 > 0 or d3 d4 > 0
+    (_exact_pair's orientations): one segment lies strictly on one side of
+    the other's line. A pair whose ends meet at a vertex of both edges is
+    proven when the turn check_noncrossing takes there, +-d4 at j's first
+    end and +-d3 at its second, is proven nonzero.
+    """
+    out = np.empty(len(ii), bool)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for k0 in range(0, len(ii), _FILTER_CHUNK):
+            i, j = ii[k0 : k0 + _FILTER_CHUNK], jj[k0 : k0 + _FILTER_CHUNK]
+            a, b = ends[i].T, ends[j].T
+            p1, p2, p3, p4 = (a[0], a[1]), (a[2], a[3]), (b[0], b[1]), (b[2], b[3])
+            d1, e1 = _orient_filtered(p3, p4, p1)
+            d2, e2 = _orient_filtered(p3, p4, p2)
+            d3, e3 = _orient_filtered(p1, p2, p3)
+            d4, e4 = _orient_filtered(p1, p2, p4)
+            s1, s2 = np.abs(d1) > e1, np.abs(d2) > e2
+            s3, s4 = np.abs(d3) > e3, np.abs(d4) > e4
+            apart = (s1 & s2 & ((d1 > 0) == (d2 > 0))) | (s3 & s4 & ((d3 > 0) == (d4 > 0)))
+            hi, ti, hj, tj = head[i], tail[i], head[j], tail[j]
+            # the first match of check_noncrossing's if/elif chain picks the turn
+            c0 = (hi >= 0) & (hi == hj)
+            c1 = (hi >= 0) & (hi == tj)
+            c2 = (ti >= 0) & (ti == hj)
+            c3 = (ti >= 0) & (ti == tj)
+            on_d4 = c0 | (~c1 & c2)
+            on_d3 = ~c0 & (c1 | (~c2 & c3))
+            turned = (on_d4 & s4) | (on_d3 & s3)
+            out[k0 : k0 + _FILTER_CHUNK] = (edge[i] == edge[j]) | apart | turned
+    return out
+
+
+def _segments(dr: Drawing):
+    """(ends, edge, first, head, tail) for the segments of dr, edge by edge:
+    ends holds each segment's ends as floats (px, py, qx, qy), edge its edge
+    index, and head and tail the numbers in dr.points of the vertices at its
+    first and second end, -1 at a bend; first[e] is the number of edge e's
+    first segment."""
+    number = {v: k for k, v in enumerate(dr.points)}
+    fpt = {v: (_float(x), _float(y)) for v, (x, y) in dr.points.items()}
+    rows, nseg, hv, tv = [], [], [], []
+    for a in dr.edges:
+        fl = [fpt[a.u], *[(_float(x), _float(y)) for x, y in a.poly[1:-1]], fpt[a.v]]
+        rows += [p + q for p, q in zip(fl, fl[1:])]
+        nseg.append(len(fl) - 1)
+        hv.append(number[a.u])
+        tv.append(number[a.v])
+    ends = np.array(rows, dtype=float).reshape(-1, 4)
+    nseg = np.array(nseg, dtype=np.int64)
+    last = np.cumsum(nseg)
+    first = last - nseg
+    edge = np.repeat(np.arange(len(nseg)), nseg)
+    head = np.full(len(edge), -1)
+    tail = np.full(len(edge), -1)
+    head[first], tail[last - 1] = hv, tv
+    return ends, edge, first, head, tail
+
+
+def _lift_pair(p1, p2, p3, p4):
+    """(den, points): den is the least common denominator of the
+    coordinates of p1..p4 (floats are binary rationals), and the points are
+    scaled by it to integers."""
+    ratios = [c.as_integer_ratio() for p in (p1, p2, p3, p4) for c in p]
+    den = math.lcm(*(q for _, q in ratios))
+    z = [n * (den // q) for n, q in ratios]
+    return den, ((z[0], z[1]), (z[2], z[3]), (z[4], z[5]), (z[6], z[7]))
+
+
+def _lifts_to(p, den, x, y) -> bool:
+    """Whether the point p scaled by den is exactly (x, y)."""
+    (nx, qx), (ny, qy) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+    return x * qx == nx * den and y * qy == ny * den
 
 
 def check_noncrossing(dr: Drawing):
     """(crossing_free, witness). Arcs of different edges may meet only at a
     shared endpoint; collinear overlap is a violation. Decided exactly for
-    every coord_kind, on the drawing lifted to integers.
+    every coord_kind.
 
     Candidate pairs come from a sort-and-sweep over bounding boxes, in
-    ascending segment order, so the first violation (the witness) does not
-    depend on the broad phase. Two segments that both end at the point of a
-    vertex their edges share (by vertex id, not by point) meet only there
-    when they turn at it: one exact orientation decides. Every other pair,
-    and a shared end with collinear segments, goes through the full exact
-    intersection test.
+    ascending segment order. A float filter (_settled) then tests them all
+    at once: from the floats nearest the coordinates it computes the four
+    orientations of each pair with a bound on their error, which covers
+    both the float arithmetic and the rounding of the coordinates to float,
+    and drops only pairs it proves harmless: segments of one edge, segments
+    strictly apart, and two segments that both end at the point of a vertex
+    their edges share (by vertex id, not by point) and turn there. The rest,
+    in ascending order, are decided exactly on integers: each pair is
+    scaled by the least common denominator of its own coordinates. Two
+    segments ending at a shared vertex need one exact orientation, and every
+    other pair, and a shared end with collinear segments, the full exact
+    intersection test. The filter only removes non-violating pairs, so the
+    first violation, the witness, does not depend on it or on the broad
+    phase. A witness point beyond the float range reads +-inf.
     """
-    den, segs, vertex_pt, boxes = _lift(dr)
-    for i, j in _candidate_pairs(boxes):
-        ei, si, p1, p2, hi, ti = segs[i]
-        ej, sj, p3, p4, hj, tj = segs[j]
-        if ei == ej:
-            continue
+    ends, edge, first, head, tail = _segments(dr)
+    ii, jj = _candidate_pairs(ends)
+    todo = ~_settled(ends, edge, head, tail, ii, jj)
+
+    def seg(k):
+        ek = int(edge[k])
+        sk = k - int(first[ek])
+        a = dr.edges[ek]
+        hk = a.u if sk == 0 else None
+        tk = a.v if sk == len(a.poly) - 2 else None
+        return ek, sk, a.poly[sk], a.poly[sk + 1], hk, tk
+
+    for i, j in zip(ii[todo].tolist(), jj[todo].tolist()):
+        ei, si, p1, p2, hi, ti = seg(i)
+        ej, sj, p3, p4, hj, tj = seg(j)
+        den, (p1, p2, p3, p4) = _lift_pair(p1, p2, p3, p4)
         # h*, t*: vertex at the segment's first / second end, None at a bend
         if hi is not None and hi == hj:
             turn = _orient(p1, p2, p4)
@@ -230,9 +349,9 @@ def check_noncrossing(dr: Drawing):
         kind, wx, wy = hit
         ea, eb = dr.edges[ei], dr.edges[ej]
         shared = {ea.u, ea.v} & {eb.u, eb.v}
-        if kind == "point" and any(vertex_pt[v] == (wx, wy) for v in shared):
+        if kind == "point" and any(_lifts_to(dr.points[v], den, wx, wy) for v in shared):
             continue
-        where = (float(Fraction(wx, den)), float(Fraction(wy, den)))
+        where = (_float(Fraction(wx, den)), _float(Fraction(wy, den)))
         return False, CrossingWitness((ea.u, ea.v), si, (eb.u, eb.v), sj, where)
     return True, None
 
@@ -253,6 +372,16 @@ def _exact_dir_key(dx, dy):
     return (ix, iy)
 
 
+def _dir_angle(ix: int, iy: int) -> float:
+    """The angle of the integer direction (ix, iy) mod pi, clockwise from
+    the upward vertical; a direction beyond the float range is shifted down
+    until it fits."""
+    shift = max(abs(ix).bit_length(), abs(iy).bit_length()) - 1000
+    if shift > 0:
+        ix, iy = ix >> shift, iy >> shift
+    return math.atan2(ix, iy) % math.pi
+
+
 def slope_classes(dr: Drawing, tol: float = 1e-9):
     """(angles, classes): the slope classes of every segment direction mod pi.
 
@@ -267,7 +396,7 @@ def slope_classes(dr: Drawing, tol: float = 1e-9):
     segs = [(p, q) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
     if dr.coord_kind in ("int", "rational"):
         labels = [_exact_dir_key(q[0] - p[0], q[1] - p[1]) for p, q in segs]
-        reps = {k: math.atan2(k[0], k[1]) % math.pi for k in labels}
+        reps = {k: _dir_angle(*k) for k in labels}
     else:
         thetas = [
             math.atan2(float(q[0]) - float(p[0]), float(q[1]) - float(p[1])) % math.pi

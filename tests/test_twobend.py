@@ -10,7 +10,7 @@ import pytest
 from conftest import bench_instances, bounded_stack, capped_planar, glued_blocks
 
 from fewslopes import graphs, twobend
-from fewslopes.drawing import Drawing, EdgeArc, SlopeSet
+from fewslopes.drawing import EdgeArc, SlopeSet
 from fewslopes.errors import DegreeTooHigh, DegreeTooSmall, GluingFailed, SlopesTooFew
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
@@ -348,7 +348,7 @@ class TestClearance:
             u, v = rng.sample(range(25), 2)
             poly = (pts[u], *(pt() for _ in range(rng.randrange(3))), pts[v])
             arcs.append(EdgeArc(u, v, poly, (0,) * (len(poly) - 1)))
-        comp = twobend._Composite(Drawing("twobend", pts, arcs, "float", {}))
+        comp = twobend._Composite(pts, arcs)
         for v in pts:
             assert twobend._clearance(comp, v, None) == scan_clearance(pts, arcs, v, None), v
 

@@ -199,6 +199,12 @@ def matrix_pairs(boxes):
     return list(zip(ii[keep].tolist(), jj[keep].tolist()))
 
 
+def as_list(pairs):
+    """The index arrays (ii, jj) of _candidate_pairs as a list of (i, j)."""
+    ii, jj = pairs
+    return list(zip(ii.tolist(), jj.tolist()))
+
+
 def pairwise_noncrossing(dr):
     """Reference crossing check: every pair of segments, ascending, lifted
     through Fraction points."""
@@ -273,7 +279,7 @@ class TestBroadPhase:
         want = matrix_pairs(boxes)
         for budget in (1, 7, 1 << 18):  # one position, several, all at once
             monkeypatch.setattr(verify, "_PAIR_BUDGET", budget)
-            assert _candidate_pairs(boxes) == want
+            assert as_list(_candidate_pairs(boxes)) == want
 
     def test_sweep_matches_matrix_on_a_onebend_drawing(self, monkeypatch):
         dr = draw_onebend(bench_instances().bounded_triangulation(300, 8, 1))
@@ -281,10 +287,10 @@ class TestBroadPhase:
         want = matrix_pairs(boxes)
         assert len(want) > 5000
         monkeypatch.setattr(verify, "_PAIR_BUDGET", 1000)
-        assert _candidate_pairs(boxes) == want
+        assert as_list(_candidate_pairs(boxes)) == want
 
     def test_fewer_than_two_boxes(self):
-        assert _candidate_pairs(np.zeros((1, 4))) == []
+        assert as_list(_candidate_pairs(np.zeros((1, 4)))) == []
 
 
 class TestCrossingMatchesPairwise:
@@ -346,6 +352,151 @@ class TestSharedVertex:
             [(0, 1, [(0, 0), (1, 1), (2, 0)]), (0, 2, [(0, 0), (1, 2), (0, 2)])],
         )
         assert check_noncrossing(dr) == (True, None)
+
+
+def mapped(dr, f):
+    """dr with every coordinate c replaced by f(c)."""
+    def pt(p):
+        return (f(p[0]), f(p[1]))
+
+    pts = {v: pt(p) for v, p in dr.points.items()}
+    arcs = tuple(EdgeArc(a.u, a.v, tuple(map(pt, a.poly))) for a in dr.edges)
+    return Drawing(dr.method, pts, arcs, dr.coord_kind, {})
+
+
+class TestFilter:
+    """The float filter drops only pairs it proves harmless: on inputs where
+    float orientations are wrong or undefined, check_noncrossing still
+    gives the verdict and witness of checking every pair exactly."""
+
+    def test_point_one_ulp_off_a_line(self):
+        # (1150, 1050) lies on the line through (1000, 1000) and (1300, 1100);
+        # a segment ends on it, or one or two ulps to either side
+        verdicts = set()
+        for k in range(-2, 3):
+            for axis in (0, 1):
+                for far in (0.0, 2000.0):
+                    tip = [1150.0, 1050.0]
+                    for _ in range(abs(k)):
+                        tip[axis] = math.nextafter(tip[axis], math.copysign(math.inf, k))
+                    dr = mk(
+                        [(1000.0, 1000.0), (1300.0, 1100.0), tuple(tip), (1150.0, far)],
+                        [(0, 1, [(1000.0, 1000.0), (1300.0, 1100.0)]),
+                         (2, 3, [tuple(tip), (1150.0, far)])],
+                        kind="float",
+                    )
+                    want = pairwise_noncrossing(dr)
+                    assert check_noncrossing(dr) == want, (k, axis, far)
+                    verdicts.add(want[0])
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("base, step", [(2**53, 1), (2**53 + 1, 3), (2**60, 100)])
+    def test_ints_beyond_float_precision(self, base, step, monkeypatch):
+        # grid points base + step * k collapse and shift when rounded to
+        # float; the filter takes the pairs seven at a time
+        monkeypatch.setattr(verify, "_FILTER_CHUNK", 7)
+        rng = random.Random(base + step)
+        crossing = 0
+        for _ in range(60):
+            dr = mapped(random_drawing(rng, "int"), lambda c: base + step * c)
+            want = pairwise_noncrossing(dr)
+            assert check_noncrossing(dr) == want
+            crossing += not want[0]
+        assert 0 < crossing < 60
+
+    def test_onebend_bends_moved_by_one_over_den(self):
+        dr = draw_onebend(gen_random_triangulation(20, 1))
+        rng = random.Random(1)
+        for _ in range(12):
+            arcs = list(dr.edges)
+            for k in rng.sample(range(len(arcs)), 6):
+                a = arcs[k]
+                bx, by = a.poly[1]
+                bend = (bx + Fraction(rng.choice((-1, 1)), bx.denominator),
+                        by + Fraction(rng.choice((-1, 1)), by.denominator))
+                arcs[k] = EdgeArc(a.u, a.v, (a.poly[0], bend, a.poly[2]))
+            moved = Drawing(dr.method, dr.points, tuple(arcs), dr.coord_kind, dr.meta)
+            assert check_noncrossing(moved) == pairwise_noncrossing(moved)
+
+    @pytest.mark.parametrize(
+        "scale, base",
+        [(2.0**-40, 1000.0), (2.0**-1030, 0.0), (3e-158, 0.0), (2.0**995, 0.0)],
+        ids=["child-at-1e3", "subnormal", "subnormal-products", "overflowing-products"],
+    )
+    def test_float_scales(self, scale, base, monkeypatch):
+        # a grid of quarter units becomes steps of two ulps at 1e3, multiples
+        # of 2^-1032 near 1e-310, floats near 1e-158 whose products keep a
+        # few dozen bits, or floats near 1e300 whose products overflow
+        monkeypatch.setattr(verify, "_FILTER_CHUNK", 7)
+        rng = random.Random(repr(scale))
+        crossing = 0
+        for _ in range(60):
+            dr = mapped(random_drawing(rng, "float"), lambda c: base + scale * c)
+            want = pairwise_noncrossing(dr)
+            assert check_noncrossing(dr) == want
+            crossing += not want[0]
+        assert 0 < crossing < 60
+
+    def test_exact_path_sees_few_onebend_pairs(self, monkeypatch):
+        dr = draw_onebend(bench_instances().bounded_triangulation(1000, 8, 1))
+        real_pairs, real_lift = verify._candidate_pairs, verify._lift_pair
+        counts = {"candidates": 0, "exact": 0}
+
+        def pairs(boxes):
+            ii, jj = real_pairs(boxes)
+            counts["candidates"] += len(ii)
+            return ii, jj
+
+        def lift(*pts):
+            counts["exact"] += 1
+            return real_lift(*pts)
+
+        monkeypatch.setattr(verify, "_candidate_pairs", pairs)
+        monkeypatch.setattr(verify, "_lift_pair", lift)
+        assert check_noncrossing(dr) == (True, None)
+        assert counts["candidates"] > 20_000
+        assert counts["exact"] <= counts["candidates"] // 100
+
+
+class TestBeyondFloatRange:
+    """Coordinates past the float range get a report, not an OverflowError."""
+
+    BIG = 2**1100
+
+    def test_crossing_beyond_range(self):
+        big = self.BIG
+        dr = mk(
+            [(0, 0), (big, 1), (0, 1), (big, 0)],
+            [(0, 1, [(0, 0), (big, 1)]), (2, 3, [(0, 1), (big, 0)])],
+        )
+        ok, w = check_noncrossing(dr)
+        assert not ok and w.where == (math.inf, 0.5)
+        rep = verify_drawing(dr)
+        assert not rep.crossing_free and rep.distinct_slopes == 2
+
+    def test_crossing_in_range(self):
+        big = self.BIG
+        dr = mk(
+            [(0, 0), (big, big), (0, 2), (2, 0)],
+            [(0, 1, [(0, 0), (big, big)]), (2, 3, [(0, 2), (2, 0)])],
+        )
+        want = pairwise_noncrossing(dr)
+        assert not want[0] and want[1].where == (1.0, 1.0)
+        assert check_noncrossing(dr) == want
+        assert verify_drawing(dr).crossing_witness == want[1]
+
+    def test_clear(self):
+        big = self.BIG
+        dr = mk(
+            [(0, 0), (big, 1), (0, 1), (big, 2), (-big, 0)],
+            [(0, 1, [(0, 0), (big, 1)]), (2, 3, [(0, 1), (big, 2)]),
+             (0, 4, [(0, 0), (-big, 0)])],
+        )
+        want = pairwise_noncrossing(dr)
+        assert want == (True, None) and check_noncrossing(dr) == want
+        # directions (2^1100, 1) and (1, 0): two exact classes whose angles
+        # both round to pi/2
+        assert slope_classes(dr)[0] == (math.pi / 2, math.pi / 2)
 
 
 class TestSlopeCensus:
