@@ -175,7 +175,8 @@ def _report_obj(rep: VerifyReport) -> dict:
             "seg_a": w.seg_a,
             "edge_b": list(w.edge_b),
             "seg_b": w.seg_b,
-            "where": [float(w.where[0]), float(w.where[1])],
+            # a crossing beyond the float range has no JSON number
+            "where": [c if math.isfinite(c) else None for c in w.where],
         },
         "slope_census": [[angle, count] for angle, count in rep.slope_census],
         "distinct_slopes": rep.distinct_slopes,

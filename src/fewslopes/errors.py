@@ -81,8 +81,8 @@ class PrecisionExhausted(FewslopesError):
 # --- one-bend errors ----------------------------------------------------------
 
 class RetractionFailed(FewslopesError):
-    """Removing spurious contacts would destroy a required contact even
-    after grid refinement."""
+    """The retracted T-shapes fail the exact contact check: a contact is
+    missing, misplaced or spurious, or two shapes overlap."""
 
 
 # --- two-bend errors ----------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -652,28 +653,28 @@ def _assert_canonical_valid(g: PlanarGraph, co: CanonicalOrder) -> None:
 
 @dataclass(frozen=True)
 class BlockCutTree:
-    """Biconnected blocks (as edge lists) plus cut vertices of a graph, over
-    all its components; blocks and cut vertices are sorted for determinism."""
+    """Biconnected blocks (as edge lists and vertex lists) plus cut vertices
+    of a graph, over all its components; all are sorted for determinism."""
 
     blocks: tuple[tuple[tuple[int, int], ...], ...]
+    vertices: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
-
-    def block_vertices(self, i: int) -> tuple[int, ...]:
-        vs = set()
-        for u, v in self.blocks[i]:
-            vs.add(u)
-            vs.add(v)
-        return tuple(sorted(vs))
 
 
 def block_cut_tree(g: PlanarGraph) -> BlockCutTree:
-    G = g.to_networkx()
-    blocks = []
-    for comp in nx.biconnected_component_edges(G):
-        edges = tuple(sorted(_norm_edge(u, v) for u, v in comp))
-        blocks.append(edges)
-    blocks.sort()
-    cuts = tuple(sorted(nx.articulation_points(G)))
-    bct = BlockCutTree(tuple(blocks), cuts)
+    """One lowpoint search per component. Two blocks share at most one
+    vertex, so a block's edges are those its vertex set induces, and a cut
+    vertex is one that lies in two or more blocks."""
+    adj = g.adjacency
+    found = []
+    for vs in g.components:
+        for block in _blocks(adj, set(vs)):
+            verts = tuple(sorted(block))
+            edges = tuple((u, w) for u in verts for w in adj[u] if u < w and w in block)
+            found.append((edges, verts))
+    found.sort()
+    held = Counter(v for _, verts in found for v in verts)
+    cuts = tuple(sorted(v for v, k in held.items() if k >= 2))
+    bct = BlockCutTree(tuple(e for e, _ in found), tuple(v for _, v in found), cuts)
     assert sum(len(b) for b in bct.blocks) == len(g.edges)
     return bct

@@ -38,7 +38,11 @@ def _num_to_obj(x, kind: str):
         if not isinstance(x, (int, Fraction)):
             x = Fraction(x)
         num, den = x.numerator, x.denominator  # an int is num/1
-        return {"dec": format(num / den, ".17g"), "frac": f"{num}/{den}"}
+        try:
+            dec = format(num / den, ".17g")
+        except OverflowError:  # beyond the float range; "frac" stays exact
+            dec = "inf" if num > 0 else "-inf"
+        return {"dec": dec, "frac": f"{num}/{den}"}
     return float(x)
 
 
@@ -182,7 +186,7 @@ def _meta_to_obj(meta):
         if isinstance(x, (list, tuple)):
             return [conv(v) for v in x]
         if isinstance(x, Fraction):
-            return {"dec": format(float(x), ".17g"), "frac": f"{x.numerator}/{x.denominator}"}
+            return _num_to_obj(x, "rational")
         if isinstance(x, bool) or x is None:
             return x
         if isinstance(x, (int, float, str)):

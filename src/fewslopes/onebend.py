@@ -3,7 +3,9 @@
 Every vertex becomes a T: a horizontal hat through its center plus a vertical
 leg hanging below. Following a canonical order top-down, each new vertex slots
 its hat between the legs of its two extreme earlier neighbors and catches the
-legs of the middle ones, so T-shapes touch exactly when vertices are adjacent.
+legs of the middle ones, so the T-shapes of a triangulation touch exactly when
+vertices are adjacent. Retracting hats and legs drops the contacts of edges
+the triangulation added, and one exact check gates the result.
 
 Drawn edges replace the right-angle contact path by two segments meeting
 where an almost-horizontal line (slope -1/(2iN)) through the hat-side vertex
@@ -140,9 +142,10 @@ def tshape_representation(e: Embedding) -> TShapeRep:
     Built on a triangulation of e via canonical order; every hat end and leg
     bottom is then retracted past its outermost contact belonging to a real
     edge (half-unit stub when none), which erases the contacts created by
-    auxiliary triangulation edges. The iff condition is re-verified exactly
-    on the final integer coordinates; on failure the grid is refined x4 and
-    retraction retried.
+    auxiliary triangulation edges. Retraction only shortens hats and legs,
+    and a stub end is odd where other shapes are even, so one exact check of
+    the iff condition on the final coordinates is a gate: RetractionFailed
+    reports a violation.
     """
     g = e.graph
     if g.n == 1:
@@ -154,7 +157,8 @@ def tshape_representation(e: Embedding) -> TShapeRep:
     n_rep = et.graph.n
 
     order = co.order
-    rows = {v: n_rep - i for i, v in enumerate(order)}  # first vertex on top row
+    # doubled units, so that every row and column is even and a stub is 1
+    rows = {v: 2 * (n_rep - i) for i, v in enumerate(order)}  # first on top
     v1, v2 = order[0], order[1]
     # Columns live on the grid of multiples of 2**-n_rep, scaled to ints: a
     # new column halves a gap between earlier ones, so the vertex at
@@ -211,56 +215,44 @@ def tshape_representation(e: Embedding) -> TShapeRep:
         legx[v] = (seq[j] + seq[j + 1]) >> 1
         contour[lo : lo + len(sup)] = [w_p, v, w_q]
 
-    cols = sorted(set(legx.values()))
-    rank = {x: i + 1 for i, x in enumerate(cols)}
+    rank = {x: 2 * i + 2 for i, x in enumerate(sorted(set(legx.values())))}
+    col = {v: rank[x] for v, x in legx.items()}
 
-    for attempt in range(4):
-        mult = 2 * 4**attempt  # doubled units: a half-unit nudge is 1
-        shapes = []
-        for v in range(g.n):
-            cx = rank[legx[v]] * mult
-            cy = rows[v] * mult
+    shapes = []
+    for v in range(g.n):
+        cx, cy = col[v], rows[v]
 
-            def end(side: str, outermost, nudge):
-                tip = hat_tip[v][side]
-                if tip is not None and tip[1]:
-                    return rank[legx[tip[0]]] * mult
-                rest_cols = [rank[legx[w]] * mult for w, req in hat_rests[v] if req]
-                rest_cols = [c for c in rest_cols if (c < cx if side == "left" else c > cx)]
-                if rest_cols:
-                    return outermost(rest_cols) + nudge
-                return cx + nudge
+        def end(side: str, outermost, nudge):
+            tip = hat_tip[v][side]
+            if tip is not None and tip[1]:
+                return col[tip[0]]
+            rest_cols = [col[w] for w, req in hat_rests[v] if req]
+            rest_cols = [c for c in rest_cols if (c < cx if side == "left" else c > cx)]
+            if rest_cols:
+                return outermost(rest_cols) + nudge
+            return cx + nudge
 
-            req_rows = [r * mult for r, req in leg_marks[v] if req]
-            shapes.append(
-                TShape(
-                    center=(cx, cy),
-                    hat_left=(end("left", min, -1), cy),
-                    hat_right=(end("right", max, 1), cy),
-                    leg_bottom=(cx, min(req_rows) if req_rows else cy - 1),
-                )
+        req_rows = [r for r, req in leg_marks[v] if req]
+        shapes.append(
+            TShape(
+                center=(cx, cy),
+                hat_left=(end("left", min, -1), cy),
+                hat_right=(end("right", max, 1), cy),
+                leg_bottom=(cx, min(req_rows) if req_rows else cy - 1),
             )
-
-        contacts = sorted(
-            (
-                Contact(
-                    min(h, l),
-                    max(h, l),
-                    (rank[legx[l]] * mult, rows[h] * mult),
-                    hat_vertex=h,
-                )
-                for h, l, req in recs
-                if req
-            ),
-            key=lambda c: (c.u, c.v),
         )
-        problems = _verify_contacts(shapes, set(g.edges), contacts)
-        if not problems:
-            xs_all = [x for s in shapes for x in (s.hat_left[0], s.hat_right[0], s.center[0])]
-            ys_all = [y for s in shapes for y in (s.center[1], s.leg_bottom[1])]
-            grid = (max(xs_all) - min(xs_all) + 1, max(ys_all) - min(ys_all) + 1)
-            return TShapeRep(tuple(shapes), tuple(contacts), grid, et.graph.max_degree)
-    raise RetractionFailed(f"contact verification kept failing: {problems[:3]}")
+
+    contacts = sorted(
+        (Contact(min(h, l), max(h, l), (col[l], rows[h]), h) for h, l, req in recs if req),
+        key=lambda c: (c.u, c.v),
+    )
+    problems = _verify_contacts(shapes, set(g.edges), contacts)
+    if problems:
+        raise RetractionFailed(f"contact verification failed: {problems[:3]}")
+    xs_all = [x for s in shapes for x in (s.hat_left[0], s.hat_right[0], s.center[0])]
+    ys_all = [y for s in shapes for y in (s.center[1], s.leg_bottom[1])]
+    grid = (max(xs_all) - min(xs_all) + 1, max(ys_all) - min(ys_all) + 1)
+    return TShapeRep(tuple(shapes), tuple(contacts), grid, et.graph.max_degree)
 
 
 def _verify_contacts(shapes, edges, contacts) -> list[str]:
@@ -273,10 +265,10 @@ def _verify_contacts(shapes, edges, contacts) -> list[str]:
     overlap one of them form a contiguous run after it. The edge test walks
     only the touching pairs and the edges.
 
-    The problem list has a fixed order, which the retraction retry and its
-    error message rely on: "hat crosses leg" by (hat, leg); then overlapping
-    hats and intersecting legs by pair, hats first; then, only when those are
-    absent, the edge problems by pair.
+    The problem list has a fixed order, which the error message relies on:
+    "hat crosses leg" by (hat, leg); then overlapping hats and intersecting
+    legs by pair, hats first; then, only when those are absent, the edge
+    problems by pair.
     """
     cx = np.array([s.center[0] for s in shapes])
     cy = np.array([s.center[1] for s in shapes])

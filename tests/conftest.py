@@ -15,6 +15,17 @@ from fewslopes.graphs import PlanarGraph
 
 BENCH_INSTANCES = Path(__file__).resolve().parents[1] / "bench" / "instances.py"
 
+# twobend-blocks seed 1, round 0: (n, seed) of bench_instances().capped_planar
+TWOBEND_BLOCKS_ROUND0 = {
+    150: 9699978853088943037,
+    225: 15608320593117688252,
+    300: 16030627719229544678,
+    375: 4380220430956175233,
+    450: 11703788607160492643,
+    525: 1353994463432362869,
+    600: 5893131959065055312,
+}
+
 
 def bench_instances():
     """bench/instances.py, loaded by path: the benchmark's generators."""

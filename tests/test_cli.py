@@ -175,16 +175,40 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
 
-def test_module_entry_point_runs_main():
+def run_module(*args):
     env = dict(os.environ)
     src = str(Path(fewslopes.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "fewslopes.cli", "gen", "--family", "octahedron"],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+    return subprocess.run(
+        [sys.executable, "-m", "fewslopes.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_module_entry_point_runs_main():
+    out = run_module("gen", "--family", "octahedron")
+    assert out.returncode == 0
     assert '"n":6' in out.stdout
     assert out.stderr == ""
+
+
+def test_verify_reports_a_crossing_beyond_float_range(tmp_path):
+    # the edges cross at (2**1099, 1/2), whose x has no float
+    big = 2**1100
+    dp = put(tmp_path, "d.json", {
+        "method": "custom",
+        "points": [[0, 0], [big, 1], [0, 1], [big, 0]],
+        "edges": [
+            {"u": 0, "v": 1, "poly": [[0, 0], [big, 1]]},
+            {"u": 2, "v": 3, "poly": [[0, 1], [big, 0]]},
+        ],
+    })
+    out = run_module("verify", "--in", dp)
+    assert out.returncode == 1
+    assert out.stderr == ""
+    rep = json.loads(out.stdout)
+    assert rep["ok"] is False and rep["crossing_free"] is False
+    assert rep["crossing_witness"]["where"] == [None, 0.5]
 
 
 class TestSvg:

@@ -6,7 +6,7 @@ import random
 
 import networkx as nx
 import pytest
-from conftest import bench_instances, capped_planar
+from conftest import TWOBEND_BLOCKS_ROUND0, bench_instances, capped_planar
 
 from fewslopes.errors import (
     Disconnected,
@@ -18,6 +18,7 @@ from fewslopes.errors import (
 )
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import (
+    BlockCutTree,
     CanonicalOrder,
     Embedding,
     PlanarGraph,
@@ -247,8 +248,7 @@ def _st_outcome(order_fn, e, s, t):
 
 def _block_graphs(g: PlanarGraph):
     bct = block_cut_tree(g)
-    for i, block in enumerate(bct.blocks):
-        verts = bct.block_vertices(i)
+    for block, verts in zip(bct.blocks, bct.vertices):
         local = {v: j for j, v in enumerate(verts)}
         yield PlanarGraph(len(verts), tuple((local[u], local[v]) for u, v in block))
 
@@ -377,7 +377,7 @@ class TestBlockCutTree:
         bct = block_cut_tree(g)
         assert len(bct.blocks) == 2
         assert bct.cut_vertices == (2,)
-        at_2 = tuple(i for i in range(len(bct.blocks)) if 2 in bct.block_vertices(i))
+        at_2 = tuple(i for i, verts in enumerate(bct.vertices) if 2 in verts)
         assert at_2 == (0, 1)
 
     def test_path_splits_into_edges(self):
@@ -389,4 +389,49 @@ class TestBlockCutTree:
     def test_biconnected_single_block(self):
         bct = block_cut_tree(gen_octahedron())
         assert len(bct.blocks) == 1 and not bct.cut_vertices
-        assert bct.block_vertices(0) == (0, 1, 2, 3, 4, 5)
+        assert bct.vertices == ((0, 1, 2, 3, 4, 5),)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_networkx_on_random_graphs(self, seed):
+        g = sparse_graph(seed)
+        assert block_cut_tree(g) == networkx_block_cut_tree(g)
+
+    def test_random_graphs_have_every_shape(self):
+        graphs = [sparse_graph(seed) for seed in range(40)]
+        assert any(0 in map(len, g.adjacency) for g in graphs)  # isolated vertex
+        assert any(sum(len(c) > 1 for c in g.components) > 1 for g in graphs)
+        trees = [block_cut_tree(g) for g in graphs]
+        assert any(len(b) == 1 for t in trees for b in t.blocks)  # bridge
+        assert any(len(b) >= 3 for t in trees for b in t.blocks)
+        assert sum(len(t.cut_vertices) for t in trees) > 40
+
+    @pytest.mark.parametrize("n", sorted(TWOBEND_BLOCKS_ROUND0))
+    def test_matches_networkx_on_twobend_blocks_round0(self, n):
+        g = bench_instances().capped_planar(n, 8, TWOBEND_BLOCKS_ROUND0[n])
+        bct = block_cut_tree(g)
+        assert len(bct.blocks) > 1
+        assert bct == networkx_block_cut_tree(g)
+
+
+def sparse_graph(seed: int) -> PlanarGraph:
+    """Random graph sparse enough for isolated vertices, bridges and several
+    components; it need not be planar."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    p = rng.choice([0.03, 0.06, 0.1, 0.2])
+    return PlanarGraph(
+        n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p)
+    )
+
+
+def networkx_block_cut_tree(g: PlanarGraph) -> BlockCutTree:
+    G = g.to_networkx()
+    blocks = sorted(
+        tuple(sorted((min(u, v), max(u, v)) for u, v in comp))
+        for comp in nx.biconnected_component_edges(G)
+    )
+    return BlockCutTree(
+        tuple(blocks),
+        tuple(tuple(sorted({v for e in b for v in e})) for b in blocks),
+        tuple(sorted(nx.articulation_points(G))),
+    )

@@ -24,6 +24,7 @@ from fewslopes.jsonio import (
 from fewslopes.onebend import draw_onebend
 from fewslopes.straightline import draw_straight
 from fewslopes.twobend import draw_twobend
+from fewslopes.verify import verify_drawing
 
 
 def canon(obj) -> str:
@@ -174,6 +175,22 @@ class TestRationalEncoding:
         assert obj["meta"]["step"]["frac"] == "3/7"
         assert obj["meta"]["nested"][0]["frac"] == "1/2"
         json.loads(canon(obj))
+
+    def test_coordinate_beyond_float_range(self):
+        far = Fraction(2**1100, 3)
+        ends = ((Fraction(0), Fraction(0)), (far, Fraction(1)))
+        dr = Drawing(
+            "custom", dict(enumerate(ends)), (EdgeArc(0, 1, ends, None),), "rational",
+            {"far": -far},
+        )
+        text = canon(drawing_to_obj(dr))
+        obj = json.loads(text)
+        assert obj["points"][1][0] == {"dec": "inf", "frac": f"{2**1100}/3"}
+        assert obj["meta"]["far"]["dec"] == "-inf"
+        back = drawing_from_obj(obj)
+        assert back.points[1][0] == far
+        assert canon(drawing_to_obj(back)) == text
+        assert verify_drawing(back).ok
 
 
 class TestHandWrittenLeniency:

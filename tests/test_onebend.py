@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import bench_instances
-from fewslopes.errors import TooFewVertices
+from fewslopes import onebend
+from fewslopes.errors import RetractionFailed, TooFewVertices
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
@@ -88,6 +89,18 @@ class TestTShapes:
         for v in range(rep.n):
             ranks = [num.index_at(v, ci) for ci in rep.contacts_at(v)]
             assert sorted(ranks) == list(range(1, len(ranks) + 1))
+
+    def test_failed_contact_check_raises(self, monkeypatch):
+        checked = []
+
+        def broken(shapes, edges, contacts):
+            checked.append(len(shapes))
+            return ["hat of 0 crosses leg of 1"]
+
+        monkeypatch.setattr(onebend, "_verify_contacts", broken)
+        with pytest.raises(RetractionFailed, match="hat of 0 crosses leg of 1"):
+            tshape_representation(planar_embed(gen_octahedron()))
+        assert checked == [6]  # once, on the final shapes
 
 
 class TestDrawOnebend:

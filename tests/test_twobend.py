@@ -7,7 +7,13 @@ import math
 import random
 
 import pytest
-from conftest import bench_instances, bounded_stack, capped_planar, glued_blocks
+from conftest import (
+    TWOBEND_BLOCKS_ROUND0,
+    bench_instances,
+    bounded_stack,
+    capped_planar,
+    glued_blocks,
+)
 
 from fewslopes import graphs, twobend
 from fewslopes.drawing import EdgeArc, SlopeSet
@@ -24,7 +30,13 @@ from fewslopes.twobend import (
     draw_twobend,
     regular_slopes,
 )
-from fewslopes.verify import check_noncrossing, check_rotation, slope_census, verify_drawing
+from fewslopes.verify import (
+    check_noncrossing,
+    check_rotation,
+    check_wedge,
+    slope_census,
+    verify_drawing,
+)
 
 
 def k4_chain(blocks: int) -> PlanarGraph:
@@ -134,6 +146,22 @@ class TestOctahedron:
         assert check_rotation(dr, planar_embed(g).rotation) == []
 
 
+def glued_components(monkeypatch, gs) -> list:
+    """The drawings of the components of gs glued from two or more blocks,
+    taken before the components are laid side by side."""
+    drawn = []
+    draw_component = twobend._draw_component
+
+    def spy(*args):
+        drawn.append(draw_component(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(twobend, "_draw_component", spy)
+    for g in gs:
+        draw_twobend(g)
+    return [dr for dr in drawn if dr.meta.get("blocks", 1) > 1]
+
+
 class TestGluing:
     def test_chain_of_blocks(self):
         g = k4_chain(3)
@@ -189,9 +217,24 @@ class TestGluing:
     def test_cut_vertex_top_drops_wedge(self):
         dr = draw_twobend(octahedron_pair())
         assert dr.meta["s"] == 2 and dr.meta["t"] in (6, 13)
-        assert "wedge" not in dr.meta
+        assert "wedge" not in dr.meta and dr.meta["wedge_contained"] is False
         rep = verify_drawing(dr)
         assert rep.wedge_ok is None and rep.ok
+
+    @pytest.mark.parametrize("g", [glued_blocks(8, 4), k4_chain(3)], ids=["glued_blocks", "k4_chain"])
+    def test_glued_wedge_flag_agrees_with_verifier(self, monkeypatch, g):
+        glued = glued_components(monkeypatch, [g])
+        assert len(glued) == 1
+        assert glued[0].meta["wedge_contained"] is (check_wedge(glued[0]) is True)
+
+    def test_glued_wedge_flag_agrees_with_verifier_on_twobend_blocks(self, monkeypatch):
+        glued = glued_components(monkeypatch, [
+            bench_instances().capped_planar(n, 8, seed)
+            for n, seed in sorted(TWOBEND_BLOCKS_ROUND0.items())
+        ])
+        assert len(glued) == 6
+        for dr in glued:
+            assert dr.meta["wedge_contained"] is (check_wedge(dr) is True)
 
     def test_meta_degree_is_the_graphs(self):
         g = k4_chain(3)
@@ -393,18 +436,6 @@ def test_st_order_searches_only_the_changed_block(monkeypatch):
     draw_twobend(capped_planar(1600, 0, 8))
     assert unplaced > 10**5
     assert searched < 0.10 * unplaced, (searched, unplaced)
-
-
-# twobend-blocks seed 1, round 0: (n, seed) of bench_instances().capped_planar
-TWOBEND_BLOCKS_ROUND0 = {
-    150: 9699978853088943037,
-    225: 15608320593117688252,
-    300: 16030627719229544678,
-    375: 4380220430956175233,
-    450: 11703788607160492643,
-    525: 1353994463432362869,
-    600: 5893131959065055312,
-}
 
 
 def _bench_twobend(n: int):
