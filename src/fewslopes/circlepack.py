@@ -180,9 +180,7 @@ def pack_radii(e: Embedding, p: PackParams | None = None) -> np.ndarray:
     n = e.graph.n
     interior = np.ones(n, dtype=bool)
     interior[list(e.outer_face)] = False
-    m = int(interior.sum())
-    if m == 0:
-        raise ValueError("no interior vertices")
+    m = int(interior.sum())  # n - 3 >= 1, as _check_packable passed
     faces = _inner_faces(e)
     pos = np.full(n, m, dtype=np.intp)
     pos[interior] = np.arange(m)

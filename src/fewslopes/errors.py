@@ -97,8 +97,10 @@ class DegreeTooHigh(FewslopesError):
 
 
 class GluingFailed(FewslopesError):
-    """Sub-drawings at a cut vertex cannot be packed into disjoint
-    angular sectors."""
+    """A two-bend block cannot be placed: its drawing does not fit the wedge
+    at its top however far the top is raised, a child block shrunk to fit
+    at its cut vertex is below float resolution, or the slots read at a cut
+    vertex do not form one arc."""
 
 
 # --- family generator errors --------------------------------------------------

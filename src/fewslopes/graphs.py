@@ -154,14 +154,13 @@ def _rotate_min(t: tuple[int, ...]) -> tuple[int, ...]:
 class Embedding:
     """Rotation system plus designated outer face.
 
-    rotation[v] is the clockwise cyclic neighbor order of v. aux_vertices and
-    aux_edges flag elements added by triangulate().
+    rotation[v] is the clockwise cyclic neighbor order of v. aux_edges
+    flags the edges added by triangulate().
     """
 
     graph: PlanarGraph
     rotation: tuple[tuple[int, ...], ...]
     outer_face: tuple[int, ...]
-    aux_vertices: frozenset = frozenset()
     aux_edges: frozenset = frozenset()
 
     def __post_init__(self):
@@ -260,11 +259,10 @@ def _largest_first(face: tuple[int, ...]):
 # --- triangulation -------------------------------------------------------------
 
 def triangulate(e: Embedding) -> Embedding:
-    """Add edges (and stellation vertices when a face admits no chord fan)
-    until every face, the outer one included, is a triangle.
+    """Add edges until every face, the outer one included, is a triangle.
 
-    Original vertices and edges are preserved; additions are flagged in
-    aux_vertices / aux_edges of the result.
+    The vertices are those of e, and its edges are kept; the added edges
+    are flagged in aux_edges of the result.
     """
     g = e.graph
     if g.n < 3:
@@ -272,11 +270,9 @@ def triangulate(e: Embedding) -> Embedding:
     if not g.is_connected():
         raise Disconnected("triangulate requires a connected embedding")
 
-    n = g.n
     rot = [list(r) for r in e.rotation]
     edges = set(g.edges)
     aux_edges = set()
-    aux_vertices = set()
     outer_dart = (e.outer_face[0], e.outer_face[1]) if len(e.outer_face) >= 2 else None
 
     def add_edge(p, r):
@@ -319,47 +315,31 @@ def triangulate(e: Embedding) -> Embedding:
                 raise AssertionError("biconnection stage stalled")
             break
 
-    # Stage B: triangulate every simple face by a chord fan from an apex
-    # whose chords are all absent, else by stellation. Chords added inside
-    # one face never disturb another face's walk, so one snapshot suffices.
+    # Stage B: fan every face from its smallest apex with no chord present.
+    # After stage A each face is a simple cycle, and the edges joining its
+    # non-consecutive vertices run outside it as non-crossing chords; a cycle
+    # of k >= 4 vertices with non-crossing chords has two vertices on no
+    # chord, so an apex exists. Chords added inside one face never disturb
+    # another face's walk, so one snapshot suffices.
     for face in sorted(_all_faces(rot, edges), key=_largest_first):
         k = len(face)
         if k <= 3:
             continue
-        apex_pos = None
-        for pos in sorted(range(k), key=lambda i: face[i]):
-            a = face[pos]
-            chords = [
-                _norm_edge(a, face[(pos + j) % k]) for j in range(2, k - 1)
-            ]
-            if all(c not in edges for c in chords) and len(set(chords)) == len(chords):
-                apex_pos = pos
-                break
-        if apex_pos is not None:
-            w = [face[(apex_pos + j) % k] for j in range(k)]  # w[0] = apex
-            a = w[0]
-            # rot[a]: (w1, w2, ..., w_{k-1}) must read consecutively
-            ia = rot[a].index(w[1])
-            for j in range(2, k - 1):
-                rot[a].insert(ia + j - 1, w[j])
-                add_edge(a, w[j])
-            for j in range(2, k - 1):
-                rot[w[j]].insert(rot[w[j]].index(w[j + 1]) + 1, a)
-        else:
-            z = n
-            n += 1
-            aux_vertices.add(z)
-            rot.append(list(face))
-            for j in range(k):
-                wj = face[j]
-                nxt = face[(j + 1) % k]
-                rot[wj].insert(rot[wj].index(nxt) + 1, z)
-                add_edge(wj, z)
+        apex_pos = next(
+            p for p in sorted(range(k), key=face.__getitem__)
+            if all(_norm_edge(face[p], face[(p + j) % k]) not in edges for j in range(2, k - 1))
+        )
+        w = [face[(apex_pos + j) % k] for j in range(k)]  # w[0] = apex
+        a = w[0]
+        # rot[a]: (w1, w2, ..., w_{k-1}) must read consecutively
+        ia = rot[a].index(w[1])
+        for j in range(2, k - 1):
+            rot[a].insert(ia + j - 1, w[j])
+            add_edge(a, w[j])
+        for j in range(2, k - 1):
+            rot[w[j]].insert(rot[w[j]].index(w[j + 1]) + 1, a)
 
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels) + tuple(f"aux{i}" for i in range(n - g.n))
-    g2 = PlanarGraph(n, tuple(sorted(edges)), labels)
+    g2 = PlanarGraph(g.n, tuple(sorted(edges)), g.labels)
     faces = tuple(_all_faces(rot, g2.edges))
     assert all(len(f) == 3 for f in faces), "triangulation left a big face"
     outer = faces[0] if outer_dart is None else _trace_faces(rot, [outer_dart])[0]
@@ -367,7 +347,6 @@ def triangulate(e: Embedding) -> Embedding:
         g2,
         tuple(tuple(r) for r in rot),
         outer,
-        aux_vertices=frozenset(aux_vertices),
         aux_edges=frozenset(aux_edges),
     )
     emb.__dict__["faces"] = faces
@@ -571,10 +550,6 @@ def canonical_order(e: Embedding) -> CanonicalOrder:
         raise NotTriangulated("canonical order requires a triangulation")
     g = e.graph
     n = g.n
-    if n == 3:
-        order = (e.outer_face[0], e.outer_face[1], e.outer_face[2])
-        return CanonicalOrder(order, ((), (), (order[0], order[1])))
-
     rot = {v: list(e.rotation[v]) for v in range(n)}
     present = set(range(n))
     cycle = list(e.outer_face)

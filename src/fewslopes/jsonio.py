@@ -191,6 +191,6 @@ def _meta_to_obj(meta):
             return x
         if isinstance(x, (int, float, str)):
             return x
-        return str(x)
+        raise TypeError(f"meta value {x!r} of type {type(x).__name__} has no JSON form")
 
     return conv(meta)

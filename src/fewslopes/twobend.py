@@ -15,8 +15,9 @@ vertical.
 
 Cut vertices are handled by drawing each biconnected block with its
 attachment vertex on top, then rotating the block by a multiple of pi/s and
-shrinking it until it fits into a free angular sector at the attachment
-point of the partly assembled drawing.
+shrinking it until it fits into the free sector just clockwise of the slots
+taken at the attachment point of the partly assembled drawing, which form
+one arc because every block drawing is good.
 """
 
 from __future__ import annotations
@@ -163,8 +164,6 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
         col = _Column()
         open_edge(v1, w, kk, col, dip=(w == v2 and kk == s))
         master.append(col)
-    if not placed_anchor:
-        master.append(a_col)
 
     # remaining vertices consume their pending columns bottom-up; live is the
     # pending order, the columns of master that hold a live episode, and each
@@ -365,15 +364,13 @@ def _draw_routed(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
     err = None
     for off in range(1, len(outer)):
         v1 = outer[(j + off) % len(outer)]
-        if v1 == t:
-            continue
         try:
             st_ord = st_order(e, v1, t)
             break
         except (StOrderInfeasible, VerticesNotOnOuterFace) as exc:
             err = exc  # try the next outer vertex as v1
     if st_ord is None:
-        raise err  # pragma: no cover - biconnected inputs always admit one
+        raise err  # biconnected blocks reach this: st_order finds no v2 from any v1
     route = _route(e, st_ord, slopes)
 
     extra = 0.0
@@ -528,8 +525,6 @@ class _Composite:
             for j, (p, q) in enumerate(a.segments):
                 rows.append((*p, *q))
                 self.src.append((i, j))
-        if not rows:
-            return
         end, start = len(self.src), len(self.src) - len(rows)
         if end > len(self.buf):
             grown = np.empty((max(end, 2 * len(self.buf)), 4))
@@ -541,16 +536,14 @@ class _Composite:
 def _used_slots_at(pts, arcs, v: int, slopes: SlopeSet) -> set[int]:
     """Directed slots taken at v, read from the stored slope indices: an end
     segment of undirected index k takes slot k, or k + s when it points
-    against direction k. Arcs that do not end at v are skipped."""
+    against direction k. Every arc in arcs ends at v."""
     used = set()
     p = pts[v]
     for a in arcs:
         if a.u == v:
             q, k = a.poly[1], a.slope_indices[0]
-        elif a.v == v:
-            q, k = a.poly[-2], a.slope_indices[-1]
         else:
-            continue
+            q, k = a.poly[-2], a.slope_indices[-1]
         ang = slopes.angle(k)
         along = (q[0] - p[0]) * math.sin(ang) + (q[1] - p[1]) * math.cos(ang)
         used.add(k if along > 0 else k + slopes.s)
@@ -588,10 +581,8 @@ def _clearance(comp: _Composite, v: int, wedge: Wedge | None) -> float:
     gx = np.maximum(np.maximum(np.minimum(x0, x1) - p[0], p[0] - np.maximum(x0, x1)), 0.0)
     gy = np.maximum(np.maximum(np.minimum(y0, y1) - p[1], p[1] - np.maximum(y0, y1)), 0.0)
     gap = np.hypot(gx, gy)
-    gap[own] = math.inf
+    gap[own] = math.inf  # comp holds a vertex point besides v's, so one gap is finite
     nearest = int(np.argmin(gap))
-    if gap[nearest] == math.inf:
-        return best / 2.0
     best = min(best, _row_distance(comp, p, v, nearest))
     # Every coordinate, p's included, is at most big in magnitude, so each
     # difference of two of them is off by at most 2u*big (u = 2^-53) and
@@ -708,7 +699,6 @@ def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) ->
     root_wedge = Wedge(tuple(rw["apex"]), rw["start"], rw["span"])
     drawn_blocks = {root_bi}
     drawn_vertices = set(pts)
-    cursor: dict[int, int] = {}
 
     progressed = True
     while len(drawn_blocks) < len(blocks):
@@ -725,7 +715,7 @@ def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) ->
             child = draw_biconnected_twobend(
                 _embed_with_outer(bg, to_local[c]), to_local[c], slopes
             )
-            _glue(comp, c, child, bverts, slopes, cursor, root_wedge)
+            _glue(comp, c, child, bverts, slopes, root_wedge)
             drawn_blocks.add(bi)
             drawn_vertices.update(bverts)
             progressed = True
@@ -746,35 +736,24 @@ def _nonvertical_middle_edges(arcs) -> list[tuple[int, int]]:
     )
 
 
-def _glue(comp: _Composite, c: int, child: Drawing, verts, slopes: SlopeSet, cursor, wedge):
+def _glue(comp: _Composite, c: int, child: Drawing, verts, slopes: SlopeSet, wedge):
     """Rotate, shrink and attach a child block drawing, whose local vertex i
     is verts[i], at cut vertex c of comp.
 
-    The slots taken at c are read from the arcs at c and the shrink from
-    the clearance at c, which measures only the features near c; comp then
+    The slots taken at c, read from the arcs at c, form one arc (each block
+    gives c contiguous slots and each child extends the arc), and the child
+    takes the free slots after its clockwise end. The shrink comes from the
+    clearance at c, which measures only the features near c; comp then
     gains the child's points, arcs and rows in place.
     """
     s = slopes.s
     m = 2 * s
     used = _used_slots_at(comp.pts, comp.arcs_at(c), c, slopes)
-    lo, hi = child.meta["fan_slots"]
-    need = hi - lo + 1
-    if len(used) + need > m:
-        raise GluingFailed(
-            f"cut vertex {c}: {need} slots needed, {m - len(used)} free"
-        )
-    start = cursor.get(c)
-    if start is None:
-        start = max(used) + 1 if used else 0
-    q = None
-    for off in range(m):
-        cand = [(start + off + i) % m for i in range(need)]
-        if not any(k in used for k in cand):
-            q = cand[0]
-            break
-    if q is None:
-        raise GluingFailed(f"no contiguous free slot run of size {need} at {c}")
-    cursor[c] = (q + need) % m
+    ends = [k for k in used if (k + 1) % m not in used]
+    if len(ends) != 1:
+        raise GluingFailed(f"slots taken at cut vertex {c} are not one arc: {sorted(used)}")
+    q = (ends[0] + 1) % m
+    lo = child.meta["fan_slots"][0]
 
     w = child.meta["wedge"]
     apex = tuple(w["apex"])
@@ -783,11 +762,8 @@ def _glue(comp: _Composite, c: int, child: Drawing, verts, slopes: SlopeSet, cur
     cs, sn = math.cos(phi), math.sin(phi)
 
     rho = _clearance(comp, c, wedge)
-    if not math.isfinite(rho) or rho <= 0:
-        rho = 1.0
     radius = max(
-        (math.hypot(p[0] - apex[0], p[1] - apex[1]) for a in child.edges for p in a.poly),
-        default=1.0,
+        math.hypot(p[0] - apex[0], p[1] - apex[1]) for a in child.edges for p in a.poly
     )
     # the least k >= 0 with radius * 2^-k <= rho, read off the binary exponents
     (mr, er), (mp, ep) = math.frexp(radius), math.frexp(rho)

@@ -6,7 +6,7 @@ import random
 
 import networkx as nx
 import pytest
-from conftest import TWOBEND_BLOCKS_ROUND0, bench_instances, capped_planar
+from conftest import TWOBEND_BLOCKS_ROUND0, bench_instances, capped_planar, glued_blocks
 
 from fewslopes.errors import (
     Disconnected,
@@ -33,6 +33,11 @@ from fewslopes.graphs import (
 
 def complete(n: int) -> PlanarGraph:
     return PlanarGraph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def random_tree(n: int, seed: int) -> PlanarGraph:
+    rng = random.Random(seed)
+    return PlanarGraph(n, tuple((rng.randrange(v), v) for v in range(1, n)))
 
 
 CUBE = PlanarGraph(
@@ -151,13 +156,30 @@ class TestTriangulate:
         e = planar_embed(gen_octahedron())
         t = triangulate(e)
         assert t.graph.edges == e.graph.edges
-        assert not t.aux_edges and not t.aux_vertices
+        assert not t.aux_edges and t.graph.n == e.graph.n
 
     def test_path_face_gets_filled(self):
         g = PlanarGraph(4, ((0, 1), (1, 2), (2, 3)))
         t = triangulate(planar_embed(g))
         assert t.is_triangulated()
         assert set(g.edges) <= set(t.graph.edges)
+
+    @pytest.mark.parametrize(
+        "g",
+        [pytest.param(random_tree(n, n), id=f"tree_{n}") for n in (3, 5, 12, 40, 200)]
+        + [pytest.param(glued_blocks(8, s, 5), id=f"glued_blocks_{s}") for s in range(3)]
+        + [
+            pytest.param(bench_instances().capped_planar(n, d, s), id=f"capped_{n}_{d}_{s}")
+            for n, d, s in ((60, 3, 1), (200, 4, 2), (200, 5, 2))
+        ],
+    )
+    def test_fans_every_face_without_new_vertices(self, g):
+        # every face after biconnection is a simple cycle with a chord-free apex
+        assert g.is_connected() and block_cut_tree(g).cut_vertices
+        t = triangulate(planar_embed(g))
+        assert t.is_triangulated() and t.graph.n == g.n
+        assert set(g.edges) <= set(t.graph.edges)
+        assert t.aux_edges == frozenset(set(t.graph.edges) - set(g.edges))
 
 
 class TestStOrder:
@@ -359,6 +381,10 @@ class TestCanonicalOrder:
     def test_rejects_non_triangulation(self):
         with pytest.raises(NotTriangulated):
             canonical_order(planar_embed(CUBE))
+
+    def test_matches_rebuild_on_triangle(self):
+        e = planar_embed(complete(3))
+        assert canonical_order(e) == rebuild_canonical_order(e)
 
     @pytest.mark.parametrize("n,seed", [(4, 0), (5, 1), (12, 2), (40, 3), (90, 4), (200, 5)])
     def test_matches_rebuild_on_random_triangulations(self, n, seed):

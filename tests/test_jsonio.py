@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fewslopes.drawing import Drawing, EdgeArc
@@ -175,6 +176,12 @@ class TestRationalEncoding:
         assert obj["meta"]["step"]["frac"] == "3/7"
         assert obj["meta"]["nested"][0]["frac"] == "1/2"
         json.loads(canon(obj))
+
+    def test_meta_of_unknown_type_rejected(self):
+        # str() would write the int64 as the string "3" without any error
+        dr = Drawing("custom", {0: (0, 0)}, (), "int", {"nested": [np.int64(3)]})
+        with pytest.raises(TypeError, match="int64"):
+            drawing_to_obj(dr)
 
     def test_coordinate_beyond_float_range(self):
         far = Fraction(2**1100, 3)

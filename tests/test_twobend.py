@@ -17,9 +17,15 @@ from conftest import (
 
 from fewslopes import graphs, twobend
 from fewslopes.drawing import EdgeArc, SlopeSet
-from fewslopes.errors import DegreeTooHigh, DegreeTooSmall, GluingFailed, SlopesTooFew
+from fewslopes.errors import (
+    DegreeTooHigh,
+    DegreeTooSmall,
+    GluingFailed,
+    SlopesTooFew,
+    StOrderInfeasible,
+)
 from fewslopes.families import gen_octahedron, gen_random_triangulation
-from fewslopes.graphs import PlanarGraph, planar_embed
+from fewslopes.graphs import Embedding, PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
 from fewslopes.twobend import (
     _dist_point_ray,
@@ -113,6 +119,17 @@ class TestTriangleBlock:
         assert "fan_slots" in dr.meta and "wedge" in dr.meta
 
 
+# st_order takes the smallest outer neighbour of v1 that is not a cut vertex
+# of G - v1 as v2; on this block with t = 2, no v1 on either face at 2 has one
+@pytest.mark.xfail(strict=True, raises=StOrderInfeasible)
+def test_block_without_greedy_st_order_draws():
+    g = PlanarGraph(
+        6, ((0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (3, 4), (3, 5))
+    )
+    e = Embedding(g, planar_embed(g).rotation, (0, 3, 1, 2))
+    assert verify_drawing(draw_biconnected_twobend(e, 2, SlopeSet(2))).ok
+
+
 class TestOctahedron:
     def test_three_slopes_pass(self):
         dr = draw_twobend(gen_octahedron(), SlopeSet(3))
@@ -186,6 +203,49 @@ class TestGluing:
         dr = draw_twobend(g)
         assert dr.meta["components"] == 2
         assert verify_drawing(dr).ok
+
+    def test_isolated_vertex_is_a_component(self):
+        g = PlanarGraph(5, tuple(k4(range(4))))
+        dr = draw_twobend(g)
+        assert dr.meta["components"] == 2 and set(dr.points) == set(range(5))
+        assert verify_drawing(dr).ok
+
+    @pytest.mark.parametrize(
+        "gs,glues",
+        [
+            ([glued_blocks(8, 4)], 2),
+            ([k4_chain(9)], 8),
+            ([bench_instances().capped_planar(n, 8, seed)
+              for n, seed in sorted(TWOBEND_BLOCKS_ROUND0.items())], 38),
+        ],
+        ids=["glued_blocks", "k4_chain_9", "twobend_blocks_round0"],
+    )
+    def test_child_slots_follow_the_taken_arc(self, monkeypatch, gs, glues):
+        # the slots taken at a cut vertex form one arc, and each child block
+        # takes the slots right after its clockwise end
+        real = twobend._glue
+        seen = []
+
+        def spied(comp, c, child, verts, slopes, wedge):
+            m = 2 * slopes.s
+            before = _used_slots_at(comp.pts, comp.arcs_at(c), c, slopes)
+            ends = [k for k in before if (k + 1) % m not in before]
+            assert len(ends) == 1, (c, sorted(before))
+            real(comp, c, child, verts, slopes, wedge)
+            lo, hi = child.meta["fan_slots"]
+            added = _used_slots_at(comp.pts, comp.arcs_at(c), c, slopes) - before
+            assert added == {(ends[0] + 1 + i) % m for i in range(hi - lo + 1)}
+            seen.append(c)
+
+        monkeypatch.setattr(twobend, "_glue", spied)
+        for g in gs:
+            draw_twobend(g)
+        assert len(seen) == glues
+
+    def test_slots_not_one_arc_are_typed(self, monkeypatch):
+        monkeypatch.setattr(twobend, "_used_slots_at", lambda *args: {0, 2})
+        with pytest.raises(GluingFailed, match="not one arc: \\[0, 2\\]"):
+            draw_twobend(k4_chain(2))
 
     def test_multi_block_meta_uses_graph_ids(self):
         g = multi_block_graph()
@@ -275,6 +335,13 @@ class TestLowDegree:
         dr = draw_low_degree(g)
         _, distinct = slope_census(dr)
         assert distinct == 1
+
+    def test_path_and_isolated_vertex(self):
+        g = PlanarGraph(4, ((0, 1), (1, 2)))
+        dr = draw_low_degree(g)
+        assert set(dr.points) == set(range(4))
+        assert slope_census(dr)[1] == 1
+        assert verify_drawing(dr).crossing_free
 
     def test_even_cycle_uses_two(self):
         g = PlanarGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)))
