@@ -12,8 +12,10 @@ coordinates are binary rationals), with no denominator common to the whole
 drawing. Two segments that end at a vertex their edges share, matched by
 vertex id, need one orientation test. One slope classification
 (slope_classes) gives every segment its slope class; the census, the bend
-count and the hub multiplicities of G_d all count those classes. It is exact for "int" and "rational" drawings; for "float" ones it,
-like contiguity and wedge containment of every drawing, uses an
+count and the hub multiplicities of G_d all count those classes. It is
+exact for "int" and "rational" drawings, keyed by primitive integer
+directions cross-multiplied from the endpoints; for "float" ones it, like
+contiguity and wedge containment of every drawing, uses an
 angular/positional tolerance, because regular slopes k*pi/s are irrational.
 """
 
@@ -359,11 +361,16 @@ def check_noncrossing(dr: Drawing):
 # --- slopes -----------------------------------------------------------------------
 
 
-def _exact_dir_key(dx, dy):
-    """Canonical primitive integer direction mod pi."""
-    nx, qx = dx.as_integer_ratio()
-    ny, qy = dy.as_integer_ratio()
-    ix, iy = nx * qy, ny * qx
+def _dir_key(p, q):
+    """The direction of q - p mod pi as a primitive integer vector (ix, iy)
+    with ix > 0, or ix == 0 and iy > 0. Exact for int, Fraction and float
+    coordinates: it cross-multiplies their integer ratios, with no Fraction
+    arithmetic."""
+    (px, bx), (py, by) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+    (qx, cx), (qy, cy) = q[0].as_integer_ratio(), q[1].as_integer_ratio()
+    # dx = (qx*bx - px*cx) / (bx*cx), dy = (qy*by - py*cy) / (by*cy)
+    ix = (qx * bx - px * cx) * (by * cy)
+    iy = (qy * by - py * cy) * (bx * cx)
     g = math.gcd(ix, iy)
     ix //= g
     iy //= g
@@ -388,15 +395,19 @@ def slope_classes(dr: Drawing, tol: float = 1e-9):
     angles holds one angle per class, ascending in [0, pi) and measured
     clockwise from the upward vertical; classes holds, per edge of dr.edges,
     the class id (an index into angles) of each of its segments. Int and
-    rational drawings class directions exactly. Float drawings chain sorted
-    angles whose gaps are at most tol into one class, represented by the
-    middle of its span, and raise AmbiguousBucket when two classes are
-    separated by more than tol but less than 2*tol.
+    rational drawings class directions exactly: a segment's class key is its
+    primitive integer direction, cross-multiplied from the integer ratios of
+    its two ends with no Fraction arithmetic, and each distinct key gets one
+    angle, so two keys whose angles round alike stay two classes. Float
+    drawings chain sorted angles whose gaps are at most tol into one class,
+    represented by the middle of its span, and raise AmbiguousBucket when two
+    classes are separated by more than tol but less than 2*tol.
     """
     segs = [(p, q) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
     if dr.coord_kind in ("int", "rational"):
-        labels = [_exact_dir_key(q[0] - p[0], q[1] - p[1]) for p, q in segs]
-        reps = {k: _dir_angle(*k) for k in labels}
+        labels = [_dir_key(p, q) for p, q in segs]
+        # one angle per key, keys in first-seen order (the sort's tie-break)
+        reps = {k: _dir_angle(*k) for k in dict.fromkeys(labels)}
     else:
         thetas = [
             math.atan2(float(q[0]) - float(p[0]), float(q[1]) - float(p[1])) % math.pi

@@ -231,3 +231,94 @@ class TestHandWrittenLeniency:
         dr = drawing_from_obj(obj)
         assert dr.coord_kind == "rational"
         assert dr.points[0] == (Fraction(1, 2), Fraction(0))
+
+
+def rat(frac: str) -> dict:
+    num, den = frac.split("/")
+    return {"dec": format(int(num) / int(den), ".17g"), "frac": frac}
+
+
+def segment_obj(kind, p, q, poly=None):
+    """A one-edge drawing from vertex point p to q, poly defaulting to [p, q]."""
+    return {
+        "method": "custom",
+        "coord_kind": kind,
+        "points": [p, q],
+        "edges": [{"u": 0, "v": 1, "poly": poly if poly is not None else [p, q]}],
+    }
+
+
+class TestDrawingParse:
+    def test_poly_end_equal_in_value_is_canonicalised(self):
+        half, one = [rat("1/2"), rat("0/1")], [rat("1/1"), rat("1/1")]
+        obj = segment_obj("rational", half, one, [[rat("2/4"), rat("0/5")], one])
+        dr = drawing_from_obj(obj)
+        assert dr.edges[0].poly == ((Fraction(1, 2), Fraction(0)), (Fraction(1), Fraction(1)))
+        want = canon(segment_obj("rational", half, one) | {"meta": {}})
+        assert canon(drawing_to_obj(dr)) == want
+
+    def test_poly_end_written_like_its_point_is_that_point(self):
+        dr = drawing_from_obj(json.loads(canon(drawing_to_obj(draw_onebend(gen_octahedron())))))
+        for a in dr.edges:
+            assert a.poly[0] is dr.points[a.u] and a.poly[-1] is dr.points[a.v]
+
+    @pytest.mark.parametrize(
+        "kind, p, end, q",
+        [
+            ("rational", [rat("1/2"), rat("0/1")], [rat("1/3"), rat("0/1")], [3, 3]),
+            ("int", [1, 0], [2, 0], [3, 3]),
+            ("float", [0.5, 0.0], [0.25, 0.0], [3.0, 3.0]),
+        ],
+    )
+    def test_poly_end_of_another_value_rejected(self, kind, p, end, q):
+        with pytest.raises(ValueError, match="does not end at vertex point of 0"):
+            drawing_from_obj(segment_obj(kind, p, q, [end, q]))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1", None])
+    def test_int_coordinate_must_be_an_integer(self, bad):
+        # 1.5 used to be read as 1, and the verifier then certified (0,0)-(1,1)
+        with pytest.raises(ValueError, match=f"coordinate {bad!r} is not a valid int"):
+            drawing_from_obj(segment_obj("int", [0, 0], [bad, 1]))
+
+    def test_int_poly_end_true_is_not_its_point_one(self):
+        # true == 1 in Python; the parser must not read it as the point [1, 0]
+        with pytest.raises(ValueError, match="coordinate True"):
+            drawing_from_obj(segment_obj("int", [0, 0], [1, 0], [[0, 0], [True, 0]]))
+
+    def test_rational_file_may_write_plain_ints(self):
+        obj = segment_obj("rational", [0, rat("1/2")], [3, -2])
+        dr = drawing_from_obj(obj)
+        assert dr.points == {0: (0, Fraction(1, 2)), 1: (3, -2)}
+        assert all(type(c) is Fraction for p in dr.points.values() for c in p)
+        text = canon(drawing_to_obj(dr))
+        assert json.loads(text)["points"] == [[rat("0/1"), rat("1/2")], [rat("3/1"), rat("-2/1")]]
+        assert canon(drawing_to_obj(drawing_from_obj(json.loads(text)))) == text
+
+    def test_inferred_rational_with_plain_ints(self):
+        obj = segment_obj("rational", [0, rat("1/2")], [3, 2])
+        del obj["coord_kind"]
+        dr = drawing_from_obj(obj)
+        assert dr.coord_kind == "rational" and dr.points[1] == (3, 2)
+
+    @pytest.mark.parametrize(
+        "kind, bad",
+        [
+            ("rational", {"dec": "inf", "frac": "1/0"}),
+            ("rational", {"dec": "0.5"}),
+            ("rational", {"frac": "1/2/3"}),
+            ("rational", {"frac": 2}),
+            ("rational", 0.5),
+            ("rational", True),
+            ("float", {"dec": "0.5", "frac": "1/2"}),
+            ("float", "0.5"),
+            ("float", False),
+            pytest.param("float", 10**400, id="float-int-past-float-range"),
+        ],
+    )
+    def test_malformed_coordinate_is_a_value_error(self, kind, bad):
+        with pytest.raises(ValueError, match=f"is not a valid {kind} coordinate"):
+            drawing_from_obj(segment_obj(kind, [0, 0], [bad, 1]))
+
+    def test_unknown_coord_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown coord_kind 'complex'"):
+            drawing_from_obj(segment_obj("complex", [0, 0], [1, 1]))

@@ -560,6 +560,82 @@ class TestSlopeCensus:
         assert distinct == 1
 
 
+def fraction_dir_key(p, q):
+    """Reference direction key: q - p in Fractions, scaled to a primitive
+    integer vector with ix > 0, or ix == 0 and iy > 0."""
+    dx, dy = Fraction(q[0]) - Fraction(p[0]), Fraction(q[1]) - Fraction(p[1])
+    den = math.lcm(dx.denominator, dy.denominator)
+    ix, iy = int(dx * den), int(dy * den)
+    g = math.gcd(ix, iy)
+    ix, iy = ix // g, iy // g
+    return (-ix, -iy) if ix < 0 or (ix == 0 and iy < 0) else (ix, iy)
+
+
+BIG = 2**1100
+
+
+class TestDirectionKey:
+    @staticmethod
+    def coord(rng, kind):
+        n = rng.randint(-40, 40) + rng.choice((0, 0, BIG, -2 * BIG + 3))
+        if kind == "int" or rng.random() < 0.2:  # rational drawings may hold ints
+            return n
+        return Fraction(n, rng.choice((1, 2, 3, 12, 2**64 + 13, 3**700)))
+
+    @pytest.mark.parametrize("kind", ["int", "rational"])
+    def test_matches_fraction_subtraction(self, kind):
+        rng = random.Random(14)
+        seen = set()
+        for _ in range(3000):
+            p = (self.coord(rng, kind), self.coord(rng, kind))
+            q = (self.coord(rng, kind), self.coord(rng, kind))
+            pick = rng.random()
+            if pick < 0.15:
+                q = (p[0], q[1])  # dx = 0
+            elif pick < 0.3:
+                q = (q[0], p[1])  # dy = 0
+            if p == q:
+                continue
+            want = fraction_dir_key(p, q)
+            assert verify._dir_key(p, q) == want
+            assert verify._dir_key(q, p) == want
+            dx, dy = Fraction(q[0]) - Fraction(p[0]), Fraction(q[1]) - Fraction(p[1])
+            seen.add((dx == 0, dy == 0, dx * dy < 0, max(abs(dx), abs(dy)) > BIG // 2))
+        # vertical, horizontal, falling directions and coordinates past 2^1100
+        assert {(True, False), (False, True)} <= {s[:2] for s in seen}
+        assert any(s[2] for s in seen) and any(s[3] for s in seen)
+
+    @pytest.mark.parametrize(
+        "dr",
+        [
+            mk(
+                [(0, 0), (1, 0), (0, 1), (1, 2)],
+                [(0, 1, [(0, 0), (1, 0)]), (2, 3, [(0, 1), (0, 2), (1, 2)])],
+            ),
+            mk(
+                [(0, 0), (3, 1), (0, Fraction(1, 3)), (3, Fraction(4, 3))],
+                [(0, 1, [(0, 0), (3, 1)]),
+                 (2, 3, [(0, Fraction(1, 3)), (3, Fraction(4, 3))])],
+                kind="rational",
+            ),
+            mk(
+                [(0, 0), (BIG, 1), (0, 1), (BIG, 2), (-BIG, 0)],
+                [(0, 1, [(0, 0), (BIG, 1)]), (2, 3, [(0, 1), (BIG, 2)]),
+                 (0, 4, [(0, 0), (-BIG, 0)])],
+            ),
+            draw_straight(gen_random_triangulation(20, 0)),
+            draw_straight(gen_octahedron()),
+            draw_onebend(gen_random_triangulation(20, 1)),
+            draw_onebend(gen_gd(9)),
+        ],
+        ids=["corner", "rational-third", "beyond-range", "straight", "octa", "onebend", "gd9"],
+    )
+    def test_slope_classes_unchanged(self, dr, monkeypatch):
+        got = slope_classes(dr)
+        monkeypatch.setattr(verify, "_dir_key", fraction_dir_key)
+        assert got == slope_classes(dr)
+
+
 class TestBends:
     def test_collinear_pieces_merge(self):
         dr = mk(
