@@ -28,7 +28,6 @@ from .errors import (
 from .circlepack import (
     ALPHA,
     CirclePacking,
-    PackParams,
     RatioReport,
     layout_centers,
     pack_radii,

@@ -23,18 +23,15 @@ from .graphs import Embedding
 
 log = logging.getLogger(__name__)
 
-__all__ = ["ALPHA", "PackParams", "CirclePacking", "pack_radii", "layout_centers", "ratio_check"]
+__all__ = ["ALPHA", "CirclePacking", "pack_radii", "layout_centers", "ratio_check"]
 
 # smallest possible radius ratio between tangent disks is alpha^(d-2)
 ALPHA = 1.0 / (3.0 + 2.0 * math.sqrt(3.0))
 
 _TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class PackParams:
-    epsilon: float = 1e-10
-    max_iters: int = 10 ** 6
+# Newton steps pack_radii takes at most; a stalled line search stops it sooner
+_MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -162,20 +159,19 @@ def _laplacian_solve(ia, ib, w, m: int, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def pack_radii(e: Embedding, p: PackParams | None = None) -> np.ndarray:
+def pack_radii(e: Embedding, epsilon: float = 1e-10) -> np.ndarray:
     """Radii of the tangency packing with outer radii = 1.
 
     Damped Newton on the log-radii u of the interior vertices, from radii
-    0.5, until every interior angle sum is within p.epsilon of 2*pi; the
+    0.5, until every interior angle sum is within epsilon of 2*pi; the
     angle sums are the gradient of a convex functional (Bobenko-Springborn
     2004). Their Jacobian is minus a weighted graph Laplacian: in an inner
     face (i, j, k), d(theta_i)/d(u_j) = h / (r_i + r_j) with h the inradius
     of the triangle of centers, and the diagonal is minus the row sum, as
     angles are scale-free. Each step solves L delta = Theta - 2*pi by
     deterministic conjugate gradients and halves its length until the
-    2-norm of the angle residual decreases. p.max_iters caps Newton steps.
+    2-norm of the angle residual decreases. _MAX_STEPS caps Newton steps.
     """
-    p = p or PackParams()
     _check_packable(e)
     n = e.graph.n
     interior = np.ones(n, dtype=bool)
@@ -198,10 +194,10 @@ def pack_radii(e: Embedding, p: PackParams | None = None) -> np.ndarray:
     iters = 0
     while True:
         residual = float(np.max(np.abs(res)))
-        if residual <= p.epsilon:
+        if residual <= epsilon:
             break
-        if iters >= p.max_iters:
-            raise NoConvergence(p.max_iters, residual)
+        if iters >= _MAX_STEPS:
+            raise NoConvergence(_MAX_STEPS, residual)
         iters += 1
         delta = _laplacian_solve(ia, ib, w, m, res)
         norm = np.sum(res * res)

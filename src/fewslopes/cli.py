@@ -4,7 +4,7 @@ Subcommands: gen | draw | pack | verify | stats. Inputs come from --in or
 stdin, outputs go to --out or stdout, so stages compose over pipes carrying
 the canonical JSON formats. Usage errors exit 2; pipeline failures print the
 exception to stderr and exit 1; a verify run that finds violations prints its
-report and exits 1. FEWSLOPES_TOL overrides the default verify tolerance.
+report and exits 1.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from xml.sax.saxutils import quoteattr
 
-from .circlepack import PackParams, layout_centers, pack_radii
+from .circlepack import layout_centers, pack_radii
 from .drawing import Drawing, SlopeSet
 from .errors import FewslopesError
 from .families import gen_gd, gen_octahedron, gen_random_triangulation
@@ -160,10 +159,6 @@ def _emit(obj, path: str | None) -> None:
     _write_text(dumps_canonical(obj) + "\n", path)
 
 
-def _env_tol() -> float:
-    return float(os.environ.get("FEWSLOPES_TOL", "1e-9"))
-
-
 def _report_obj(rep: VerifyReport) -> dict:
     w = rep.crossing_witness
     return {
@@ -233,16 +228,15 @@ def _cmd_draw(args) -> int:
 def _cmd_pack(args) -> int:
     g = graph_from_obj(_read_obj(getattr(args, "in")))
     emb = planar_embed(g)
-    cp = layout_centers(pack_radii(emb, PackParams(epsilon=args.eps)), emb)
+    cp = layout_centers(pack_radii(emb, args.eps), emb)
     _emit(packing_to_obj(cp), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     dr = drawing_from_obj(_read_obj(getattr(args, "in")))
-    tol = args.tol if args.tol is not None else _env_tol()
     slopes = SlopeSet(args.slopes) if args.slopes is not None else None
-    rep = verify_drawing(dr, slopes, tol)
+    rep = verify_drawing(dr, slopes, args.tol)
     _emit(_report_obj(rep), args.out)
     return 0 if rep.ok else 1
 
@@ -251,7 +245,7 @@ def _cmd_stats(args) -> int:
     obj = _read_obj(getattr(args, "in"))
     if "points" in obj:
         dr = drawing_from_obj(obj)
-        census, distinct = slope_census(dr, _env_tol())
+        census, distinct = slope_census(dr)
         nseg = sum(len(a.poly) - 1 for a in dr.edges)
         out = {
             "kind": "drawing",
@@ -325,9 +319,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a drawing, print a report")
     p.add_argument("--slopes", type=int, default=None)
     p.add_argument(
-        "--tol", type=float, default=None,
+        "--tol", type=float, default=1e-9,
         help="tolerance of the census, contiguity and wedge checks (crossings are "
-        "exact); default FEWSLOPES_TOL or 1e-9",
+        "exact); finite and >= 0",
     )
     _add_io(p)
     p.set_defaults(func=_cmd_verify)
@@ -345,16 +339,14 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "slopes", None) is not None and args.slopes < 1:
             parser.error("--slopes must be a positive integer")
+        if "tol" in vars(args) and not (math.isfinite(args.tol) and args.tol >= 0):
+            parser.error("--tol must be a finite number >= 0")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except FewslopesError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (
-        ArithmeticError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError
-    ) as exc:
+    # a json.JSONDecodeError is a ValueError
+    except (FewslopesError, ArithmeticError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -78,10 +78,6 @@ class Drawing:
                         f"edge ({arc.u},{arc.v}) polyline does not end at vertex point of {end}"
                     )
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
 
 @dataclass(frozen=True)
 class SlopeSet:
@@ -147,22 +143,15 @@ class Wedge:
             raise ValueError("wedge span out of range")
 
     def contains(self, p: Point, tol: float = 1e-9) -> bool:
-        """Membership with angular slack.
-
-        tol >= 0 is lenient: tol radians plus the angle a tol-sized positional
-        error subtends at the point's distance. tol < 0 demands the point sit
-        strictly inside, at least |tol| radians from either boundary ray.
-        """
+        """Membership with slack: tol radians plus the angle a tol-sized
+        positional error subtends at the point's distance. Raises ValueError
+        unless tol >= 0."""
+        if not tol >= 0:
+            raise ValueError(f"wedge tolerance must be >= 0, got {tol}")
         qx = float(p[0]) - self.apex[0]
         qy = float(p[1]) - self.apex[1]
         r = math.hypot(qx, qy)
         scale = max(1.0, abs(self.apex[0]), abs(self.apex[1]))
-        if tol < 0:
-            if r == 0.0:
-                return False
-            theta = math.atan2(qx, qy) % _TWO_PI
-            delta = (theta - self.start) % _TWO_PI
-            return -tol <= delta <= self.span + tol
         if r <= tol * scale:
             return True
         theta = math.atan2(qx, qy) % _TWO_PI

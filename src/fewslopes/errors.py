@@ -73,9 +73,8 @@ class InconsistentRadii(FewslopesError):
 
 class PrecisionExhausted(FewslopesError):
     """Floating point cannot represent the layout: packing centers come out
-    non-finite or overlapping, a scaled center leaves the float range, a
-    snapped face is inverted or degenerate, or two adjacent vertices snap to
-    one point."""
+    non-finite or overlapping, a scaled center leaves the float range, or a
+    snapped face is inverted or degenerate."""
 
 
 # --- one-bend errors ----------------------------------------------------------

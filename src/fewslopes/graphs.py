@@ -103,10 +103,6 @@ class PlanarGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     def to_networkx(self) -> nx.Graph:
         G = nx.Graph()
         G.add_nodes_from(range(self.n))
@@ -154,14 +150,12 @@ def _rotate_min(t: tuple[int, ...]) -> tuple[int, ...]:
 class Embedding:
     """Rotation system plus designated outer face.
 
-    rotation[v] is the clockwise cyclic neighbor order of v. aux_edges
-    flags the edges added by triangulate().
+    rotation[v] is the clockwise cyclic neighbor order of v.
     """
 
     graph: PlanarGraph
     rotation: tuple[tuple[int, ...], ...]
     outer_face: tuple[int, ...]
-    aux_edges: frozenset = frozenset()
 
     def __post_init__(self):
         g = self.graph
@@ -261,8 +255,7 @@ def _largest_first(face: tuple[int, ...]):
 def triangulate(e: Embedding) -> Embedding:
     """Add edges until every face, the outer one included, is a triangle.
 
-    The vertices are those of e, and its edges are kept; the added edges
-    are flagged in aux_edges of the result.
+    The vertices are those of e, and its edges are kept.
     """
     g = e.graph
     if g.n < 3:
@@ -272,12 +265,7 @@ def triangulate(e: Embedding) -> Embedding:
 
     rot = [list(r) for r in e.rotation]
     edges = set(g.edges)
-    aux_edges = set()
     outer_dart = (e.outer_face[0], e.outer_face[1]) if len(e.outer_face) >= 2 else None
-
-    def add_edge(p, r):
-        edges.add(_norm_edge(p, r))
-        aux_edges.add(_norm_edge(p, r))
 
     # Stage A: biconnect. A face walk revisiting a vertex marks a cut
     # vertex; bridging its two occurrences' neighbors splits the face and
@@ -299,7 +287,7 @@ def triangulate(e: Embedding) -> Embedding:
                 p, r = face[i - 1], face[(i + 1) % k]
                 if p == r or _norm_edge(p, r) in edges:
                     continue
-                add_edge(p, r)
+                edges.add(_norm_edge(p, r))
                 # face visits (p -> q -> r); new triangle (p,q,r) needs
                 # consecutive (q, r) in rot[p] and (p, q) in rot[r]
                 rot[p].insert(rot[p].index(q) + 1, r)
@@ -335,7 +323,7 @@ def triangulate(e: Embedding) -> Embedding:
         ia = rot[a].index(w[1])
         for j in range(2, k - 1):
             rot[a].insert(ia + j - 1, w[j])
-            add_edge(a, w[j])
+            edges.add(_norm_edge(a, w[j]))
         for j in range(2, k - 1):
             rot[w[j]].insert(rot[w[j]].index(w[j + 1]) + 1, a)
 
@@ -343,12 +331,7 @@ def triangulate(e: Embedding) -> Embedding:
     faces = tuple(_all_faces(rot, g2.edges))
     assert all(len(f) == 3 for f in faces), "triangulation left a big face"
     outer = faces[0] if outer_dart is None else _trace_faces(rot, [outer_dart])[0]
-    emb = Embedding(
-        g2,
-        tuple(tuple(r) for r in rot),
-        outer,
-        aux_edges=frozenset(aux_edges),
-    )
+    emb = Embedding(g2, tuple(tuple(r) for r in rot), outer)
     emb.__dict__["faces"] = faces
     assert emb.euler_ok()
     return emb
@@ -359,15 +342,10 @@ def triangulate(e: Embedding) -> Embedding:
 @dataclass(frozen=True)
 class StOrder:
     """Vertex order v_1..v_n where every inner vertex has an earlier and a
-    later neighbor; v_2 lies on the outer face and v_1v_2 is an outer edge."""
+    later neighbor; v_1 and v_n are the poles s and t, and v_1v_2 is an
+    outer edge."""
 
     order: tuple[int, ...]
-    s: int
-    t: int
-
-    @property
-    def v2(self) -> int:
-        return self.order[1]
 
     def position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.order)}
@@ -501,7 +479,7 @@ def st_order(e: Embedding, s: int, t: int) -> StOrder:
             blocks.remove(pick)
             frontier.remove(pick)
             frontier.update(w for w in adj[pick] if w in rest)
-        st = StOrder(tuple(order), s, t)
+        st = StOrder(tuple(order))
         _assert_st_valid(g, st)
         return st
     raise StOrderInfeasible(

@@ -1,4 +1,4 @@
-"""JSON serialization for graphs, embeddings, packings and drawings.
+"""JSON serialization for graphs, packings and drawings.
 
 All emitters produce canonical bytes: sorted keys, no whitespace, exact
 rationals carried as "num/den" strings alongside a decimal rendering.
@@ -22,14 +22,12 @@ from fractions import Fraction
 
 from .circlepack import CirclePacking
 from .drawing import Drawing, EdgeArc
-from .graphs import Embedding, PlanarGraph
+from .graphs import PlanarGraph
 
 __all__ = [
     "dumps_canonical",
     "graph_to_obj",
     "graph_from_obj",
-    "embedding_to_obj",
-    "embedding_from_obj",
     "packing_to_obj",
     "packing_from_obj",
     "drawing_to_obj",
@@ -101,7 +99,7 @@ def _point_from_obj(o, num):
     return (num(x), num(y))
 
 
-# --- graphs / embeddings -----------------------------------------------------------
+# --- graphs -----------------------------------------------------------------------
 
 
 def graph_to_obj(g: PlanarGraph) -> dict:
@@ -114,29 +112,6 @@ def graph_to_obj(g: PlanarGraph) -> dict:
 def graph_from_obj(obj) -> PlanarGraph:
     labels = tuple(obj["labels"]) if "labels" in obj else None
     return PlanarGraph(obj["n"], tuple((u, v) for u, v in obj["edges"]), labels=labels)
-
-
-def embedding_to_obj(e: Embedding) -> dict:
-    g = e.graph
-    obj = graph_to_obj(g)
-    obj["rotation"] = [
-        [g.edge_index[tuple(sorted((v, u)))] for u in e.rotation[v]]
-        for v in range(g.n)
-    ]
-    obj["outer_face"] = list(e.outer_face)
-    return obj
-
-
-def embedding_from_obj(obj) -> Embedding:
-    g = graph_from_obj(obj)
-    rotation = tuple(
-        tuple(
-            g.edges[i][0] if g.edges[i][1] == v else g.edges[i][1]
-            for i in obj["rotation"][v]
-        )
-        for v in range(g.n)
-    )
-    return Embedding(g, rotation, tuple(obj["outer_face"]))
 
 
 # --- packings ----------------------------------------------------------------------

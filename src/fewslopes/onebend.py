@@ -52,8 +52,6 @@ class TShape:
 
     def __post_init__(self):
         cx, cy = self.center
-        if self.hat_left == self.hat_right == self.leg_bottom == self.center:
-            return  # degenerate singleton
         if self.hat_left[1] != cy or self.hat_right[1] != cy:
             raise ValueError("hat must be horizontal through the center")
         if not self.hat_left[0] < cx < self.hat_right[0]:
@@ -123,11 +121,6 @@ class ContactNumbering:
 # --- construction ---------------------------------------------------------
 
 
-def _build_k1() -> TShapeRep:
-    t = TShape((0, 0), (0, 0), (0, 0), (0, 0))
-    return TShapeRep((t,), (), (1, 1), 0)
-
-
 def _build_k2() -> TShapeRep:
     # vertex 0 on top, its leg resting on vertex 1's hat
     s0 = TShape(center=(4, 4), hat_left=(3, 4), hat_right=(5, 4), leg_bottom=(4, 2))
@@ -145,11 +138,11 @@ def tshape_representation(e: Embedding) -> TShapeRep:
     auxiliary triangulation edges. Retraction only shortens hats and legs,
     and a stub end is odd where other shapes are even, so one exact check of
     the iff condition on the final coordinates is a gate: RetractionFailed
-    reports a violation.
+    reports a violation. Raises TooFewVertices for n < 2.
     """
     g = e.graph
-    if g.n == 1:
-        return _build_k1()
+    if g.n < 2:
+        raise TooFewVertices(f"need n >= 2, got {g.n}")
     if g.n == 2:
         return _build_k2()
     et = e if e.is_triangulated() else triangulate(e)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circlepack import ALPHA, CirclePacking, PackParams, layout_centers, pack_radii
+from .circlepack import ALPHA, CirclePacking, layout_centers, pack_radii
 from .drawing import Drawing, EdgeArc
 from .errors import PrecisionExhausted, TooFewVertices
 from .graphs import PlanarGraph, planar_embed, triangulate
@@ -185,15 +185,16 @@ def draw_straight(g: PlanarGraph) -> Drawing:
     """Exact-integer straight-line drawing of a planar graph, n >= 4.
 
     Raises PrecisionExhausted when float packing or snapping cannot resolve
-    the graph's smallest disks: the layout leaves the float range, a snapped
-    face is inverted or degenerate, or two adjacent vertices meet.
+    the graph's smallest disks: the layout leaves the float range, or a
+    snapped face is inverted or degenerate. Every edge lies on a face, so no
+    two adjacent vertices snap to one point.
     """
     if g.n < 4:
         raise TooFewVertices(f"need n >= 4, got {g.n}")
     e = planar_embed(g)
     et = e if e.is_triangulated() else triangulate(e)
     d_t = et.graph.max_degree
-    radii = pack_radii(et, PackParams(epsilon=1e-12))
+    radii = pack_radii(et, 1e-12)
     cp = layout_centers(radii, et)
     sl = snap(cp, d_t)
     rep = orientation_check(cp, sl)
@@ -203,9 +204,6 @@ def draw_straight(g: PlanarGraph) -> Drawing:
             f"inverted or degenerate, e.g. {list(rep.violations[:3])}"
         )
     pts = {v: sl.points[v] for v in range(g.n)}
-    for u, v in g.edges:
-        if pts[u] == pts[v]:
-            raise PrecisionExhausted(f"adjacent vertices {u} and {v} snap to one point")
     arcs = tuple(EdgeArc(u, v, (pts[u], pts[v])) for u, v in g.edges)
     return Drawing(
         method="straight",

@@ -315,12 +315,20 @@ def _ray_hits_segment(apex, angle: float, p, q, tol: float) -> bool:
 
 
 def _contained(arcs: list[EdgeArc], wedge: Wedge, apex_pt, slopes: SlopeSet) -> bool:
-    margin = -math.pi / (32 * slopes.s)  # require points strictly inside
+    """Whether every point of arcs but apex_pt lies strictly inside wedge,
+    at least pi/(32s) radians from either boundary ray, and no segment
+    crosses a boundary ray."""
+    margin = math.pi / (32 * slopes.s)
     for arc in arcs:
         for p in arc.poly:
             if p == apex_pt:
                 continue
-            if not wedge.contains(p, tol=margin):
+            qx = float(p[0]) - wedge.apex[0]
+            qy = float(p[1]) - wedge.apex[1]
+            if math.hypot(qx, qy) == 0.0:
+                return False
+            delta = (math.atan2(qx, qy) % _TWO_PI - wedge.start) % _TWO_PI
+            if not margin <= delta <= wedge.span - margin:
                 return False
         for p, q in arc.segments:
             for ang in (wedge.start, wedge.start + wedge.span):

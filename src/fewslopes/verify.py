@@ -218,16 +218,21 @@ def _orient_filtered(o, a, b):
 
 
 def _settled(ends, edge, head, tail, ii, jj):
-    """Mask of the pairs (ii[k], jj[k]) that need no exact test: pairs of
-    one edge, and pairs the float filter proves do not violate.
+    """(settled, turn) for the pairs (ii[k], jj[k]). settled masks the pairs
+    that need no exact test: pairs of one edge, and pairs the float filter
+    proves do not violate.
 
     A pair is proven apart when the filter proves d1 d2 > 0 or d3 d4 > 0
     (_exact_pair's orientations): one segment lies strictly on one side of
-    the other's line. A pair whose ends meet at a vertex of both edges is
-    proven when the turn check_noncrossing takes there, +-d4 at j's first
-    end and +-d3 at its second, is proven nonzero.
+    the other's line. When the two segments end at one vertex of both
+    edges, turn[k] names the orientation that says whether they turn there:
+    4 (d4) if that vertex is j's first end, 3 (d3) if it is j's second end,
+    i's first end matched before its second; turn[k] is 0 when they share
+    no vertex end. Such a pair is settled when the filter proves that
+    orientation nonzero.
     """
     out = np.empty(len(ii), bool)
+    turn = np.zeros(len(ii), np.int8)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for k0 in range(0, len(ii), _FILTER_CHUNK):
             i, j = ii[k0 : k0 + _FILTER_CHUNK], jj[k0 : k0 + _FILTER_CHUNK]
@@ -241,7 +246,6 @@ def _settled(ends, edge, head, tail, ii, jj):
             s3, s4 = np.abs(d3) > e3, np.abs(d4) > e4
             apart = (s1 & s2 & ((d1 > 0) == (d2 > 0))) | (s3 & s4 & ((d3 > 0) == (d4 > 0)))
             hi, ti, hj, tj = head[i], tail[i], head[j], tail[j]
-            # the first match of check_noncrossing's if/elif chain picks the turn
             c0 = (hi >= 0) & (hi == hj)
             c1 = (hi >= 0) & (hi == tj)
             c2 = (ti >= 0) & (ti == hj)
@@ -250,7 +254,8 @@ def _settled(ends, edge, head, tail, ii, jj):
             on_d3 = ~c0 & (c1 | (~c2 & c3))
             turned = (on_d4 & s4) | (on_d3 & s3)
             out[k0 : k0 + _FILTER_CHUNK] = (edge[i] == edge[j]) | apart | turned
-    return out
+            turn[k0 : k0 + _FILTER_CHUNK] = np.where(on_d4, 4, np.where(on_d3, 3, 0))
+    return out, turn
 
 
 def _segments(dr: Drawing):
@@ -318,32 +323,22 @@ def check_noncrossing(dr: Drawing):
     """
     ends, edge, first, head, tail = _segments(dr)
     ii, jj = _candidate_pairs(ends)
-    todo = ~_settled(ends, edge, head, tail, ii, jj)
+    settled, turn = _settled(ends, edge, head, tail, ii, jj)
+    todo = ~settled
 
     def seg(k):
         ek = int(edge[k])
         sk = k - int(first[ek])
         a = dr.edges[ek]
-        hk = a.u if sk == 0 else None
-        tk = a.v if sk == len(a.poly) - 2 else None
-        return ek, sk, a.poly[sk], a.poly[sk + 1], hk, tk
+        return ek, sk, a.poly[sk], a.poly[sk + 1]
 
-    for i, j in zip(ii[todo].tolist(), jj[todo].tolist()):
-        ei, si, p1, p2, hi, ti = seg(i)
-        ej, sj, p3, p4, hj, tj = seg(j)
+    for i, j, t in zip(ii[todo].tolist(), jj[todo].tolist(), turn[todo].tolist()):
+        ei, si, p1, p2 = seg(i)
+        ej, sj, p3, p4 = seg(j)
         den, (p1, p2, p3, p4) = _lift_pair(p1, p2, p3, p4)
-        # h*, t*: vertex at the segment's first / second end, None at a bend
-        if hi is not None and hi == hj:
-            turn = _orient(p1, p2, p4)
-        elif hi is not None and hi == tj:
-            turn = _orient(p1, p2, p3)
-        elif ti is not None and ti == hj:
-            turn = _orient(p2, p1, p4)
-        elif ti is not None and ti == tj:
-            turn = _orient(p2, p1, p3)
-        else:
-            turn = 0
-        if turn:
+        # at a shared vertex only the sign's zeroness counts, and
+        # _orient(p2, p1, x) = -_orient(p1, p2, x)
+        if t and _orient(p1, p2, p4 if t == 4 else p3):
             continue
         hit = _exact_pair(p1, p2, p3, p4)
         if hit is None:
@@ -401,8 +396,11 @@ def slope_classes(dr: Drawing, tol: float = 1e-9):
     angle, so two keys whose angles round alike stay two classes. Float
     drawings chain sorted angles whose gaps are at most tol into one class,
     represented by the middle of its span, and raise AmbiguousBucket when two
-    classes are separated by more than tol but less than 2*tol.
+    classes are separated by more than tol but less than 2*tol. Raises
+    ValueError unless tol is finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"slope tolerance must be finite and >= 0, got {tol}")
     segs = [(p, q) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
     if dr.coord_kind in ("int", "rational"):
         labels = [_dir_key(p, q) for p, q in segs]

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import bounded_stack, capped_planar, glued_blocks
-from fewslopes.circlepack import ALPHA, PackParams, layout_centers, pack_radii, ratio_check
+from fewslopes.circlepack import ALPHA, layout_centers, pack_radii, ratio_check
 from fewslopes.cli import run
 from fewslopes.drawing import SlopeSet
 from fewslopes.errors import DegreeTooHigh
@@ -137,7 +137,7 @@ def test_snapped_integer_drawings_meet_grid_invariants():
         assert ok, witness
 
         e = planar_embed(g)
-        cp = layout_centers(pack_radii(e, PackParams(epsilon=1e-12)), e)
+        cp = layout_centers(pack_radii(e, 1e-12), e)
         sl = snap(cp, d)
         root2 = math.sqrt(2.0)
         for v in range(g.n):

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from conftest import bench_instances
 
+from fewslopes import circlepack
 from fewslopes.circlepack import (
     ALPHA,
     CirclePacking,
-    PackParams,
     layout_centers,
     pack_radii,
     ratio_check,
@@ -23,7 +23,7 @@ from fewslopes.graphs import PlanarGraph, planar_embed
 
 def packed(g, eps=1e-10):
     e = planar_embed(g)
-    return layout_centers(pack_radii(e, PackParams(epsilon=eps)), e)
+    return layout_centers(pack_radii(e, eps), e)
 
 
 def interior_angle_sums(cp: CirclePacking) -> dict[int, float]:
@@ -53,7 +53,7 @@ class TestRadii:
         oracle = 1.0 / (3.0 + 2.0 * math.sqrt(3.0))
         g = PlanarGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
         e = planar_embed(g)
-        r = pack_radii(e, PackParams(epsilon=1e-12))
+        r = pack_radii(e, 1e-12)
         interior = next(v for v in range(4) if v not in e.outer_face)
         assert abs(r[interior] - oracle) < 1e-10
         for v in e.outer_face:
@@ -61,7 +61,7 @@ class TestRadii:
 
     def test_octahedron_interior_radii_symmetric(self):
         e = planar_embed(gen_octahedron())
-        r = pack_radii(e, PackParams(epsilon=1e-12))
+        r = pack_radii(e, 1e-12)
         inner = [r[v] for v in range(6) if v not in e.outer_face]
         assert max(inner) - min(inner) < 1e-10
 
@@ -74,16 +74,17 @@ class TestRadii:
         with pytest.raises(NotTriangulated):
             pack_radii(planar_embed(cube))
 
-    def test_no_convergence_reports_residual(self):
+    def test_no_convergence_reports_residual(self, monkeypatch):
         e = planar_embed(gen_random_triangulation(20, 0))
+        monkeypatch.setattr(circlepack, "_MAX_STEPS", 1)
         with pytest.raises(NoConvergence) as err:
-            pack_radii(e, PackParams(epsilon=1e-15, max_iters=1))
+            pack_radii(e, 1e-15)
         assert err.value.residual > 1e-15
 
     def test_unreachable_epsilon_stops_at_float_resolution(self):
         e = planar_embed(gen_random_triangulation(30, 4))
         with pytest.raises(NoConvergence) as err:
-            pack_radii(e, PackParams(epsilon=0.0))
+            pack_radii(e, 0.0)
         assert 0.0 < err.value.residual < 1e-12
         assert err.value.max_iters < 20
 
@@ -91,9 +92,10 @@ class TestRadii:
         e = planar_embed(gen_random_triangulation(30, 4))
         assert np.array_equal(pack_radii(e), pack_radii(e))
 
-    def test_thousand_vertices_within_twenty_newton_steps(self):
+    def test_thousand_vertices_within_twenty_newton_steps(self, monkeypatch):
         e = planar_embed(bench_instances().bounded_triangulation(1000, 8, 1))
-        r = pack_radii(e, PackParams(epsilon=1e-12, max_iters=20))
+        monkeypatch.setattr(circlepack, "_MAX_STEPS", 20)
+        r = pack_radii(e, 1e-12)
         # the angle of corner (v; a, b) from its half-angle sine, per rotation
         for v in range(e.graph.n):
             if v in e.outer_face:

@@ -286,18 +286,21 @@ class TestSvg:
 
 
 class TestToleranceEnv:
-    def test_env_var_sets_default(self, tmp_path, monkeypatch):
+    def test_flag_overrides_env(self, tmp_path):
+        # the default tolerance is 1e-9, and --tol alone changes it
         dp = put(tmp_path, "d.json", NEAR_SLOPES)
-        monkeypatch.delenv("FEWSLOPES_TOL", raising=False)
         assert run(["verify", "--in", dp, "--out", str(tmp_path / "a.json")]) == 0
-        monkeypatch.setenv("FEWSLOPES_TOL", "1e-3")
-        assert run(["verify", "--in", dp, "--out", str(tmp_path / "b.json")]) == 1
-
-    def test_flag_overrides_env(self, tmp_path, monkeypatch):
-        dp = put(tmp_path, "d.json", NEAR_SLOPES)
-        monkeypatch.setenv("FEWSLOPES_TOL", "1e-3")
         rc = run(["verify", "--in", dp, "--tol", "1e-9", "--out", str(tmp_path / "c.json")])
         assert rc == 0
+        assert run(["verify", "--in", dp, "--tol", "1e-3", "--out", str(tmp_path / "b.json")]) == 1
+
+    @pytest.mark.parametrize("tol", ["-1e-9", "-0.2", "nan", "inf"])
+    def test_negative_or_non_finite_tol_is_usage_error(self, tmp_path, capsys, tol):
+        gp = put(tmp_path, "g.json", graph_to_obj(gen_octahedron()))
+        dp = str(tmp_path / "d.json")
+        assert run(["draw", "--method", "twobend", "--in", gp, "--out", dp]) == 0
+        assert run(["verify", "--in", dp, f"--tol={tol}"]) == 2
+        assert "--tol must be" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -71,12 +71,6 @@ class TestPlanarGraph:
         assert g.neighbors(0) == (1, 2, 3)
         assert g.has_edge(1, 3) and not g.has_edge(0, 0)
 
-    def test_edge_index_matches_order(self):
-        g = complete(4)
-        assert [g.edges[i] for i in range(6)] == [
-            e for e, _ in sorted(g.edge_index.items(), key=lambda kv: kv[1])
-        ]
-
 
 class TestEmbedding:
     def test_k4_is_triangulated_with_four_faces(self):
@@ -150,13 +144,12 @@ class TestTriangulate:
         t = triangulate(e)
         assert t.is_triangulated()
         assert set(CUBE.edges) <= set(t.graph.edges)
-        assert t.aux_edges == frozenset(set(t.graph.edges) - set(CUBE.edges))
 
     def test_triangulation_is_fixed_point(self):
         e = planar_embed(gen_octahedron())
         t = triangulate(e)
         assert t.graph.edges == e.graph.edges
-        assert not t.aux_edges and t.graph.n == e.graph.n
+        assert t.graph.n == e.graph.n
 
     def test_path_face_gets_filled(self):
         g = PlanarGraph(4, ((0, 1), (1, 2), (2, 3)))
@@ -179,7 +172,6 @@ class TestTriangulate:
         t = triangulate(planar_embed(g))
         assert t.is_triangulated() and t.graph.n == g.n
         assert set(g.edges) <= set(t.graph.edges)
-        assert t.aux_edges == frozenset(set(t.graph.edges) - set(g.edges))
 
 
 class TestStOrder:
@@ -199,7 +191,7 @@ class TestStOrder:
         e = planar_embed(gen_random_triangulation(30, 5))
         s, t = e.outer_face[0], e.outer_face[2]
         o = st_order(e, s, t)
-        assert o.v2 in e.outer_face
+        assert o.order[1] in e.outer_face
 
     def test_requires_biconnected(self):
         path = PlanarGraph(3, ((0, 1), (1, 2)))

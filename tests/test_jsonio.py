@@ -15,8 +15,6 @@ from fewslopes.jsonio import (
     drawing_from_obj,
     drawing_to_obj,
     dumps_canonical,
-    embedding_from_obj,
-    embedding_to_obj,
     graph_from_obj,
     graph_to_obj,
     packing_from_obj,
@@ -63,28 +61,6 @@ class TestGraph:
         h = graph_from_obj(obj)
         assert h.labels is None
         assert h.edges == g.edges
-
-
-class TestEmbedding:
-    def test_round_trip(self):
-        e = planar_embed(gen_random_triangulation(24, seed=5))
-        h = embedding_from_obj(json.loads(canon(embedding_to_obj(e))))
-        assert h.rotation == e.rotation
-        assert h.outer_face == e.outer_face
-        assert h.graph.edges == e.graph.edges
-
-    def test_rotation_stored_as_edge_indices(self):
-        e = planar_embed(gen_octahedron())
-        obj = embedding_to_obj(e)
-        m = len(e.graph.edges)
-        for row in obj["rotation"]:
-            assert all(isinstance(i, int) and 0 <= i < m for i in row)
-
-    def test_double_emit_identical(self):
-        e = planar_embed(gen_octahedron())
-        s1 = canon(embedding_to_obj(e))
-        s2 = canon(embedding_to_obj(embedding_from_obj(json.loads(s1))))
-        assert s1 == s2
 
 
 class TestPacking:

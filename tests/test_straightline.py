@@ -13,7 +13,7 @@ import pytest
 from conftest import BENCH_INSTANCES, bench_instances, bounded_stack
 
 import fewslopes
-from fewslopes.circlepack import ALPHA, CirclePacking, PackParams, layout_centers, pack_radii
+from fewslopes.circlepack import ALPHA, CirclePacking, layout_centers, pack_radii
 from fewslopes.errors import FewslopesError, PrecisionExhausted, TooFewVertices
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
@@ -61,7 +61,7 @@ def scaled_center(sl, cp, i):
 
 def packed(g):
     e = planar_embed(g)
-    return layout_centers(pack_radii(e, PackParams(epsilon=1e-12)), e)
+    return layout_centers(pack_radii(e, 1e-12), e)
 
 
 class TestScaleConstants:

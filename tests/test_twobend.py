@@ -130,6 +130,20 @@ def test_block_without_greedy_st_order_draws():
     assert verify_drawing(draw_biconnected_twobend(e, 2, SlopeSet(2))).ok
 
 
+def caterpillar(k: int) -> PlanarGraph:
+    """A spine path of k vertices with one leaf at each: 2k vertices, d = 3."""
+    spine = [(i, i + 1) for i in range(k - 1)]
+    return PlanarGraph(2 * k, tuple(spine + [(i, k + i) for i in range(k)]))
+
+
+# every cut vertex on the spine halves the child block glued at it; from
+# k = 54 on the halvings fall below float resolution (k = 53 draws)
+@pytest.mark.xfail(strict=True, raises=GluingFailed)
+def test_long_caterpillar_draws_with_two_slopes():
+    rep = verify_drawing(draw_twobend(caterpillar(54)))
+    assert rep.ok and rep.distinct_slopes <= 2
+
+
 class TestOctahedron:
     def test_three_slopes_pass(self):
         dr = draw_twobend(gen_octahedron(), SlopeSet(3))

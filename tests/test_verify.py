@@ -11,7 +11,7 @@ import pytest
 
 from conftest import bench_instances, capped_planar
 from fewslopes import verify
-from fewslopes.drawing import Drawing, EdgeArc, SlopeSet
+from fewslopes.drawing import Drawing, EdgeArc, SlopeSet, Wedge
 from fewslopes.errors import AmbiguousBucket, SlopeOffGrid
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
 from fewslopes.onebend import draw_onebend
@@ -351,6 +351,24 @@ class TestSharedVertex:
             [(0, 0), (2, 0), (0, 2)],
             [(0, 1, [(0, 0), (1, 1), (2, 0)]), (0, 2, [(0, 0), (1, 2), (0, 2)])],
         )
+        assert check_noncrossing(dr) == (True, None)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["first-end", "second-end"])
+    def test_exact_turn_needs_no_intersection_test(self, reverse, monkeypatch):
+        # the far ends round to one float point, so the filter cannot see the
+        # turn at vertex 0; the one exact orientation of the far ends decides
+        big = 2**60
+        far = (big, big - 1)
+        poly = [far, (0, 0)] if reverse else [(0, 0), far]
+        dr = mk(
+            [(0, 0), (big + 1, big), far],
+            [(0, 1, [(0, 0), (big + 1, big)]), (2, 0, poly) if reverse else (0, 2, poly)],
+        )
+
+        def no_exact_pair(*pts):
+            raise AssertionError("full intersection test at a shared vertex")
+
+        monkeypatch.setattr(verify, "_exact_pair", no_exact_pair)
         assert check_noncrossing(dr) == (True, None)
 
 
@@ -701,6 +719,14 @@ class TestReport:
     def test_exact_regime_recorded(self):
         rep = verify_drawing(draw_straight(gen_octahedron()))
         assert rep.exact and rep.ok
+
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        dr = draw_twobend(gen_octahedron())
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_drawing(dr, tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            Wedge(**dr.meta["wedge"]).contains(dr.points[0], tol)
 
 
 class TestHausdorff:
