@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from xml.sax.saxutils import quoteattr
@@ -323,6 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="tolerance of the census, contiguity and wedge checks (crossings are "
         "exact); finite and >= 0",
     )
+    # "--tol -1e-9" must reach the range check in run(): the negative-number
+    # pattern of Python 3.10/3.11 argparse has no exponent, so it would take
+    # -1e-9 for an option
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     _add_io(p)
     p.set_defaults(func=_cmd_verify)
 

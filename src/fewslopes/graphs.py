@@ -17,8 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
-
+from ._lrplanarity import lr_rotations, lr_witness
 from .errors import (
     Disconnected,
     NotBiconnected,
@@ -103,7 +102,9 @@ class PlanarGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
-    def to_networkx(self) -> nx.Graph:
+    def to_networkx(self):
+        import networkx as nx
+
         G = nx.Graph()
         G.add_nodes_from(range(self.n))
         G.add_edges_from(self.edges)
@@ -139,11 +140,24 @@ class PlanarGraph:
 
 def _rotate_min(t: tuple[int, ...]) -> tuple[int, ...]:
     """Cyclic rotation of t starting at its smallest element (ties by the
-    lexicographically smallest full rotation)."""
-    if not t:
+    lexicographically smallest full rotation).
+
+    Only rotations starting at an occurrence of min(t) compete; the j-th
+    round keeps those with the smallest j-th element, so a long face is not
+    copied once per rotation.
+    """
+    k = len(t)
+    if not k:
         return t
-    best = min(tuple(t[i:] + t[:i]) for i in range(len(t)))
-    return best
+    low = min(t)
+    starts = [i for i in range(k) if t[i] == low]
+    j = 1
+    while len(starts) > 1 and j < k:
+        low = min(t[(i + j) % k] for i in starts)
+        starts = [i for i in starts if t[(i + j) % k] == low]
+        j += 1
+    i = starts[0]
+    return tuple(t[i:] + t[:i])
 
 
 @dataclass(frozen=True)
@@ -202,18 +216,13 @@ def planar_embed(g: PlanarGraph) -> Embedding:
         raise Disconnected("planar_embed requires a connected graph")
     if g.n == 1:
         return Embedding(g, ((),), (0,))
-    G = g.to_networkx()
-    ok, cert = nx.check_planarity(G, counterexample=True)
-    if not ok:
-        witness = tuple(sorted(_norm_edge(u, v) for u, v in cert.edges()))
+    rotation = lr_rotations(g.n, g.adjacency)
+    if rotation is None:
+        witness = lr_witness(g.n, g.edges)
         raise NotPlanar(
             f"graph is not planar (forbidden-subdivision witness with {len(witness)} edges)",
             witness_edges=witness,
         )
-    rotation = []
-    for v in range(g.n):
-        order = tuple(cert.neighbors_cw_order(v))
-        rotation.append(_rotate_min(order))
     faces = tuple(_all_faces(rotation, g.edges))
     emb = Embedding(g, tuple(rotation), min(faces, key=_largest_first))
     emb.__dict__["faces"] = faces  # the cached property, traced once here

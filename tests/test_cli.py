@@ -301,6 +301,8 @@ class TestToleranceEnv:
         assert run(["draw", "--method", "twobend", "--in", gp, "--out", dp]) == 0
         assert run(["verify", "--in", dp, f"--tol={tol}"]) == 2
         assert "--tol must be" in capsys.readouterr().err
+        assert run(["verify", "--in", dp, "--tol", tol]) == 2
+        assert "--tol must be" in capsys.readouterr().err
 
 
 class TestDeterminism:

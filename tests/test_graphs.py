@@ -23,6 +23,7 @@ from fewslopes.graphs import (
     Embedding,
     PlanarGraph,
     _blocks,
+    _rotate_min,
     block_cut_tree,
     canonical_order,
     planar_embed,
@@ -136,6 +137,123 @@ class TestEmbedding:
     def test_embedding_deterministic(self):
         g = gen_random_triangulation(40, 11)
         assert planar_embed(g).rotation == planar_embed(g).rotation
+
+
+def relabelled(g: PlanarGraph, seed: int) -> PlanarGraph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return PlanarGraph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def cycle(n: int) -> PlanarGraph:
+    return PlanarGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def outerplanar(n: int, seed: int) -> PlanarGraph:
+    """A cycle with random non-crossing chords: 2-connected, never 3-connected."""
+    rng = random.Random(seed)
+    chords, todo = [], [(0, n - 1)]
+    while todo:
+        lo, hi = todo.pop()
+        if hi - lo < 2:
+            continue
+        k = rng.randrange(lo + 1, hi)
+        chords += [c for c in ((lo, k), (k, hi)) if c[1] - c[0] > 1 and rng.random() < 0.6]
+        todo += [(lo, k), (k, hi)]
+    return relabelled(PlanarGraph(n, cycle(n).edges + tuple(chords)), seed)
+
+
+def thinned(g: PlanarGraph, seed: int) -> PlanarGraph:
+    """g less a random third of its edges, each dropped only if g stays connected."""
+    rng = random.Random(seed)
+    edges = list(g.edges)
+    for e in rng.sample(edges, len(edges) // 3):
+        rest = PlanarGraph(g.n, tuple(f for f in edges if f != e))
+        if rest.is_connected():
+            edges.remove(e)
+    return PlanarGraph(g.n, tuple(edges))
+
+
+def random_non_planar(seed: int) -> PlanarGraph:
+    """A connected graph networkx finds non-planar, most with m <= 3n - 6, so
+    that the left-right test itself refutes them."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(6, 16)
+        m = rng.randint(2 * n, 3 * n - 4)
+        pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], m)
+        g = PlanarGraph(n, tuple(pairs))
+        if g.is_connected() and not nx.check_planarity(g.to_networkx())[0]:
+            return g
+
+
+def networkx_rotation(g: PlanarGraph) -> tuple[tuple[int, ...], ...]:
+    ok, emb = nx.check_planarity(g.to_networkx())
+    assert ok
+    return tuple(_rotate_min(tuple(emb.neighbors_cw_order(v))) for v in range(g.n))
+
+
+def networkx_witness(g: PlanarGraph) -> tuple[tuple[int, int], ...]:
+    ok, sub = nx.check_planarity(g.to_networkx(), counterexample=True)
+    assert not ok
+    return tuple(sorted((min(u, v), max(u, v)) for u, v in sub.edges()))
+
+
+class TestLeftRightMatchesNetworkx:
+    """planar_embed runs its own left-right test; it must give networkx's
+    rotations and forbidden-subgraph witness, which the drawing bytes rest on."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [pytest.param(random_tree(n, s), id=f"tree_{n}_{s}") for n, s in ((2, 0), (9, 1), (60, 2))]
+        + [pytest.param(relabelled(cycle(n), n), id=f"cycle_{n}") for n in (3, 7, 40)]
+        + [pytest.param(outerplanar(n, s), id=f"outerplanar_{n}_{s}") for n, s in ((6, 0), (25, 1), (70, 2))]
+        + [
+            pytest.param(relabelled(gen_random_triangulation(n, s), s), id=f"triangulation_{n}_{s}")
+            for n, s in ((4, 0), (30, 1), (150, 2))
+        ]
+        + [
+            pytest.param(thinned(gen_random_triangulation(n, s), s), id=f"thinned_{n}_{s}")
+            for n, s in ((20, 3), (80, 4), (200, 5))
+        ],
+    )
+    def test_rotation_on_planar_graphs(self, g):
+        assert planar_embed(g).rotation == networkx_rotation(g)
+
+    @pytest.mark.parametrize("n,d,seed", [(150, 8, 1), (300, 6, 2), (200, 4, 3)])
+    def test_rotation_on_capped_planar_blocks(self, n, d, seed):
+        blocks = [b for b in _block_graphs(bench_instances().capped_planar(n, d, seed)) if b.n >= 3]
+        assert len(blocks) > 1
+        for bg in blocks:
+            assert planar_embed(bg).rotation == networkx_rotation(bg)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            pytest.param(complete(5), id="K5"),
+            pytest.param(PlanarGraph(6, tuple((i, j) for i in range(3) for j in range(3, 6))), id="K33"),
+        ]
+        + [pytest.param(random_non_planar(s), id=f"random_{s}") for s in range(8)],
+    )
+    def test_witness_on_non_planar_graphs(self, g):
+        with pytest.raises(NotPlanar) as err:
+            planar_embed(g)
+        assert err.value.witness_edges == networkx_witness(g)
+
+    def test_deep_cycle_embeds_without_recursion(self):
+        # the depth-first search runs 20 000 deep, far past the recursion limit
+        e = planar_embed(cycle(20_000))
+        assert len(e.faces) == 2 and e.euler_ok()
+
+    def test_rotate_min_is_least_rotation(self):
+        rng = random.Random(0)
+        for _ in range(3000):
+            t = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 12)))
+            assert _rotate_min(t) == min(t[i:] + t[:i] for i in range(len(t))), t
+
+    def test_wide_star_embeds(self):
+        e = planar_embed(PlanarGraph(10_001, tuple((0, v) for v in range(1, 10_001))))
+        assert len(e.faces) == 1 and len(e.outer_face) == 20_000
 
 
 class TestTriangulate:
