@@ -239,21 +239,18 @@ def layout_centers(radii, e: Embedding) -> CirclePacking:
     }
     eps = 1e-10
 
-    outer_darts = {
-        (e.outer_face[i], e.outer_face[(i + 1) % len(e.outer_face)])
-        for i in range(len(e.outer_face))
-    }
-    seen_darts = set()
+    # each inner dart of a face not yet laid out -> the face's third corner
+    third = {}
+    for i, j, k in _inner_faces(e).tolist():
+        third[i, j], third[j, k], third[k, i] = k, i, j
     queue = deque([(b, a)])
     while queue:
         u, v = queue.popleft()
-        if (u, v) in seen_darts or (u, v) in outer_darts:
+        w = third.get((u, v))
+        if w is None:
             continue
-        face = e.trace_face(u, v)
-        assert len(face) == 3
-        w = face[2]
-        for i in range(3):
-            seen_darts.add((face[i], face[(i + 1) % 3]))
+        for dart in ((u, v), (v, w), (w, u)):
+            del third[dart]
         ou, ov = pos[u], pos[v]
         du = r[u] + r[w]
         dv = r[v] + r[w]
@@ -278,9 +275,7 @@ def layout_centers(radii, e: Embedding) -> CirclePacking:
                 )
         else:
             pos[w] = ow
-        for dart in ((v, u), (w, v), (u, w)):
-            if dart not in seen_darts and dart not in outer_darts:
-                queue.append(dart)
+        queue.extend(dart for dart in ((v, u), (w, v), (u, w)) if dart in third)
 
     assert len(pos) == g.n, "layout BFS failed to reach every vertex"
     arr = np.array([pos[v] for v in range(g.n)])

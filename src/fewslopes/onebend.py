@@ -203,9 +203,8 @@ def tshape_representation(e: Embedding) -> TShapeRep:
         for w in mids:
             add_rest(hat_v=v, leg_v=w)
         # own column: midpoint of the widest free gap inside the hat
-        seq = xs[:1] + [legx[w] for w in mids] + xs[-1:]
-        j = max(range(len(seq) - 1), key=lambda t: (seq[t + 1] - seq[t], -t))
-        legx[v] = (seq[j] + seq[j + 1]) >> 1
+        j = max(range(len(xs) - 1), key=lambda t: (xs[t + 1] - xs[t], -t))
+        legx[v] = (xs[j] + xs[j + 1]) >> 1
         contour[lo : lo + len(sup)] = [w_p, v, w_q]
 
     rank = {x: 2 * i + 2 for i, x in enumerate(sorted(set(legx.values())))}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .errors import (
     DegreeTooHigh,
     DegreeTooSmall,
     GluingFailed,
-    NotBiconnected,
     SlopesTooFew,
     StOrderInfeasible,
     VerticesNotOnOuterFace,
@@ -71,21 +70,16 @@ def regular_slopes(d: int, s: int | None = None) -> SlopeSet:
 
 @dataclass(eq=False)
 class _Column:
-    """One pending vertical channel. x is assigned after routing finishes.
+    """One vertical channel. x is assigned after routing finishes.
 
-    A column can be reused once: a straight-up outgoing edge of the vertex
-    that consumed it stacks a fresh episode on the same x. Columns compare
-    by identity, so list.index finds one without comparing fields.
+    pending is the episode the column holds open, or None. A column can be
+    reused once: a straight-up outgoing edge of the vertex that consumed it
+    opens a fresh episode on the same x. Columns compare by identity, so
+    list.index finds one without comparing fields.
     """
 
     x: int = -1
-    episodes: list["_Episode"] = field(default_factory=list)
-
-    @property
-    def live(self) -> "_Episode | None":
-        if self.episodes and not self.episodes[-1].consumed:
-            return self.episodes[-1]
-        return None
+    pending: "_Episode | None" = None
 
 
 @dataclass(eq=False)
@@ -97,19 +91,18 @@ class _Episode:
     k_u: int
     column: _Column
     dip: bool = False
-    consumed: bool = False
     k_v: int = -1
 
 
 @dataclass
 class _Route:
-    """Routing result: columns in final left-to-right order plus per-vertex data."""
+    """Routing result: the episodes, with their columns' final x, and the
+    column of each vertex."""
 
     order: tuple[int, ...]
-    columns: list[_Column]
     episodes: list[_Episode]
     anchor: dict[int, _Column]  # vertex -> column giving its x position
-    fan: dict[int, tuple[int, int]]  # vertex -> (lo, hi) directed in-slope range
+    top_fan: tuple[int, int]  # (lo, hi) directed in-slope range of order[-1]
 
 
 def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
@@ -130,14 +123,12 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
     by_target: dict[int, list[_Episode]] = {v: [] for v in range(g.n)}
     episodes: list[_Episode] = []
     anchor: dict[int, _Column] = {}
-    fan: dict[int, tuple[int, int]] = {}
 
     def open_edge(u: int, target: int, k: int, column: _Column, dip: bool = False):
         ep = _Episode(u, target, k % m, column, dip)
-        column.episodes.append(ep)
+        column.pending = ep
         by_target[target].append(ep)
         episodes.append(ep)
-        return ep
 
     # v1: no incoming edges. The edge to v2 leaves straight down (the dip) and
     # the rest take clockwise-consecutive directed slopes after it. Sorting by
@@ -166,14 +157,14 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
         master.append(col)
 
     # remaining vertices consume their pending columns bottom-up; live is the
-    # pending order, the columns of master that hold a live episode, and each
+    # pending order, the columns of master that hold an open episode, and each
     # vertex splices its own in-columns out of it and its new columns in
-    live = [c for c in master if c.live is not None]
+    live = [c for c in master if c.pending is not None]
     for v in order[1:]:
         ins = by_target[v]
         assert ins, f"vertex {v} has no earlier neighbor"
         for ep in ins:
-            assert ep.column.live is ep, "incoming edge buried under a later episode"
+            assert ep.column.pending is ep, "incoming edge buried under a later episode"
         at = {ep: live.index(ep.column) for ep in ins}
         ins.sort(key=at.__getitem__)
         idxs = [at[ep] for ep in ins]
@@ -187,10 +178,9 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
         median_col = ins[med].column
         anchor[v] = median_col
         lo, hi = s - (r - 1 - med), s + med
-        fan[v] = (lo, hi)
         for j, ep in enumerate(ins):
             ep.k_v = s + med - j
-            ep.consumed = True
+            ep.column.pending = None
         assert 1 <= lo <= s <= hi <= m - 1
 
         # rotation check: clockwise, the in-arc runs right-to-left, so the
@@ -206,6 +196,7 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
 
         if v == order[-1]:
             assert not outs, "last vertex must consume every pending column"
+            top_fan = (lo, hi)
             continue
         assert outs, f"inner vertex {v} has no later neighbor"
 
@@ -230,13 +221,13 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
         master[mi : mi + 1] = left_cols + [median_col] + right_cols
         # in the pending order the in-columns give way to the new columns,
         # with the median between them when a straight-up edge reopened it
-        reopened = [median_col] if median_col.live is not None else []
+        reopened = [median_col] if median_col.pending is not None else []
         live[idxs[0] : idxs[0] + r] = left_cols + reopened + right_cols
 
-    assert all(c.live is None for c in master), "pending columns left unconsumed"
+    assert all(c.pending is None for c in master), "pending columns left unconsumed"
     for i, c in enumerate(master):
         c.x = i
-    return _Route(order, master, episodes, anchor, fan)
+    return _Route(order, episodes, anchor, top_fan)
 
 
 # --- geometry pass ---------------------------------------------------------------
@@ -293,8 +284,7 @@ def _arcs_from_route(
 
 
 def _wedge_of(route: _Route, slopes: SlopeSet, apex) -> Wedge:
-    t = route.order[-1]
-    lo, hi = route.fan[t]
+    lo, hi = route.top_fan
     start = (lo - 0.5) * math.pi / slopes.s
     span = (hi - lo + 1) * math.pi / slopes.s
     return Wedge(apex, start % _TWO_PI, span)
@@ -337,7 +327,7 @@ def _contained(arcs: list[EdgeArc], wedge: Wedge, apex_pt, slopes: SlopeSet) -> 
     return True
 
 
-def _build_positions(route: _Route, slopes: SlopeSet, extra: float):
+def _build_positions(route: _Route, slopes: SlopeSet):
     # every hat leaving row i stays below y(i) + H[i] and above y(i) - H[i],
     # so gaps of H[i] + H[i+1] + 1 keep each row band disjoint from the next
     s = slopes.s
@@ -356,11 +346,7 @@ def _build_positions(route: _Route, slopes: SlopeSet, extra: float):
     ys = [0.0]
     for i in range(1, len(route.order)):
         ys.append(ys[-1] + hat[i - 1] + hat[i] + 1.0)
-    pts = {}
-    for i, v in enumerate(route.order):
-        pts[v] = (float(route.anchor[v].x), ys[i])
-    t = route.order[-1]
-    pts[t] = (pts[t][0], pts[t][1] + extra)
+    pts = {v: (float(route.anchor[v].x), ys[i]) for i, v in enumerate(route.order)}
     spacing = max(1.0, ys[-1] - ys[0])
     return pts, spacing
 
@@ -368,22 +354,22 @@ def _build_positions(route: _Route, slopes: SlopeSet, extra: float):
 def _draw_routed(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
     outer = e.outer_face
     j = outer.index(t)
-    st_ord = None
-    err = None
     for off in range(1, len(outer)):
-        v1 = outer[(j + off) % len(outer)]
         try:
-            st_ord = st_order(e, v1, t)
+            st_ord = st_order(e, outer[(j + off) % len(outer)], t)
             break
-        except (StOrderInfeasible, VerticesNotOnOuterFace) as exc:
+        except StOrderInfeasible as exc:
             err = exc  # try the next outer vertex as v1
-    if st_ord is None:
+    else:
         raise err  # biconnected blocks reach this: st_order finds no v2 from any v1
     route = _route(e, st_ord, slopes)
 
+    # only t moves: up by spacing, then by doubling steps, until the
+    # drawing fits into the wedge at t
+    pts, spacing = _build_positions(route, slopes)
+    tx, ty = pts[t]
     extra = 0.0
     while True:
-        pts, spacing = _build_positions(route, slopes, extra)
         arcs = _arcs_from_route(route, slopes, pts)
         wedge = _wedge_of(route, slopes, pts[t])
         if _contained(arcs, wedge, pts[t], slopes):
@@ -391,9 +377,10 @@ def _draw_routed(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
         extra = spacing if extra == 0.0 else 2.0 * extra
         if extra > 1e30:
             raise GluingFailed(f"drawing cannot be confined to the wedge at {t}")
+        pts[t] = (tx, ty + extra)
 
     g = e.graph
-    lo, hi = route.fan[t]
+    lo, hi = route.top_fan
     meta = {
         "d": g.max_degree,
         "s": slopes.s,
@@ -691,7 +678,7 @@ def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) ->
         bg, verts, _ = blocks[root_bi]
         try:
             rdr = draw_biconnected_twobend(_embed_with_outer(bg, t), t, slopes)
-        except (VerticesNotOnOuterFace, NotBiconnected, StOrderInfeasible) as exc:
+        except StOrderInfeasible as exc:
             last_err = exc
             continue
         root = _place(rdr, verts)
@@ -853,95 +840,50 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
 
 
 def draw_low_degree(g: PlanarGraph) -> Drawing:
-    """Straight-line fallback for maximum degree <= 2 (paths and cycles).
+    """Straight-line fallback for maximum degree <= 2 (paths and cycles), on
+    the integer grid.
 
-    Paths use one slope. Even cycles close with two slopes; odd cycles
-    cannot (a closed odd walk on two directions has no solution), so they
-    use three. Not covered by the two-bend guarantee; meta says so.
+    A path runs down one vertical line: one slope. A cycle of k vertices
+    runs right along y = 1 for its first ceil(k/2) vertices, then back along
+    y = 0. An even cycle closes with a vertical edge, two slopes; an odd one
+    cannot (a closed odd walk on two directions has no solution) and closes
+    with a diagonal, three. Not covered by the two-bend guarantee; meta says
+    so.
     """
     if g.max_degree > 2:
         raise ValueError("draw_low_degree only accepts maximum degree <= 2")
-    pts: dict[int, tuple[float, float]] = {}
+    pts: dict[int, tuple[int, int]] = {}
     arcs: list[EdgeArc] = []
     slopes_used = 0
-    x_off = 0.0
-    u_dir = (math.sqrt(0.5), math.sqrt(0.5))
+    x0 = 0
     for vs in g.components:
-        sub = [e for e in g.edges if e[0] in vs]
-        deg = {v: 0 for v in vs}
-        for a, b in sub:
-            deg[a] += 1
-            deg[b] += 1
-        if not sub:
-            pts[vs[0]] = (x_off, 0.0)
-            x_off += 2.0
-            continue
-        is_cycle = all(dv == 2 for dv in deg.values())
-        seq = _walk_order(vs, sub, is_cycle)
-        if not is_cycle:
+        ends = [v for v in vs if g.degree(v) < 2]
+        seq = [ends[0] if ends else vs[0]]
+        prev = None
+        while len(seq) < len(vs):
+            nxt = next(w for w in g.neighbors(seq[-1]) if w != prev)
+            prev = seq[-1]
+            seq.append(nxt)
+        k = len(seq)
+        if ends:
             for i, v in enumerate(seq):
-                pts[v] = (x_off, -float(i))
-            slopes_used = max(slopes_used, 1)
+                pts[v] = (x0, -i)
+            links = seq[1:]
+            slopes_used = max(slopes_used, min(k - 1, 1))
         else:
-            m = len(seq)
-            if m % 2 == 0:
-                # parallelogram: one up-right edge, then down-right steps,
-                # then the mirrored return
-                half = m // 2
-                cur = (x_off, 0.0)
-                for i, v in enumerate(seq):
-                    pts[v] = cur
-                    if i < 1:
-                        step = u_dir
-                    elif i < half:
-                        step = (u_dir[0], -u_dir[1])
-                    elif i < half + 1:
-                        step = (-u_dir[0], -u_dir[1])
-                    else:
-                        step = (-u_dir[0], u_dir[1])
-                    cur = (cur[0] + step[0], cur[1] + step[1])
-                slopes_used = max(slopes_used, 2)
-            else:
-                # odd cycle: isoceles roof closed by a horizontal base edge
-                a = (m - 1) // 2
-                b = m - 1 - a
-                cur = (x_off, 0.0)
-                for i, v in enumerate(seq):
-                    pts[v] = cur
-                    if i < a:
-                        step = (u_dir[0] / a, u_dir[1] / a)
-                    elif i < m - 1:
-                        step = (u_dir[0] / b, -u_dir[1] / b)
-                    else:
-                        step = (0.0, 0.0)
-                    cur = (cur[0] + step[0], cur[1] + step[1])
-                slopes_used = max(slopes_used, 3)
-        for aa, bb in sub:
-            arcs.append(EdgeArc(aa, bb, (pts[aa], pts[bb])))
-        x_off = max(pts[v][0] for v in vs) + 2.0
+            h = (k + 1) // 2
+            for i, v in enumerate(seq):
+                pts[v] = (x0 + i, 1) if i < h else (x0 + 2 * h - 1 - i, 0)
+            links = seq[1:] + seq[:1]
+            slopes_used = max(slopes_used, 2 + k % 2)
+        for a, b in zip(seq, links):
+            u, v = min(a, b), max(a, b)
+            arcs.append(EdgeArc(u, v, (pts[u], pts[v])))
+        x0 = max(pts[v][0] for v in vs) + 2
     return Drawing(
         "lowdegree",
         pts,
         arcs,
-        "float",
+        "int",
         {"d": g.max_degree, "slopes_used": slopes_used, "on_slope_grid": False},
     )
-
-
-def _walk_order(vs, edges, is_cycle: bool) -> list[int]:
-    adj: dict[int, list[int]] = {v: [] for v in vs}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    if is_cycle:
-        start = min(vs)
-    else:
-        ends = [v for v in vs if len(adj[v]) <= 1]
-        start = min(ends)
-    seq = [start]
-    prev = None
-    while len(seq) < len(vs):
-        nxt = [w for w in adj[seq[-1]] if w != prev]
-        prev = seq[-1]
-        seq.append(nxt[0])
-    return seq

@@ -135,8 +135,25 @@ def _float(c) -> float:
         return math.inf if c > 0 else -math.inf
 
 
-_PAIR_BUDGET = 1 << 18  # x-overlap pairs _candidate_pairs expands at once
+_PAIR_BUDGET = 1 << 18  # run pairs _candidate_pairs expands at once
 _FILTER_CHUNK = 1 << 15  # candidate pairs _settled tests at once
+
+
+def _sweep(boxes):
+    """(order, size, lo, hi) of a sweep along x or y, whichever one's runs
+    hold fewer pairs, x on a tie: order sorts the boxes by their low edge on
+    that axis, the run of position p holds the size[p] later boxes that
+    start within it there, and lo, hi are the sorted boxes' other extents."""
+    m = len(boxes)
+    lo = np.minimum(boxes[:, :2], boxes[:, 2:])
+    hi = np.maximum(boxes[:, :2], boxes[:, 2:])
+    sweeps = []
+    for axis in (0, 1):
+        order = np.argsort(lo[:, axis], kind="stable")
+        size = np.searchsorted(lo[order, axis], hi[order, axis], "right") - np.arange(1, m + 1)
+        sweeps.append((int(size.sum()), axis, order, size))
+    _, axis, order, size = min(sweeps, key=lambda sw: sw[:2])
+    return order, size, lo[order, 1 - axis], hi[order, 1 - axis]
 
 
 def _candidate_pairs(boxes):
@@ -144,22 +161,17 @@ def _candidate_pairs(boxes):
     segment pairs whose closed bounding boxes overlap; boxes is an (m, 4)
     float array of segment ends (px, py, qx, qy).
 
-    Sort and sweep: sorted by left edge, the boxes that start at or after a
-    box and meet its x-range form one run, whose end searchsorted finds. The
-    runs are expanded about _PAIR_BUDGET pairs at a time and filtered by
-    y. Boxes are taken on the floats nearest the coordinates; rounding to
-    float is monotone, so boxes that meet exactly still meet after it.
+    Sort and sweep (_sweep): sorted along one axis, the boxes that start at
+    or after a box and meet its range on that axis form one run, whose end
+    searchsorted finds. The runs are expanded about _PAIR_BUDGET pairs at a
+    time and filtered on the other axis. Boxes are taken on the floats
+    nearest the coordinates; rounding to float is monotone, so boxes that
+    meet exactly still meet after it.
     """
     m = len(boxes)
     if m < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    lox = np.minimum(boxes[:, 0], boxes[:, 2])
-    hix = np.maximum(boxes[:, 0], boxes[:, 2])
-    loy = np.minimum(boxes[:, 1], boxes[:, 3])
-    hiy = np.maximum(boxes[:, 1], boxes[:, 3])
-    order = np.argsort(lox, kind="stable")
-    lox, hix, loy, hiy = lox[order], hix[order], loy[order], hiy[order]
-    size = np.searchsorted(lox, hix, "right") - np.arange(1, m + 1)
+    order, size, lo, hi = _sweep(boxes)
     last = np.cumsum(size)  # last[p]: pairs in the runs of positions <= p
     out_i, out_j = [], []
     p0 = 0
@@ -171,7 +183,7 @@ def _candidate_pairs(boxes):
         # the run of position p starts at p + 1 and at pair number last[p] - size[p]
         shift = np.arange(p0 + 1, p1 + 1) - (last[p0:p1] - run)
         b = np.arange(done, int(last[p1 - 1])) + np.repeat(shift, run)
-        keep = (loy[a] <= hiy[b]) & (hiy[a] >= loy[b])
+        keep = (lo[a] <= hi[b]) & (hi[a] >= lo[b])
         a, b = order[a[keep]], order[b[keep]]
         out_i.append(np.minimum(a, b))
         out_j.append(np.maximum(a, b))

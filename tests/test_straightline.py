@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -15,7 +16,7 @@ from conftest import BENCH_INSTANCES, bench_instances, bounded_stack
 import fewslopes
 from fewslopes.circlepack import ALPHA, CirclePacking, layout_centers, pack_radii
 from fewslopes.errors import FewslopesError, PrecisionExhausted, TooFewVertices
-from fewslopes.families import gen_octahedron, gen_random_triangulation
+from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
 from fewslopes.straightline import (
@@ -274,3 +275,43 @@ class TestDrawStraight:
         a = dumps_canonical(drawing_to_obj(draw_straight(g)))
         b = dumps_canonical(drawing_to_obj(draw_straight(g)))
         assert a == b
+
+
+# sha256 of the canonical JSON of each drawing without its meta, i.e. of its
+# integer points and edges, taken when layout_centers traced the face of
+# every dart it took from the queue. meta is left out: its "scale" is a
+# float from np.exp, whose rounding may differ between CPUs.
+PINNED_POINTS = {
+    "octahedron": (gen_octahedron,
+        "353c1486221d5c4f3d8dcb1475a900de758a3a42b25c6f6e0e0addd32f715271",
+    ),
+    "random_triangulation_30_2": (lambda: gen_random_triangulation(30, 2),
+        "7b1a61e0ac6f5c9ad915686763eb274a71f690fa854f2c79a7d99c5b342a8d5e",
+    ),
+    "gd_5": (lambda: gen_gd(5),
+        "94c3299e2839970600ec23b6d0a8c63b7314ae5e9a46d09427600a3bfe60fa0c",
+    ),
+    "gd_6": (lambda: gen_gd(6),
+        "38ce01b4c0dcfade4f7eb6792fa57f018637ad55268aa88357d3da8e248b7b7e",
+    ),
+    "five_cycle_with_chord": (
+        lambda: PlanarGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2))),
+        "f6abd49ee637058229db9e0fe03416af6e04e52c8b9adf4e140e87531fbc1ae9",
+    ),
+    "bounded_triangulation_100_8_1": (
+        lambda: bench_instances().bounded_triangulation(100, 8, 1),
+        "8941f6ac5d3113b84931e4e003e8f6ba679c9ac523f4ac72ec34a9a8e4307b4b",
+    ),
+    "bounded_triangulation_75_8_2": (
+        lambda: bench_instances().bounded_triangulation(75, 8, 2),
+        "ea58dcbb32d959555ce582a1837f431045e338900a37737c36055635424fa473",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_POINTS))
+def test_straight_points_are_pinned(name):
+    build, digest = PINNED_POINTS[name]
+    obj = drawing_to_obj(draw_straight(build()))
+    del obj["meta"]
+    assert hashlib.sha256(dumps_canonical(obj).encode()).hexdigest() == digest

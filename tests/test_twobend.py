@@ -371,6 +371,29 @@ class TestLowDegree:
         assert distinct == 3
         assert verify_drawing(dr).crossing_free
 
+    @pytest.mark.parametrize(
+        "n, cycle, slopes",
+        [(20_000, True, 2), (20_001, True, 3), (20_000, False, 1)],
+        ids=["even-cycle", "odd-cycle", "path"],
+    )
+    def test_long_paths_and_cycles_draw_on_integers(self, n, cycle, slopes):
+        g = PlanarGraph(n, tuple((i, (i + 1) % n) for i in range(n if cycle else n - 1)))
+        dr = draw_low_degree(g)
+        assert dr.coord_kind == "int"
+        assert dr.meta == {"d": 2, "slopes_used": slopes, "on_slope_grid": False}
+        rep = verify_drawing(dr)
+        assert rep.ok
+        assert rep.distinct_slopes == slopes
+
+    def test_mixed_components_do_not_cross(self):
+        # a path, a triangle, an isolated vertex and a 4-cycle
+        edges = ((0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (7, 8), (8, 9), (9, 10), (10, 7))
+        g = PlanarGraph(11, edges)
+        dr = draw_low_degree(g)
+        assert set(dr.points) == set(range(11))
+        assert sorted((a.u, a.v) for a in dr.edges) == list(g.edges)
+        assert verify_drawing(dr).crossing_free
+
     def test_degree_routing(self):
         cyc = PlanarGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
         with pytest.raises(DegreeTooSmall):

@@ -289,6 +289,14 @@ class TestBroadPhase:
         monkeypatch.setattr(verify, "_PAIR_BUDGET", 1000)
         assert as_list(_candidate_pairs(boxes)) == want
 
+    def test_vertical_path_sweeps_along_y(self):
+        # 2000 segments on one vertical line share one x-range: the runs of
+        # a sweep along x would hold about two million pairs
+        boxes = np.array([[0.0, i, 0.0, i + 1.0] for i in range(2000)])
+        _, size, _, _ = verify._sweep(boxes)
+        assert size.sum() < 4000
+        assert as_list(_candidate_pairs(boxes)) == [(i, i + 1) for i in range(1999)]
+
     def test_fewer_than_two_boxes(self):
         assert as_list(_candidate_pairs(np.zeros((1, 4)))) == []
 
