@@ -33,6 +33,9 @@ _TWO_PI = 2.0 * math.pi
 # Newton steps pack_radii takes at most; a stalled line search stops it sooner
 _MAX_STEPS = 10 ** 6
 
+# pairs of disks per block of CirclePacking's overlap scan: memory stays flat
+_OVERLAP_BLOCK_PAIRS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CirclePacking:
@@ -72,12 +75,22 @@ class CirclePacking:
         if len(bad):
             k = bad[0]
             raise ValueError(f"edge ({eu[k]},{ev[k]}) tangency residual {gap[k]:.3e} too large")
-        for u in range(g.n - 1):
-            dist = np.hypot(*(c[u + 1 :] - c[u]).T)
-            overlap = dist < (r[u] + r[u + 1 :]) * (1.0 - self.epsilon)
-            overlap[[w - u - 1 for w in g.neighbors(u) if w > u]] = False
-            if overlap.any():
-                raise ValueError(f"non-adjacent disks {u},{u + 1 + np.argmax(overlap)} overlap")
+        # rows u0 <= u < u1 of the pair matrix at a time, pairs (u, w), w > u
+        n = g.n
+        rows = max(1, _OVERLAP_BLOCK_PAIRS // n)
+        cols = np.arange(n)
+        for u0 in range(0, n - 1, rows):
+            u1 = min(n - 1, u0 + rows)
+            cu = c[u0:u1, None]
+            dist = np.hypot(c[:, 0] - cu[..., 0], c[:, 1] - cu[..., 1])
+            overlap = dist < (r[u0:u1, None] + r) * (1.0 - self.epsilon)
+            overlap &= cols > np.arange(u0, u1)[:, None]
+            k0, k1 = np.searchsorted(eu, (u0, u1))
+            overlap[eu[k0:k1] - u0, ev[k0:k1]] = False
+            hit = np.flatnonzero(overlap)
+            if len(hit):
+                u, w = divmod(int(hit[0]), n)
+                raise ValueError(f"non-adjacent disks {u0 + u},{w} overlap")
 
 
 def _tangency_residual(centers, radii, edges) -> float:
@@ -130,32 +143,40 @@ def _laplacian_solve(ia, ib, w, m: int, rhs: np.ndarray) -> np.ndarray:
     Side k joins ia[k] and ib[k] with weight w[k]; index m stands for every
     pinned outer vertex, whose value is 0. Jacobi-preconditioned conjugate
     gradients to relative residual 1e-6, with products from np.bincount and
-    dot products from np.sum: nothing goes through BLAS, so the result does
-    not depend on its thread count.
+    dot products from np.add.reduce (np.sum's own pairwise reduction):
+    nothing goes through BLAS, so the result does not depend on its thread
+    count. The iteration updates preallocated vectors in place; the search
+    direction lives in a buffer padded with the pinned 0 at index m.
     """
-
-    def apply(x):
-        xe = np.append(x, 0.0)
-        flow = w * (xe[ia] - xe[ib])
-        return (np.bincount(ia, flow, m + 1) - np.bincount(ib, flow, m + 1))[:m]
-
+    dot = np.add.reduce
+    mul = np.multiply
     inv_diag = 1.0 / (np.bincount(ia, w, m + 1) + np.bincount(ib, w, m + 1))[:m]
     x = np.zeros(m)
     res = rhs.copy()
     z = inv_diag * res
-    step = z.copy()
-    rz = np.sum(res * z)
-    stop = 1e-12 * np.sum(rhs * rhs)
+    padded = np.zeros(m + 1)
+    step = padded[:m]
+    step[:] = z
+    tmp = np.empty(m)
+    ends = np.stack((ia, ib))
+    at_ends = np.empty(ends.shape)
+    flow = at_ends[0]
+    rz = dot(res * z)
+    stop = 1e-12 * dot(rhs * rhs)
     for _ in range(10 * m):
-        if np.sum(res * res) <= stop:
+        if dot(mul(res, res, out=tmp)) <= stop:
             break
-        q = apply(step)
-        alpha = rz / np.sum(step * q)
-        x += alpha * step
-        res -= alpha * q
-        z = inv_diag * res
-        rz, rz_old = np.sum(res * z), rz
-        step = z + (rz / rz_old) * step
+        padded.take(ends, out=at_ends)
+        np.subtract(flow, at_ends[1], out=flow)
+        mul(w, flow, out=flow)
+        q = np.subtract(np.bincount(ia, flow, m + 1), np.bincount(ib, flow, m + 1))[:m]
+        alpha = rz / dot(mul(step, q, out=tmp))
+        x += mul(alpha, step, out=tmp)
+        res -= mul(alpha, q, out=q)
+        mul(inv_diag, res, out=z)
+        rz, rz_old = dot(mul(res, z, out=tmp)), rz
+        step *= rz / rz_old
+        step += z
     return x
 
 
@@ -231,18 +252,19 @@ def layout_centers(radii, e: Embedding) -> CirclePacking:
     """
     _check_packable(e)
     r = np.asarray(radii, dtype=float)
+    rl = r.tolist()
     g = e.graph
     a, b = e.outer_face[0], e.outer_face[1]
-    pos: dict[int, np.ndarray] = {
-        a: np.array([0.0, 0.0]),
-        b: np.array([r[a] + r[b], 0.0]),
-    }
+    pos: dict[int, tuple[float, float]] = {a: (0.0, 0.0), b: (rl[a] + rl[b], 0.0)}
     eps = 1e-10
 
     # each inner dart of a face not yet laid out -> the face's third corner
     third = {}
     for i, j, k in _inner_faces(e).tolist():
         third[i, j], third[j, k], third[k, i] = k, i, j
+    # on Python floats, each coordinate evaluated as (ou + x*uhat) + y*nhat,
+    # numpy's order on 2-vectors; np.hypot is libm's hypot, and math.hypot
+    # rounds some inputs differently
     queue = deque([(b, a)])
     while queue:
         u, v = queue.popleft()
@@ -251,23 +273,23 @@ def layout_centers(radii, e: Embedding) -> CirclePacking:
             continue
         for dart in ((u, v), (v, w), (w, u)):
             del third[dart]
-        ou, ov = pos[u], pos[v]
-        du = r[u] + r[w]
-        dv = r[v] + r[w]
-        link = ov - ou
-        ell = float(np.hypot(*link))
+        (ux, uy), (vx, vy) = pos[u], pos[v]
+        du = rl[u] + rl[w]
+        dv = rl[v] + rl[w]
+        lx, ly = vx - ux, vy - uy
+        ell = float(np.hypot(lx, ly))
         if ell == 0.0:
             raise PrecisionExhausted(f"centers of {u} and {v} coincide in floats")
         x = (du * du - dv * dv + ell * ell) / (2.0 * ell)
         y2 = du * du - x * x
         y = math.sqrt(max(0.0, y2))
-        uhat = link / ell
-        nhat = np.array([uhat[1], -uhat[0]])  # right of u->v: inner faces wind cw
-        ow = ou + x * uhat + y * nhat
-        if not np.all(np.isfinite(ow)):
+        hx, hy = lx / ell, ly / ell  # nhat = (hy, -hx), right of u->v: inner faces wind cw
+        ow = ((ux + x * hx) + y * hy, (uy + x * hy) + y * -hx)
+        if not (math.isfinite(ow[0]) and math.isfinite(ow[1])):
             raise PrecisionExhausted(f"center of {w} is not finite")
         if w in pos:
-            err = float(np.hypot(*(pos[w] - ow)))
+            wx, wy = pos[w]
+            err = float(np.hypot(wx - ow[0], wy - ow[1]))
             tol = max(1e3 * eps, 1e-12) * max(1.0, float(np.hypot(*ow)))
             if not err <= tol:
                 raise InconsistentRadii(
@@ -278,13 +300,12 @@ def layout_centers(radii, e: Embedding) -> CirclePacking:
         queue.extend(dart for dart in ((v, u), (w, v), (u, w)) if dart in third)
 
     assert len(pos) == g.n, "layout BFS failed to reach every vertex"
-    arr = np.array([pos[v] for v in range(g.n)])
-    centers = tuple((float(x), float(y)) for x, y in arr)
-    stored_eps = max(1e-10, _tangency_residual(arr, r, g.edges) * 1.5)
+    centers = tuple(pos[v] for v in range(g.n))
+    stored_eps = max(1e-10, _tangency_residual(centers, r, g.edges) * 1.5)
     try:
         return CirclePacking(
             centers=centers,
-            radii=tuple(float(x) for x in r),
+            radii=tuple(rl),
             outer=(e.outer_face[0], e.outer_face[1], e.outer_face[2]),
             epsilon=stored_eps,
             embedding=e,

@@ -19,7 +19,7 @@ from xml.sax.saxutils import quoteattr
 
 from .circlepack import layout_centers, pack_radii
 from .drawing import Drawing, SlopeSet
-from .errors import FewslopesError
+from .errors import FewslopesError, SlopesTooFew
 from .families import gen_gd, gen_octahedron, gen_random_triangulation
 from .graphs import planar_embed
 from .jsonio import (
@@ -211,8 +211,13 @@ def _cmd_draw(args) -> int:
         dr = draw_straight(g)
     elif args.method == "onebend":
         dr = draw_onebend(g)
-    elif g.max_degree <= 2 and args.slopes is None:
+    elif g.max_degree <= 2:
         dr = draw_low_degree(g)
+        if args.slopes is not None and dr.meta["slopes_used"] > args.slopes:
+            raise SlopesTooFew(
+                f"{args.slopes} slopes cannot draw this graph of maximum degree "
+                f"{g.max_degree}; its straight drawing needs {dr.meta['slopes_used']}"
+            )
     else:
         slopes = SlopeSet(args.slopes) if args.slopes is not None else None
         dr = draw_twobend(g, slopes)

@@ -233,8 +233,12 @@ def planar_embed(g: PlanarGraph) -> Embedding:
 def _trace_faces(rotation, darts) -> list[tuple[int, ...]]:
     """The face of each dart not already covered, in the order given.
 
-    The dart after (a, b) is (b, w), where w precedes a in rotation[b].
+    The dart after (a, b) is (b, w), where w precedes a in rotation[b]. Each
+    vertex's neighbor -> predecessor map is built on its first visit, so a
+    trace costs O(1) per dart and per neighbor of a visited vertex, whatever
+    the degrees.
     """
+    pred = [None] * len(rotation)
     seen = set()
     out = []
     for dart in darts:
@@ -243,10 +247,13 @@ def _trace_faces(rotation, darts) -> list[tuple[int, ...]]:
         face = []
         while dart not in seen:
             seen.add(dart)
-            face.append(dart[0])
             a, b = dart
-            rb = rotation[b]
-            dart = (b, rb[rb.index(a) - 1])
+            face.append(a)
+            pb = pred[b]
+            if pb is None:
+                rb = rotation[b]
+                pb = pred[b] = dict(zip(rb, rb[-1:] + rb[:-1]))
+            dart = (b, pb[a])
         out.append(tuple(face))
     return out
 

@@ -156,6 +156,15 @@ def orientation_check(cp: CirclePacking, sl: SnappedLayout) -> OrientationReport
     return OrientationReport(faces_checked=len(faces), violations=tuple(bad))
 
 
+def _slope_radius(d: int) -> float:
+    """R(d): the distance within which every drawn segment joins two grid
+    points, slope_bound's radius."""
+    if d < 3:
+        raise ValueError(f"need d >= 3, got {d}")
+    a = ALPHA ** (d - 2)
+    return (d / a) * (2.0 * math.sqrt(2.0) / a + math.sqrt(2.0))
+
+
 @lru_cache(maxsize=None)
 def slope_bound(d: int) -> dict:
     """Radius R(d) and the lattice-point count bounding the slope number.
@@ -164,10 +173,7 @@ def slope_bound(d: int) -> dict:
     scan is too slow, so a rigorous rational upper bound pi*(R+1)^2 with
     pi < 355/113 is returned and flagged exact=False.
     """
-    if d < 3:
-        raise ValueError(f"need d >= 3, got {d}")
-    a = ALPHA ** (d - 2)
-    big_r = (d / a) * (2.0 * math.sqrt(2.0) / a + math.sqrt(2.0))
+    big_r = _slope_radius(d)
     if big_r <= 3e6:
         r2 = int(big_r * big_r)
         x_max = math.isqrt(r2)
@@ -210,5 +216,5 @@ def draw_straight(g: PlanarGraph) -> Drawing:
         points=pts,
         edges=arcs,
         coord_kind="int",
-        meta={"d_T": d_t, "scale": sl.scale, "R": slope_bound(d_t)["R"]},
+        meta={"d_T": d_t, "scale": sl.scale, "R": _slope_radius(d_t)},
     )

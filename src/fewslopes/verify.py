@@ -347,7 +347,15 @@ def check_noncrossing(dr: Drawing):
     for i, j, t in zip(ii[todo].tolist(), jj[todo].tolist(), turn[todo].tolist()):
         ei, si, p1, p2 = seg(i)
         ej, sj, p3, p4 = seg(j)
-        den, (p1, p2, p3, p4) = _lift_pair(p1, p2, p3, p4)
+        # int coordinates are their own lift; the types decide it, as a
+        # drawing's coord_kind does not bind its coordinates
+        if (
+            int is type(p1[0]) is type(p1[1]) is type(p2[0]) is type(p2[1])
+            is type(p3[0]) is type(p3[1]) is type(p4[0]) is type(p4[1])
+        ):
+            den = 1
+        else:
+            den, (p1, p2, p3, p4) = _lift_pair(p1, p2, p3, p4)
         # at a shared vertex only the sign's zeroness counts, and
         # _orient(p2, p1, x) = -_orient(p1, p2, x)
         if t and _orient(p1, p2, p4 if t == 4 else p3):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -186,3 +187,144 @@ class TestRatio:
         assert rep.min_ratio == pytest.approx(
             min(cp.radii[u], cp.radii[v]) / max(cp.radii[u], cp.radii[v])
         )
+
+
+# --- reference kernels ------------------------------------------------------------
+# The numpy-vector forms the lean kernels replaced; the kernels keep every
+# float operation, so they must agree to the bit.
+
+
+def oracle_laplacian_solve(ia, ib, w, m, rhs):
+    def apply(x):
+        xe = np.append(x, 0.0)
+        flow = w * (xe[ia] - xe[ib])
+        return (np.bincount(ia, flow, m + 1) - np.bincount(ib, flow, m + 1))[:m]
+
+    inv_diag = 1.0 / (np.bincount(ia, w, m + 1) + np.bincount(ib, w, m + 1))[:m]
+    x = np.zeros(m)
+    res = rhs.copy()
+    z = inv_diag * res
+    step = z.copy()
+    rz = np.sum(res * z)
+    stop = 1e-12 * np.sum(rhs * rhs)
+    for _ in range(10 * m):
+        if np.sum(res * res) <= stop:
+            break
+        q = apply(step)
+        alpha = rz / np.sum(step * q)
+        x += alpha * step
+        res -= alpha * q
+        z = inv_diag * res
+        rz, rz_old = np.sum(res * z), rz
+        step = z + (rz / rz_old) * step
+    return x
+
+
+def oracle_layout(radii, e):
+    """(centers, epsilon) of layout_centers, placed on 2-element arrays."""
+    r = np.asarray(radii, dtype=float)
+    a, b = e.outer_face[0], e.outer_face[1]
+    pos = {a: np.array([0.0, 0.0]), b: np.array([r[a] + r[b], 0.0])}
+    third = {}
+    for i, j, k in circlepack._inner_faces(e).tolist():
+        third[i, j], third[j, k], third[k, i] = k, i, j
+    queue = deque([(b, a)])
+    while queue:
+        u, v = queue.popleft()
+        w = third.get((u, v))
+        if w is None:
+            continue
+        for dart in ((u, v), (v, w), (w, u)):
+            del third[dart]
+        ou, ov = pos[u], pos[v]
+        du = r[u] + r[w]
+        dv = r[v] + r[w]
+        link = ov - ou
+        ell = float(np.hypot(*link))
+        x = (du * du - dv * dv + ell * ell) / (2.0 * ell)
+        y = math.sqrt(max(0.0, du * du - x * x))
+        uhat = link / ell
+        nhat = np.array([uhat[1], -uhat[0]])
+        ow = ou + x * uhat + y * nhat
+        if w in pos:
+            err = float(np.hypot(*(pos[w] - ow)))
+            assert err <= 1e-7 * max(1.0, float(np.hypot(*ow)))
+        else:
+            pos[w] = ow
+        queue.extend(dart for dart in ((v, u), (w, v), (u, w)) if dart in third)
+    arr = np.array([pos[v] for v in range(e.graph.n)])
+    centers = tuple((float(x), float(y)) for x, y in arr)
+    return centers, max(1e-10, circlepack._tangency_residual(arr, r, e.graph.edges) * 1.5)
+
+
+def oracle_overlap(centers, radii, epsilon, g):
+    """The first overlapping non-adjacent pair's message, one row at a time."""
+    c, r = np.asarray(centers), np.asarray(radii)
+    for u in range(g.n - 1):
+        dist = np.hypot(*(c[u + 1 :] - c[u]).T)
+        overlap = dist < (r[u] + r[u + 1 :]) * (1.0 - epsilon)
+        overlap[[w - u - 1 for w in g.neighbors(u) if w > u]] = False
+        if overlap.any():
+            return f"non-adjacent disks {u},{u + 1 + np.argmax(overlap)} overlap"
+    return None
+
+
+BOUNDED = [(n, seed) for n in (50, 100, 150) for seed in (1, 2, 3)]
+
+
+def bounded_embedding(n, seed):
+    return planar_embed(bench_instances().bounded_triangulation(n, 8, seed))
+
+
+class TestAgainstReferenceKernels:
+    @pytest.mark.parametrize("n, seed", [*BOUNDED, (1000, 1)])
+    def test_laplacian_solve_bit_equal(self, n, seed, monkeypatch):
+        lean = circlepack._laplacian_solve
+        solves = []
+
+        def both(ia, ib, w, m, rhs):
+            x = lean(ia, ib, w, m, rhs)
+            assert x.tobytes() == oracle_laplacian_solve(ia, ib, w, m, rhs).tobytes()
+            solves.append(m)
+            return x
+
+        monkeypatch.setattr(circlepack, "_laplacian_solve", both)
+        pack_radii(bounded_embedding(n, seed), 1e-12)
+        assert len(solves) >= 3
+
+    @pytest.mark.parametrize("n, seed", BOUNDED)
+    def test_layout_bit_equal(self, n, seed):
+        e = bounded_embedding(n, seed)
+        radii = pack_radii(e, 1e-12)
+        cp = layout_centers(radii, e)
+        assert (cp.centers, cp.epsilon) == oracle_layout(radii, e)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("n, seed", BOUNDED)
+    def test_overlap_scan_in_split_blocks(self, n, seed, rows, monkeypatch):
+        e = bounded_embedding(n, seed)
+        cp = layout_centers(pack_radii(e, 1e-12), e)
+        monkeypatch.setattr(circlepack, "_OVERLAP_BLOCK_PAIRS", rows * n)
+        assert oracle_overlap(cp.centers, cp.radii, cp.epsilon, cp.embedding.graph) is None
+        CirclePacking(cp.centers, cp.radii, cp.outer, cp.epsilon, cp.embedding)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, None])
+    def test_overlap_scan_names_the_first_pair(self, rows, monkeypatch):
+        # two pendant vertices, each a copy of an inner disk, tangent to one of
+        # its neighbors: every edge stays tangent, and the copy of 20 (vertex
+        # n + 1) names the first pair, (20, n + 1), though the copy of 70
+        # (vertex n) has the smaller number
+        e = bounded_embedding(100, 2)
+        cp = layout_centers(pack_radii(e, 1e-12), e)
+        g, n = e.graph, e.graph.n
+        copied = (70, 20)
+        edges = g.edges + tuple((min(g.neighbors(w)), n + i) for i, w in enumerate(copied))
+        grown = planar_embed(PlanarGraph(n + 2, edges))
+        centers = cp.centers + tuple(cp.centers[w] for w in copied)
+        radii = cp.radii + tuple(cp.radii[w] for w in copied)
+        if rows is not None:
+            monkeypatch.setattr(circlepack, "_OVERLAP_BLOCK_PAIRS", rows * (n + 2))
+        with pytest.raises(ValueError) as err:
+            CirclePacking(centers, radii, cp.outer, cp.epsilon, grown)
+        want = oracle_overlap(centers, radii, cp.epsilon, grown.graph)
+        assert str(err.value) == want == f"non-adjacent disks 20,{n + 1} overlap"

@@ -22,6 +22,11 @@ K5 = {"n": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]}
 
 K4 = {"n": 4, "edges": [[u, v] for u in range(4) for v in range(u + 1, 4)]}
 
+
+def cycle(k):
+    return {"n": k, "edges": [[i, (i + 1) % k] for i in range(k)]}
+
+
 CROSSING = {
     "method": "custom",
     "points": [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
@@ -113,6 +118,20 @@ class TestExitCodes:
         assert run(["draw", "--method", "twobend", "--slopes", "2", "--in", gp]) == 1
         err = capsys.readouterr().err
         assert "DegreeTooHigh" in err
+
+    @pytest.mark.parametrize("k, slopes", [(4, 2), (5, 3)])
+    def test_cycle_within_slope_override_draws(self, tmp_path, k, slopes):
+        gp = put(tmp_path, "g.json", cycle(k))
+        dp = str(tmp_path / "d.json")
+        rp = str(tmp_path / "r.json")
+        assert run(["draw", "--method", "twobend", "--slopes", str(slopes), "--in", gp, "--out", dp]) == 0
+        assert run(["verify", "--in", dp, "--out", rp]) == 0
+        assert get(rp)["distinct_slopes"] == slopes
+
+    def test_odd_cycle_on_two_slopes_fails(self, tmp_path, capsys):
+        gp = put(tmp_path, "g.json", cycle(5))
+        assert run(["draw", "--method", "twobend", "--slopes", "2", "--in", gp]) == 1
+        assert "SlopesTooFew" in capsys.readouterr().err
 
     def test_nonplanar_input_fails(self, tmp_path, capsys):
         gp = put(tmp_path, "g.json", K5)

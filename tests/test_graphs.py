@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -252,8 +253,15 @@ class TestLeftRightMatchesNetworkx:
             assert _rotate_min(t) == min(t[i:] + t[:i] for i in range(len(t))), t
 
     def test_wide_star_embeds(self):
-        e = planar_embed(PlanarGraph(10_001, tuple((0, v) for v in range(1, 10_001))))
-        assert len(e.faces) == 1 and len(e.outer_face) == 20_000
+        # face tracing costs O(1) per dart: 40 000 leaves took about 27 s
+        # when each step searched the center's rotation
+        for leaves in (10_000, 40_000):
+            t0 = time.perf_counter()
+            e = planar_embed(PlanarGraph(leaves + 1, tuple((0, v) for v in range(1, leaves + 1))))
+            assert time.perf_counter() - t0 < 10.0
+            assert len(e.faces) == 1 and len(e.outer_face) == 2 * leaves
+            assert set(e.outer_face[::2]) == {0}
+            assert sorted(e.outer_face[1::2]) == list(range(1, leaves + 1))
 
 
 class TestTriangulate:

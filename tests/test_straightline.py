@@ -14,6 +14,7 @@ import pytest
 from conftest import BENCH_INSTANCES, bench_instances, bounded_stack
 
 import fewslopes
+from fewslopes import straightline
 from fewslopes.circlepack import ALPHA, CirclePacking, layout_centers, pack_radii
 from fewslopes.errors import FewslopesError, PrecisionExhausted, TooFewVertices
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
@@ -97,6 +98,15 @@ class TestScaleConstants:
     def test_rejects_degenerate_degree(self):
         with pytest.raises(ValueError):
             slope_bound(2)
+
+    def test_draw_takes_the_radius_without_the_lattice_count(self, monkeypatch):
+        def counted(d):
+            raise AssertionError("draw_straight ran the lattice-point count")
+
+        monkeypatch.setattr(straightline, "slope_bound", counted)
+        dr = draw_straight(gen_random_triangulation(30, 1))
+        monkeypatch.undo()
+        assert dr.meta["R"] == slope_bound(dr.meta["d_T"])["R"]
 
 
 class TestSnap:

@@ -416,6 +416,17 @@ class TestFilter:
                     verdicts.add(want[0])
         assert verdicts == {True, False}
 
+    def test_int_drawing_with_a_float_coordinate(self):
+        # (0.5, 0.5) lies half a unit of area right of the line through (0, 0)
+        # and (2^60, 2^60 + 1), on it in float arithmetic; coord_kind "int"
+        # does not make the float an int, so the pair is still lifted
+        x = 2**60
+        dr = mk(
+            [(0, 0), (x, x + 1), (0.5, 0.5), (1, 0)],
+            [(0, 1, [(0, 0), (x, x + 1)]), (2, 3, [(0.5, 0.5), (1, 0)])],
+        )
+        assert check_noncrossing(dr) == pairwise_noncrossing(dr) == (True, None)
+
     @pytest.mark.parametrize("base, step", [(2**53, 1), (2**53 + 1, 3), (2**60, 100)])
     def test_ints_beyond_float_precision(self, base, step, monkeypatch):
         # grid points base + step * k collapse and shift when rounded to
