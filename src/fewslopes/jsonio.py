@@ -1,18 +1,16 @@
 """JSON serialization for graphs, packings and drawings.
 
-All emitters produce canonical bytes: sorted keys, no whitespace, exact
-rationals carried as "num/den" strings alongside a decimal rendering.
+All emitters produce canonical bytes: sorted keys, no whitespace.
 parse(emit(x)) round-trips every object.
 
-A drawing's coordinates must match its coord_kind: JSON integers in an
-"int" drawing, JSON numbers in a "float" one, and {"frac": "num/den", ...}
-objects or plain integers (read as n/1) in a "rational" one; anything else
-raises ValueError naming the coordinate. Each vertex point is converted
-once in either direction: the emitter writes the converted vertex point as
-both ends of its edges' polylines, and the parser reads a poly end that
-equals its vertex point's JSON, value by value and type by type, as that
-vertex point. Any other poly end is parsed on its own, so Drawing still
-rejects one whose value differs from its vertex point.
+A drawing is written in format 2: {"format": 2, "method", "coord_kind",
+"points", "edges", "meta"}, each edge {"u", "v", "bends"} plus an optional
+"slope_indices". bends are the interior points of its polyline, which the
+parser builds as (points[u], *bends, points[v]). Coordinates must match
+coord_kind: JSON integers in an "int" drawing, JSON numbers in a "float"
+one, and "num/den" strings or plain integers in a "rational" one. A
+malformed drawing, or one in format 1 (edges with "poly"), raises
+ValueError naming the field or coordinate.
 """
 
 from __future__ import annotations
@@ -39,23 +37,15 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _num_to_obj(x, kind: str):
-    if kind == "int":
-        return int(x)
-    if kind == "rational":
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-        num, den = x.numerator, x.denominator  # an int is num/1
-        try:
-            dec = format(num / den, ".17g")
-        except OverflowError:  # beyond the float range; "frac" stays exact
-            dec = "inf" if num > 0 else "-inf"
-        return {"dec": dec, "frac": f"{num}/{den}"}
-    return float(x)
+def _rational_to_obj(x) -> str:
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"  # an int is n/1
 
 
-# readers of one coordinate per coord_kind; they test type(o), not
-# isinstance, because a JSON true or false is no coordinate
+# writers and readers of one coordinate per coord_kind; the readers test
+# type(o), not isinstance, because a JSON true or false is no coordinate
+_NUM_TO_OBJ = {"int": int, "rational": _rational_to_obj, "float": float}
 
 
 def _int_from_obj(o):
@@ -65,11 +55,11 @@ def _int_from_obj(o):
 
 
 def _rational_from_obj(o):
-    if type(o) is dict:
+    if type(o) is str:
         try:
-            num, den = o["frac"].split("/")
+            num, den = o.split("/")
             return Fraction(int(num), int(den))
-        except (KeyError, AttributeError, ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):
             pass
     elif type(o) is int:
         return Fraction(o)
@@ -90,13 +80,22 @@ def _float_from_obj(o):
 _NUM_FROM_OBJ = {"int": _int_from_obj, "rational": _rational_from_obj, "float": _float_from_obj}
 
 
-def _point_to_obj(p, kind):
-    return [_num_to_obj(p[0], kind), _num_to_obj(p[1], kind)]
-
-
 def _point_from_obj(o, num):
-    x, y = o
-    return (num(x), num(y))
+    if type(o) is not list or len(o) != 2:
+        raise ValueError(f"point {o!r} is not a pair of coordinates")
+    return (num(o[0]), num(o[1]))
+
+
+_JSON_TYPE = {dict: "an object", list: "an array", int: "an integer", str: "a string"}
+
+
+def _field(obj: dict, key: str, typ: type, where: str):
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    x = obj[key]
+    if type(x) is not typ:  # so a JSON true is no integer
+        raise ValueError(f"{where} field {key!r} is not {_JSON_TYPE[typ]}: {x!r}")
+    return x
 
 
 # --- graphs -----------------------------------------------------------------------
@@ -140,72 +139,68 @@ def packing_from_obj(obj) -> CirclePacking:
 
 
 def drawing_to_obj(dr: Drawing) -> dict:
-    kind = dr.coord_kind
+    kind, num = dr.coord_kind, _NUM_TO_OBJ[dr.coord_kind]
     n = len(dr.points)
     if sorted(dr.points) != list(range(n)):
         raise ValueError("drawing points must cover vertex ids 0..n-1")
-    # Drawing makes every poly end equal its vertex point, so each vertex
-    # point is converted once and the object is shared by its poly ends
-    points = [_point_to_obj(dr.points[v], kind) for v in range(n)]
     edges = []
     for a in dr.edges:
-        inner = [_point_to_obj(p, kind) for p in a.poly[1:-1]]
-        eo = {"u": a.u, "v": a.v, "poly": [points[a.u], *inner, points[a.v]]}
+        eo = {"u": a.u, "v": a.v, "bends": [[num(x), num(y)] for x, y in a.poly[1:-1]]}
         if a.slope_indices is not None:
             eo["slope_indices"] = list(a.slope_indices)
         edges.append(eo)
     return {
+        "format": 2,
         "method": dr.method,
         "coord_kind": kind,
-        "points": points,
+        "points": [[num(dr.points[v][0]), num(dr.points[v][1])] for v in range(n)],
         "edges": edges,
         "meta": _meta_to_obj(dr.meta),
     }
 
 
-def _infer_kind(obj) -> str:
-    nums = [c for p in obj["points"] for c in p]
-    nums += [c for eo in obj["edges"] for p in eo["poly"] for c in p]
-    if any(isinstance(c, dict) for c in nums):
+def _infer_kind(points, bends) -> str:
+    nums = [c for p in (*points, *bends) if type(p) is list for c in p]
+    if any(type(c) is str for c in nums):
         return "rational"
-    if all(isinstance(c, int) and not isinstance(c, bool) for c in nums):
+    if all(type(c) is int for c in nums):
         return "int"
     return "float"
 
 
 def drawing_from_obj(obj) -> Drawing:
+    if type(obj) is not dict:
+        raise ValueError(f"a drawing is a JSON object, not {type(obj).__name__}")
+    fmt = obj.get("format", 2)  # hand-written files may omit it
+    if type(fmt) is not int or fmt != 2:
+        raise ValueError(f"drawing format {fmt!r} is not 2, the only format read")
+    method = _field(obj, "method", str, "drawing")
+    raw_points = _field(obj, "points", list, "drawing")
+    edges = []
+    for i, eo in enumerate(_field(obj, "edges", list, "drawing")):
+        where = f"edge {i}"
+        if type(eo) is not dict:
+            raise ValueError(f"{where} is not an object: {eo!r}")
+        if "poly" in eo:
+            raise ValueError(f"{where} has a 'poly' field: a format 1 drawing, not read")
+        u, v = _field(eo, "u", int, where), _field(eo, "v", int, where)
+        si = tuple(_field(eo, "slope_indices", list, where)) if "slope_indices" in eo else None
+        edges.append((u, v, _field(eo, "bends", list, where), si))
     # coord_kind and meta are our extensions; hand-written files may omit them
-    kind = obj.get("coord_kind") or _infer_kind(obj)
-    if kind not in _NUM_FROM_OBJ:
+    kind = obj.get("coord_kind") or _infer_kind(raw_points, [p for e in edges for p in e[2]])
+    if type(kind) is not str or kind not in _NUM_FROM_OBJ:
         raise ValueError(f"unknown coord_kind {kind!r}")
     num = _NUM_FROM_OBJ[kind]
-    raw = obj["points"]
-    points = {v: _point_from_obj(p, num) for v, p in enumerate(raw)}
-
-    def end(w, o):
-        # a poly end written like its vertex point is that point; == alone
-        # equates 1, 1.0 and true, so the JSON types must match too. Any other
-        # end is parsed, and Drawing rejects it if its value differs.
-        r = raw[w] if w in points else None
-        if o == r and type(o[0]) is type(r[0]) and type(o[1]) is type(r[1]):
-            return points[w]
-        return _point_from_obj(o, num)
-
+    points = {v: _point_from_obj(p, num) for v, p in enumerate(raw_points)}
     arcs = []
-    for eo in obj["edges"]:
-        u, v, poly = eo["u"], eo["v"], eo["poly"]
-        pts = [_point_from_obj(p, num) for p in poly[1:-1]]
-        if len(poly) >= 2:  # else EdgeArc rejects the polyline
-            pts = [end(u, poly[0]), *pts, end(v, poly[-1])]
-        arcs.append(
-            EdgeArc(
-                u,
-                v,
-                tuple(pts),
-                tuple(eo["slope_indices"]) if "slope_indices" in eo else None,
-            )
-        )
-    return Drawing(obj["method"], points, tuple(arcs), kind, dict(obj.get("meta", {})))
+    for u, v, bends, si in edges:
+        try:
+            poly = (points[u], *[_point_from_obj(p, num) for p in bends], points[v])
+        except KeyError as exc:
+            raise ValueError(f"edge endpoint {exc.args[0]} has no vertex point") from None
+        arcs.append(EdgeArc(u, v, poly, si))
+    meta = dict(_field(obj, "meta", dict, "drawing")) if "meta" in obj else {}
+    return Drawing(method, points, tuple(arcs), kind, meta)
 
 
 def _meta_to_obj(meta):
@@ -215,7 +210,7 @@ def _meta_to_obj(meta):
         if isinstance(x, (list, tuple)):
             return [conv(v) for v in x]
         if isinstance(x, Fraction):
-            return _num_to_obj(x, "rational")
+            return _rational_to_obj(x)
         if isinstance(x, bool) or x is None:
             return x
         if isinstance(x, (int, float, str)):

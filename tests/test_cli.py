@@ -28,21 +28,23 @@ def cycle(k):
 
 
 CROSSING = {
+    "format": 2,
     "method": "custom",
     "points": [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
     "edges": [
-        {"u": 0, "v": 1, "poly": [[0.0, 0.0], [1.0, 1.0]]},
-        {"u": 2, "v": 3, "poly": [[0.0, 1.0], [1.0, 0.0]]},
+        {"u": 0, "v": 1, "bends": []},
+        {"u": 2, "v": 3, "bends": []},
     ],
 }
 
 # two directions 1.5e-3 rad apart: distinct at tol 1e-9, ambiguous at 1e-3
 NEAR_SLOPES = {
+    "format": 2,
     "method": "custom",
     "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0015]],
     "edges": [
-        {"u": 0, "v": 1, "poly": [[0.0, 0.0], [1.0, 0.0]]},
-        {"u": 2, "v": 3, "poly": [[0.0, 1.0], [1.0, 1.0015]]},
+        {"u": 0, "v": 1, "bends": []},
+        {"u": 2, "v": 3, "bends": []},
     ],
 }
 
@@ -183,15 +185,79 @@ class TestExitCodes:
         # the segment to the bad point would cross (1,0)-(0,1) if it were read
         p = tmp_path / "d.json"
         p.write_text(
-            '{"method":"custom","points":[[0.0,0.0],[%s,1.0],[1.0,0.0],[0.0,1.0]],'
-            '"edges":[{"u":0,"v":1,"poly":[[0.0,0.0],[%s,1.0]]},'
-            '{"u":2,"v":3,"poly":[[1.0,0.0],[0.0,1.0]]}]}' % (bad, bad),
+            '{"format":2,"method":"custom","points":[[0.0,0.0],[%s,1.0],[1.0,0.0],[0.0,1.0]],'
+            '"edges":[{"u":0,"v":1,"bends":[]},{"u":2,"v":3,"bends":[]}]}' % bad,
             encoding="utf-8",
         )
         assert run(["verify", "--in", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: non-finite coordinate")
         assert err.count("\n") == 1
+
+
+def _changed(obj, **changes):
+    """obj with fields replaced; a None value deletes the field."""
+    return {k: v for k, v in {**obj, **changes}.items() if v is not None}
+
+
+ONE_EDGE = {"u": 0, "v": 1, "bends": [[1, 0]]}
+ONE_EDGE_DRAWING = {
+    "format": 2, "method": "custom", "points": [[0, 0], [1, 1]], "edges": [ONE_EDGE],
+}
+
+
+def _malformed(**changes):
+    return _changed(ONE_EDGE_DRAWING, **changes)
+
+
+def _malformed_edge(**changes):
+    return _malformed(edges=[_changed(ONE_EDGE, **changes)])
+
+
+MALFORMED_DRAWINGS = {
+    "top-level-list": ([1, 2], "a drawing is a JSON object, not list"),
+    "no-method": (_malformed(method=None), "drawing has no 'method' field"),
+    "no-points": (_malformed(points=None), "drawing has no 'points' field"),
+    "no-edges": (_malformed(edges=None), "drawing has no 'edges' field"),
+    "points-not-a-list": (_malformed(points={"0": [0, 0]}), "field 'points' is not an array"),
+    "edge-not-an-object": (_malformed(edges=[[0, 1]]), "edge 0 is not an object"),
+    "no-u": (_malformed_edge(u=None), "edge 0 has no 'u' field"),
+    "no-v": (_malformed_edge(v=None), "edge 0 has no 'v' field"),
+    "no-bends": (_malformed_edge(bends=None), "edge 0 has no 'bends' field"),
+    "u-not-an-int": (_malformed_edge(u="0"), "edge 0 field 'u' is not an integer: '0'"),
+    "u-true": (_malformed_edge(u=True), "edge 0 field 'u' is not an integer: True"),
+    "bends-not-a-list": (_malformed_edge(bends=5), "edge 0 field 'bends' is not an array"),
+    "point-not-a-pair": (_malformed(points=[[0, 0], [1]]), r"point \[1\] is not a pair"),
+    "point-a-number": (_malformed(points=[[0, 0], 1]), "point 1 is not a pair"),
+    "bend-not-a-pair": (_malformed_edge(bends=[[1, 0, 0]]), r"point \[1, 0, 0\] is not a pair"),
+    "endpoint-without-point": (_malformed_edge(v=2), "edge endpoint 2 has no vertex point"),
+    "format-1-poly-edge": (  # a format 1 file has no "format" key
+        _malformed(format=None, edges=[{"u": 0, "v": 1, "poly": [[0, 0], [1, 0], [1, 1]]}]),
+        "edge 0 has a 'poly' field: a format 1 drawing",
+    ),
+    "format-1": (_malformed(format=1), "drawing format 1 is not 2"),
+    "format-3": (_malformed(format=3), "drawing format 3 is not 2"),
+    "format-string": (_malformed(format="2"), "drawing format '2' is not 2"),
+    "meta-not-an-object": (_malformed(meta=[1]), "field 'meta' is not an object"),
+    "slope-indices-not-a-list": (
+        _malformed_edge(slope_indices=3), "edge 0 field 'slope_indices' is not an array",
+    ),
+}
+
+
+def test_malformed_cases_start_from_a_valid_drawing(tmp_path):
+    assert run(["verify", "--in", put(tmp_path, "d.json", ONE_EDGE_DRAWING)]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DRAWINGS))
+def test_malformed_drawing_is_one_value_error(tmp_path, capsys, name):
+    obj, match = MALFORMED_DRAWINGS[name]
+    with pytest.raises(ValueError, match=match):
+        drawing_from_obj(obj)
+    assert run(["verify", "--in", put(tmp_path, "d.json", obj)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ")
+    assert err.count("\n") == 1
 
 
 def run_module(*args):
@@ -215,11 +281,12 @@ def test_verify_reports_a_crossing_beyond_float_range(tmp_path):
     # the edges cross at (2**1099, 1/2), whose x has no float
     big = 2**1100
     dp = put(tmp_path, "d.json", {
+        "format": 2,
         "method": "custom",
         "points": [[0, 0], [big, 1], [0, 1], [big, 0]],
         "edges": [
-            {"u": 0, "v": 1, "poly": [[0, 0], [big, 1]]},
-            {"u": 2, "v": 3, "poly": [[0, 1], [big, 0]]},
+            {"u": 0, "v": 1, "bends": []},
+            {"u": 2, "v": 3, "bends": []},
         ],
     })
     out = run_module("verify", "--in", dp)

@@ -1,7 +1,6 @@
 """Round-trip and canonical-bytes tests for the JSON layer."""
 
 import json
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -123,8 +122,54 @@ class TestDrawingRoundTrip:
             drawing_to_obj(dr)
 
 
+class TestFormat2:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: draw_straight(gen_octahedron()),
+            lambda: draw_onebend(gen_random_triangulation(30, 2)),
+            lambda: draw_twobend(gen_random_triangulation(18, seed=2)),
+        ],
+        ids=["straight", "onebend", "twobend"],
+    )
+    def test_structure(self, build):
+        dr = build()
+        text = canon(drawing_to_obj(dr))
+        obj = json.loads(text)
+        assert set(obj) == {"format", "method", "coord_kind", "points", "edges", "meta"}
+        assert obj["format"] == 2
+        for eo, arc in zip(obj["edges"], dr.edges, strict=True):
+            assert set(eo) - {"slope_indices"} == {"u", "v", "bends"}
+            assert len(eo["bends"]) == len(arc.poly) - 2
+        want = {"int": int, "rational": str, "float": float}[dr.coord_kind]
+        coords = [c for p in obj["points"] for c in p]
+        coords += [c for eo in obj["edges"] for p in eo["bends"] for c in p]
+        assert all(type(c) is want for c in coords)
+        assert "frac" not in text and "dec" not in text  # no rational as a dict
+        assert canon(drawing_to_obj(drawing_from_obj(json.loads(text)))) == text
+
+    def test_polyline_ends_are_the_vertex_points(self):
+        dr = drawing_from_obj(json.loads(canon(drawing_to_obj(draw_onebend(gen_octahedron())))))
+        for a in dr.edges:
+            assert a.poly[0] is dr.points[a.u] and a.poly[-1] is dr.points[a.v]
+
+    @pytest.mark.parametrize(
+        "kind, p, bends, q",
+        [
+            ("rational", ["1/2", "0/1"], [["2/4", "0/5"]], ["3/1", "3/1"]),
+            ("rational", ["1/2", "0/1"], [["1/1", "1/1"], ["1/1", "1/1"]], ["3/1", "3/1"]),
+            ("int", [1, 0], [[3, 3]], [3, 3]),
+            ("float", [0.5, 0.0], [[0.5, 0.0]], [3.0, 3.0]),
+        ],
+        ids=["rational-equal-to-its-point", "rational-equal-bends", "int", "float"],
+    )
+    def test_bend_equal_to_its_neighbour_is_degenerate(self, kind, p, bends, q):
+        with pytest.raises(ValueError, match="degenerate polyline piece"):
+            drawing_from_obj(segment_obj(kind, p, q, bends))
+
+
 class TestRationalEncoding:
-    def test_frac_and_dec_fields(self):
+    def test_rational_is_one_num_den_string(self):
         dr = Drawing(
             "custom",
             {0: (Fraction(1, 3), Fraction(0)), 1: (Fraction(2), Fraction(-5, 4))},
@@ -133,9 +178,7 @@ class TestRationalEncoding:
             {},
         )
         obj = drawing_to_obj(dr)
-        cell = obj["points"][0][0]
-        assert cell["frac"] == "1/3"
-        assert math.isclose(float(cell["dec"]), 1.0 / 3.0)
+        assert obj["points"] == [["1/3", "0/1"], ["2/1", "-5/4"]]
         back = drawing_from_obj(obj)
         assert back.points[0][0] == Fraction(1, 3)
         assert back.points[1][1] == Fraction(-5, 4)
@@ -149,8 +192,8 @@ class TestRationalEncoding:
             {"step": Fraction(3, 7), "nested": [Fraction(1, 2), 4]},
         )
         obj = drawing_to_obj(dr)
-        assert obj["meta"]["step"]["frac"] == "3/7"
-        assert obj["meta"]["nested"][0]["frac"] == "1/2"
+        assert obj["meta"]["step"] == "3/7"
+        assert obj["meta"]["nested"] == ["1/2", 4]
         json.loads(canon(obj))
 
     def test_meta_of_unknown_type_rejected(self):
@@ -168,8 +211,8 @@ class TestRationalEncoding:
         )
         text = canon(drawing_to_obj(dr))
         obj = json.loads(text)
-        assert obj["points"][1][0] == {"dec": "inf", "frac": f"{2**1100}/3"}
-        assert obj["meta"]["far"]["dec"] == "-inf"
+        assert obj["points"][1][0] == f"{2**1100}/3"
+        assert obj["meta"]["far"] == f"-{2**1100}/3"
         back = drawing_from_obj(obj)
         assert back.points[1][0] == far
         assert canon(drawing_to_obj(back)) == text
@@ -181,7 +224,7 @@ class TestHandWrittenLeniency:
         obj = {
             "method": "custom",
             "points": [[0, 0], [4, 2]],
-            "edges": [{"u": 0, "v": 1, "poly": [[0, 0], [4, 2]]}],
+            "edges": [{"u": 0, "v": 1, "bends": [[4, 0]]}],
         }
         dr = drawing_from_obj(obj)
         assert dr.coord_kind == "int"
@@ -191,90 +234,77 @@ class TestHandWrittenLeniency:
     def test_kind_inferred_float(self):
         obj = {
             "method": "custom",
-            "points": [[0.0, 0.0], [1, 2.5]],
-            "edges": [{"u": 0, "v": 1, "poly": [[0.0, 0.0], [1, 2.5]]}],
+            "points": [[0, 0], [1, 2]],
+            "edges": [{"u": 0, "v": 1, "bends": [[0.5, 0]]}],
         }
         dr = drawing_from_obj(obj)
         assert dr.coord_kind == "float"
-        assert dr.points[1] == (1.0, 2.5)
+        assert dr.points[1] == (1.0, 2.0)
+        assert dr.edges[0].poly[1] == (0.5, 0.0)
 
     def test_kind_inferred_rational(self):
         obj = {
             "method": "custom",
-            "points": [[{"dec": "0.5", "frac": "1/2"}, {"dec": "0", "frac": "0/1"}]],
+            "points": [["1/2", "0/1"]],
             "edges": [],
         }
         dr = drawing_from_obj(obj)
         assert dr.coord_kind == "rational"
         assert dr.points[0] == (Fraction(1, 2), Fraction(0))
 
+    def test_kind_inferred_rational_from_a_bend(self):
+        obj = {
+            "method": "custom",
+            "points": [[0, 0], [4, 2]],
+            "edges": [{"u": 0, "v": 1, "bends": [["7/2", "0/1"]]}],
+        }
+        dr = drawing_from_obj(obj)
+        assert dr.coord_kind == "rational"
+        assert dr.edges[0].poly == ((0, 0), (Fraction(7, 2), 0), (4, 2))
 
-def rat(frac: str) -> dict:
-    num, den = frac.split("/")
-    return {"dec": format(int(num) / int(den), ".17g"), "frac": frac}
 
-
-def segment_obj(kind, p, q, poly=None):
-    """A one-edge drawing from vertex point p to q, poly defaulting to [p, q]."""
+def segment_obj(kind, p, q, bends=()):
+    """A one-edge drawing from vertex point p to q through bends."""
     return {
+        "format": 2,
         "method": "custom",
         "coord_kind": kind,
         "points": [p, q],
-        "edges": [{"u": 0, "v": 1, "poly": poly if poly is not None else [p, q]}],
+        "edges": [{"u": 0, "v": 1, "bends": list(bends)}],
     }
 
 
 class TestDrawingParse:
-    def test_poly_end_equal_in_value_is_canonicalised(self):
-        half, one = [rat("1/2"), rat("0/1")], [rat("1/1"), rat("1/1")]
-        obj = segment_obj("rational", half, one, [[rat("2/4"), rat("0/5")], one])
-        dr = drawing_from_obj(obj)
-        assert dr.edges[0].poly == ((Fraction(1, 2), Fraction(0)), (Fraction(1), Fraction(1)))
-        want = canon(segment_obj("rational", half, one) | {"meta": {}})
-        assert canon(drawing_to_obj(dr)) == want
-
-    def test_poly_end_written_like_its_point_is_that_point(self):
-        dr = drawing_from_obj(json.loads(canon(drawing_to_obj(draw_onebend(gen_octahedron())))))
-        for a in dr.edges:
-            assert a.poly[0] is dr.points[a.u] and a.poly[-1] is dr.points[a.v]
-
-    @pytest.mark.parametrize(
-        "kind, p, end, q",
-        [
-            ("rational", [rat("1/2"), rat("0/1")], [rat("1/3"), rat("0/1")], [3, 3]),
-            ("int", [1, 0], [2, 0], [3, 3]),
-            ("float", [0.5, 0.0], [0.25, 0.0], [3.0, 3.0]),
-        ],
-    )
-    def test_poly_end_of_another_value_rejected(self, kind, p, end, q):
-        with pytest.raises(ValueError, match="does not end at vertex point of 0"):
-            drawing_from_obj(segment_obj(kind, p, q, [end, q]))
-
     @pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1", None])
     def test_int_coordinate_must_be_an_integer(self, bad):
         # 1.5 used to be read as 1, and the verifier then certified (0,0)-(1,1)
         with pytest.raises(ValueError, match=f"coordinate {bad!r} is not a valid int"):
             drawing_from_obj(segment_obj("int", [0, 0], [bad, 1]))
 
-    def test_int_poly_end_true_is_not_its_point_one(self):
-        # true == 1 in Python; the parser must not read it as the point [1, 0]
+    def test_int_bend_true_is_not_one(self):
+        # true == 1 in Python; the parser must not read the bend as [1, 0]
         with pytest.raises(ValueError, match="coordinate True"):
-            drawing_from_obj(segment_obj("int", [0, 0], [1, 0], [[0, 0], [True, 0]]))
+            drawing_from_obj(segment_obj("int", [0, 0], [2, 2], [[True, 0]]))
 
     def test_rational_file_may_write_plain_ints(self):
-        obj = segment_obj("rational", [0, rat("1/2")], [3, -2])
+        obj = segment_obj("rational", [0, "1/2"], [3, -2])
         dr = drawing_from_obj(obj)
         assert dr.points == {0: (0, Fraction(1, 2)), 1: (3, -2)}
         assert all(type(c) is Fraction for p in dr.points.values() for c in p)
         text = canon(drawing_to_obj(dr))
-        assert json.loads(text)["points"] == [[rat("0/1"), rat("1/2")], [rat("3/1"), rat("-2/1")]]
+        assert json.loads(text)["points"] == [["0/1", "1/2"], ["3/1", "-2/1"]]
         assert canon(drawing_to_obj(drawing_from_obj(json.loads(text)))) == text
 
     def test_inferred_rational_with_plain_ints(self):
-        obj = segment_obj("rational", [0, rat("1/2")], [3, 2])
+        obj = segment_obj("rational", [0, "1/2"], [3, 2])
         del obj["coord_kind"]
         dr = drawing_from_obj(obj)
         assert dr.coord_kind == "rational" and dr.points[1] == (3, 2)
+
+    def test_unreduced_rational_is_read_reduced(self):
+        dr = drawing_from_obj(segment_obj("rational", ["2/4", "0/5"], ["3/-1", "6/2"]))
+        assert dr.points == {0: (Fraction(1, 2), 0), 1: (-3, 3)}
+        assert drawing_to_obj(dr)["points"] == [["1/2", "0/1"], ["-3/1", "3/1"]]
 
     @pytest.mark.parametrize(
         "kind, bad",
@@ -289,6 +319,12 @@ class TestDrawingParse:
             ("float", "0.5"),
             ("float", False),
             pytest.param("float", 10**400, id="float-int-past-float-range"),
+            pytest.param("rational", "1/0", id="rational-zero-den"),
+            pytest.param("rational", "0.5", id="rational-decimal"),
+            pytest.param("rational", "1/2/3", id="rational-two-slashes"),
+            pytest.param("rational", "3", id="rational-no-slash"),
+            pytest.param("rational", "x/2", id="rational-not-a-number"),
+            pytest.param("float", "1/2", id="float-num-den"),
         ],
     )
     def test_malformed_coordinate_is_a_value_error(self, kind, bad):
@@ -298,3 +334,5 @@ class TestDrawingParse:
     def test_unknown_coord_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown coord_kind 'complex'"):
             drawing_from_obj(segment_obj("complex", [0, 0], [1, 1]))
+        with pytest.raises(ValueError, match=r"unknown coord_kind \['int'\]"):
+            drawing_from_obj(segment_obj(["int"], [0, 0], [1, 1]))

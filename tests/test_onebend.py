@@ -337,33 +337,35 @@ def test_onebend_at_3000_vertices_certifies():
 
 # sha256 of the canonical JSON of each drawing, taken when the columns,
 # T-shape ends and bends were computed in Fraction arithmetic: the integer
-# construction must keep every coordinate
+# construction must keep every coordinate. Re-taken for drawing format 2
+# once each drawing's format 2 parse equalled its format 1 parse, every
+# coordinate in value and type.
 PINNED_BYTES = {
     "octahedron": (lambda: draw_onebend(gen_octahedron()),
-        "fbb71b7de2d3f52653f3446c982bc038d363bd2f7efdca51e09f8e1189cd5805",
+        "e736bb5af223c4f0066f9a6ba1bf635d2bfaae2614f2590c88f5262cdf0b1973",
     ),
     "gd_5": (lambda: draw_onebend(gen_gd(5)),
-        "adbb7d35aa0ca349e36a00ad1242a549ab4ae0ac5cae219f9badd6080706d907",
+        "786e4ed7b31a1465a161157d12460188d8366e8c2f1399e3b3e2718229bf3a61",
     ),
     "gd_6": (lambda: draw_onebend(gen_gd(6)),
-        "4e1c57e66d259707df6d7d563c673a85136dcf146c6dd809ae03c8c3ff819d6d",
+        "c13ff2d469ef3355e10dcac21a9487ac8aa3c8c12aca51bd50a808c7e76f36df",
     ),
     "gd_7": (lambda: draw_onebend(gen_gd(7)),
-        "0ec22dc339246a13632d8a7a85f3509188c997c0d1a424408bea6382c475996e",
+        "636b8e10b155fbe5ede9a6b2823896a6e8b810ec9345fb16c29879b51218da99",
     ),
     "random_triangulation_30_2": (lambda: draw_onebend(gen_random_triangulation(30, 2)),
-        "df42d13fddb71aedd99a1395f8eaf7ba823ea8d2ad41f654b1b68cc3a5d0fc55",
+        "e0e0bfa3d6bd5c697d67c886d21bd4f8c557a226ae8e63d4caf8e487149fe5bc",
     ),
     "single_edge": (lambda: draw_onebend(PlanarGraph(2, ((0, 1),))),
-        "7eb10073c1c26db4aa32ae61ae496373e21c0f08ff7644173f95cc2a2a8d5a75",
+        "c9e50cf44bde03e3155729c6458eafa294bc518c680fec23eaa571400c22c498",
     ),
     "five_cycle_with_chord": (
         lambda: draw_onebend(PlanarGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)))),
-        "130d573364a307ecc7bb34f130f6b37280967c1d0caa3dd56f9f93c81a5464d8",
+        "181fc9ea249a981c55c0efa8f9d790a7b02e6289e687c75f3b488da4d40e4222",
     ),
     "bounded_triangulation_300_8_1": (
         lambda: draw_onebend(bench_instances().bounded_triangulation(300, 8, 1)),
-        "701c17ba6cf4ce14b209aed1c0c5d86cbf0e41a3f9727afda23732019b021378",
+        "0758d9eab772c96e246fb3845ae0e62f01a01fe93cb90904e3564fed8aac3b59",
     ),
 }
 

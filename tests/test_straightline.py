@@ -290,31 +290,33 @@ class TestDrawStraight:
 # sha256 of the canonical JSON of each drawing without its meta, i.e. of its
 # integer points and edges, taken when layout_centers traced the face of
 # every dart it took from the queue. meta is left out: its "scale" is a
-# float from np.exp, whose rounding may differ between CPUs.
+# float from np.exp, whose rounding may differ between CPUs. Re-taken for
+# drawing format 2 once each drawing's format 2 parse equalled its format 1
+# parse, every coordinate in value and type.
 PINNED_POINTS = {
     "octahedron": (gen_octahedron,
-        "353c1486221d5c4f3d8dcb1475a900de758a3a42b25c6f6e0e0addd32f715271",
+        "27e5ac643e0b5be0ff407d7f2279b8c3cc6fefeb2b802ba10666496b2e8f9768",
     ),
     "random_triangulation_30_2": (lambda: gen_random_triangulation(30, 2),
-        "7b1a61e0ac6f5c9ad915686763eb274a71f690fa854f2c79a7d99c5b342a8d5e",
+        "af43da3d0712d26427482dfb8647360e830ab8d7f6c450ad612795d4efaa07b6",
     ),
     "gd_5": (lambda: gen_gd(5),
-        "94c3299e2839970600ec23b6d0a8c63b7314ae5e9a46d09427600a3bfe60fa0c",
+        "017a8091d9e4febc9a075a3d8131ac28252dcd7b94522d7d2c53545f48d8edb3",
     ),
     "gd_6": (lambda: gen_gd(6),
-        "38ce01b4c0dcfade4f7eb6792fa57f018637ad55268aa88357d3da8e248b7b7e",
+        "260c37a2529aa1d7238ae9f65dcb5a71fc49581a619e1d9235788368efbaa76b",
     ),
     "five_cycle_with_chord": (
         lambda: PlanarGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2))),
-        "f6abd49ee637058229db9e0fe03416af6e04e52c8b9adf4e140e87531fbc1ae9",
+        "68fce13303d48e8dd1074de8f8b55c5aa2e4a6e21c73c6cceb94224c56c0f349",
     ),
     "bounded_triangulation_100_8_1": (
         lambda: bench_instances().bounded_triangulation(100, 8, 1),
-        "8941f6ac5d3113b84931e4e003e8f6ba679c9ac523f4ac72ec34a9a8e4307b4b",
+        "114c83741b5bb0d6f52bdb776b3cdf9f00aed07d98d17b0e7f13bca6c8f6cc92",
     ),
     "bounded_triangulation_75_8_2": (
         lambda: bench_instances().bounded_triangulation(75, 8, 2),
-        "ea58dcbb32d959555ce582a1837f431045e338900a37737c36055635424fa473",
+        "87190aa8426d740c3f1e110f1055b0028752f03042601835591b939a42f1d38a",
     ),
 }
 

@@ -551,49 +551,51 @@ def _bench_twobend(n: int):
 # per vertex: the lowpoint st-order and the spliced pending list must keep
 # every order, column x and coordinate. The twobend-blocks digests were
 # taken when st_order searched the whole unplaced subgraph per step and
-# _clearance scanned every feature of the composite per glue.
+# _clearance scanned every feature of the composite per glue. All were
+# re-taken for drawing format 2 once each drawing's format 2 parse equalled
+# its format 1 parse, every coordinate in value and type.
 PINNED_BYTES = {
     "octahedron": (lambda: draw_twobend(gen_octahedron(), SlopeSet(3)),
-        "65eabf4fac98ae7a9e9d92a3922cc86913fdd5885223633463a838b05e3f62d2",
+        "e4f25711c4aab9db676e5e027c29e5ef60bf8e1da00193e85477468121e95e15",
     ),
     "k4_chain_3": (lambda: draw_twobend(k4_chain(3)),
-        "e503bcb28c2a296a3859bd648eb3f476f3b3bfc8f5199f572fa14779d2ca8312",
+        "a6cf6dd3b0a914ad2d889624024e5a8f8202d87b2b4ef7cb13acfed2ab1f73a1",
     ),
     "octahedron_pair": (lambda: draw_twobend(octahedron_pair()),
-        "801066ff59beaea0a7e0659b551114cbbdf423e5c7f5fd485e942ab48ff72248",
+        "83f4d62996c48ad55d19fad15cfc7913844aab4bc80363972671b685eca3d476",
     ),
     "multi_block": (lambda: draw_twobend(multi_block_graph()),
-        "c9a12d3081334aeefe6358ac9c3a71871d23e01e6c14a52918dd20580206d944",
+        "804e6c13c55217cd5de13c0a5b98476923fd732be986399369b3fc2b0f5d2087",
     ),
     "glued_blocks_8_4": (lambda: draw_twobend(glued_blocks(8, 4)),
-        "410172d068a8a4cedd0467cad68f4f9e79e66ac4dc350ca665bf0a00ceac5818",
+        "c7204af44ae3f48100b66513c694e256ffcca1737d80b8ed38b6f2ce43bd53ec",
     ),
     "bounded_stack_60_3_8": (lambda: draw_twobend(bounded_stack(60, 3, 8)),
-        "4d26f66d65cd7f66970694e847bb0f2314a78145423948fb0070c35400f3728b",
+        "acc963b3227366ed7da760d26c849290d1092ef83864ebbb84ea9d5a44808bee",
     ),
     "capped_planar_250_0_8": (lambda: draw_twobend(capped_planar(250, 0, 8)),
-        "6e1d12688f7d2a2bb1eebbf288036c6a909fcbf137ddb56c3bec09dc9ac886d6",
+        "304b7de41f569facb7c4dba54e9baeefbce8b2c26f0f99dc703da4171588fa95",
     ),
     "twobend_blocks_150": (lambda: _bench_twobend(150),
-        "58c53baa7329e69aa89d30cda5259adf2e2e7e2f4ee501c4c688e9b806d5d034",
+        "d28842d2b860791b7f3710bf1ae2127ed11af07c56940ab1c6961d69928ec759",
     ),
     "twobend_blocks_225": (lambda: _bench_twobend(225),
-        "b4f3e31f0194d1ccf6b7d3e017ce107dfb50dbafc117d4e649914e790f86aa8f",
+        "0a8c3f57803f7ff2775e0ac06aeeb9091284c164ef8f6174f2db4d570b0d2ab2",
     ),
     "twobend_blocks_300": (lambda: _bench_twobend(300),
-        "9b9820a704c8c3568dc17d1da89033739046da0f8ac0443954a0fb78cafa42a7",
+        "9b9f5c03d6388cbbbe4b23a81cc579b62cd766399fd6346bcd2b4881f7b4ac09",
     ),
     "twobend_blocks_375": (lambda: _bench_twobend(375),
-        "69d8a8d3dbc2546f0d9ef01c5050ac8c7e4fcac9c0e0deda7a865168efafc8ce",
+        "3874d66e018d9c4fd29ea4c32233347c65db548044e039eb09ec20fa45981cf4",
     ),
     "twobend_blocks_450": (lambda: _bench_twobend(450),
-        "9a2b0bd9c5120f499ac1676f7c873c7e9cbdee18c81e057bdeadfbaf28893033",
+        "ae763651e4b2c35737e6ea5e514ca9da6090c8685c8f2c5c1a05c2095dc5cf48",
     ),
     "twobend_blocks_525": (lambda: _bench_twobend(525),
-        "b50fce1c13d3614c678aa4b45da96760828104232a0c211233f778f23b51693a",
+        "e0072575cdaa869399cfae36b763f3a900ca8c743a3192b2115b5367e7b3d869",
     ),
     "twobend_blocks_600": (lambda: _bench_twobend(600),
-        "e3a83ecb97d9345be8404bb0e88779510ece2b966c24537736c4edf48a20547a",
+        "231bc93542a09baf3c4ab7900b341f1d8c9bb9978792b00c25d5e118fbb70686",
     ),
 }
 
