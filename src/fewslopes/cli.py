@@ -249,7 +249,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stats(args) -> int:
     obj = _read_obj(getattr(args, "in"))
-    if "points" in obj:
+    fields = obj if type(obj) is dict else {}  # graph_from_obj names what else is wrong
+    if "points" in fields:
         dr = drawing_from_obj(obj)
         census, distinct = slope_census(dr)
         nseg = sum(len(a.poly) - 1 for a in dr.edges)
@@ -262,7 +263,7 @@ def _cmd_stats(args) -> int:
             "segments": nseg,
             "distinct_slopes": distinct,
         }
-    elif "radii" in obj:
+    elif "radii" in fields:
         out = {
             "kind": "packing",
             "circles": len(obj["radii"]),

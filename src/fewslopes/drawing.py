@@ -7,6 +7,7 @@ intersection tests or censuses (see verify).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,9 +66,15 @@ class Drawing:
         if self.coord_kind not in ("int", "rational", "float"):
             raise ValueError(f"unknown coord_kind {self.coord_kind!r}")
         if self.coord_kind == "float":
-            for p in (*self.points.values(), *(q for arc in self.edges for q in arc.poly)):
-                if not all(math.isfinite(c) for c in p if isinstance(c, float)):
-                    raise ValueError(f"non-finite coordinate {p}")
+            pts = (*self.points.values(), *(q for arc in self.edges for q in arc.poly))
+            try:
+                finite = all(map(math.isfinite, itertools.chain.from_iterable(pts)))
+            except (OverflowError, TypeError, ValueError):  # a huge int or a non-number
+                finite = False
+            if not finite:  # only float coordinates must be finite: find the point
+                for p in pts:
+                    if not all(math.isfinite(c) for c in p if isinstance(c, float)):
+                        raise ValueError(f"non-finite coordinate {p}")
         for arc in self.edges:
             for end, first in ((arc.u, True), (arc.v, False)):
                 want = arc.poly[0] if first else arc.poly[-1]

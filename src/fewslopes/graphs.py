@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -409,43 +408,76 @@ def _blocks(adj, keep) -> list[set[int]]:
     return blocks
 
 
-class _Blocks:
-    """The blocks of a connected induced subgraph G[rest] while rest loses
-    one non-cut vertex at a time: each block's vertex set by id, and the ids
-    of the blocks at each vertex. A vertex is a cut vertex iff it lies in
-    two or more blocks."""
+def _is_cut(nbrs, sectors, placed, touched) -> bool:
+    """Whether an unplaced vertex with clockwise neighbors nbrs is a cut
+    vertex of the unplaced subgraph: whether two or more of the gaps between
+    cyclically consecutive unplaced neighbors hold a touched face.
+    sectors[i] is the face between nbrs[i] and nbrs[i + 1]."""
+    d = len(nbrs)
+    start = next((i for i in range(d) if not placed[nbrs[i]]), None)
+    if start is None:
+        return False
+    gaps = 0
+    hit = False
+    for i in range(start - d, start):  # from sector start round to nbrs[start]
+        if touched[sectors[i]]:
+            hit = True
+        if hit and not placed[nbrs[i + 1]]:
+            gaps += 1
+            if gaps == 2:
+                return True
+            hit = False
+    return False
 
-    def __init__(self, adj, rest):
-        self.adj = adj
-        self.sets: dict[int, set[int]] = {}
-        self.at: dict[int, set[int]] = {v: set() for v in rest}
-        self.ids = itertools.count()
-        self._split(rest)
 
-    def _split(self, keep) -> None:
-        for block in _blocks(self.adj, keep):
-            b = next(self.ids)
-            self.sets[b] = block
-            for v in block:
-                self.at[v].add(b)
+def _peel(e: Embedding, s: int, v2: int, t: int) -> list[int]:
+    """The greedy order from s, v2 to t, with the face-local cut test; see
+    st_order."""
+    n = e.graph.n
+    adj, rot, faces = e.graph.adjacency, e.rotation, e.faces
+    face_of = {}  # dart (a, b) -> index of its face
+    for fi, f in enumerate(faces):
+        for a, b in zip(f, f[1:] + f[:1]):
+            face_of[a, b] = fi
+    # sectors[u][i]: the face between rot[u][i] and rot[u][i + 1]
+    sectors = [[face_of[u, w] for w in rot[u]] for u in range(n)]
+    placed = [False] * n
+    touched = [False] * len(faces)
+    near = [False] * n  # has a placed neighbor
+    ready = [False] * n  # eligible when last tested
+    heap: list[int] = []
 
-    def is_cut(self, v: int) -> bool:
-        return len(self.at[v]) >= 2
+    def place(v: int) -> None:
+        placed[v] = True
+        stale = {w for w in adj[v] if not placed[w]}
+        for w in stale:
+            near[w] = True
+        for fi in sectors[v]:
+            if not touched[fi]:
+                touched[fi] = True
+                stale.update(faces[fi])
+        for u in stale:
+            if placed[u] or u == t or not near[u]:
+                continue
+            ready[u] = not _is_cut(rot[u], sectors[u], placed, touched)
+            if ready[u]:
+                heapq.heappush(heap, u)
 
-    def remove(self, v: int) -> None:
-        """Drop the non-cut vertex v. Every block but the one holding v stays
-        a block of what remains; that one, less v, is split by one search."""
-        held = self.at.pop(v)
-        assert len(held) <= 1, f"removed cut vertex {v}"
-        if not held:  # v was the last vertex
-            return
-        b = held.pop()
-        block = self.sets.pop(b)
-        block.remove(v)
-        for w in block:
-            self.at[w].remove(b)
-        if len(block) >= 2:
-            self._split(block)
+    order = [s, v2]
+    place(s)
+    place(v2)
+    while len(order) < n - 1:
+        pick = None
+        while heap:
+            u = heapq.heappop(heap)
+            if ready[u] and not placed[u]:  # else the entry went stale
+                pick = u
+                break
+        assert pick is not None, "greedy st-order stalled on feasible input"
+        order.append(pick)
+        place(pick)
+    order.append(t)
+    return order
 
 
 def st_order(e: Embedding, s: int, t: int) -> StOrder:
@@ -457,11 +489,25 @@ def st_order(e: Embedding, s: int, t: int) -> StOrder:
     neighbor) that is neither t nor a cut vertex of the unplaced subgraph,
     which therefore stays connected, and the peel always succeeds.
 
-    The blocks of the unplaced subgraph are kept from step to step: placing
-    a non-cut vertex changes only the one block that holds it, so a step
-    costs one lowpoint search of that block, not of the whole unplaced
-    subgraph, plus sorting the frontier. Raises StOrderInfeasible when no
-    admissible v_2 exists.
+    The cut test is local to the faces at u. Call a face touched once one
+    of its vertices is placed, and split the clockwise rotation of u at its
+    unplaced neighbors w_1..w_k into k gaps. Then u is a cut vertex of the
+    unplaced subgraph iff two or more gaps hold a touched face. Proof: the
+    faces of a biconnected plane graph are simple cycles, and the placed
+    set P is connected. If gaps i and j hold touched faces, a closed curve
+    through u, those two faces and P meets no unplaced vertex but u and has
+    unplaced neighbors of u on both sides. A gap with no touched face holds
+    no placed neighbor, so it is one face, whose cycle joins its two
+    unplaced neighbors without u; when at most one gap is touched, these
+    paths join all of w_1..w_k, and every unplaced vertex reaches one of
+    them.
+
+    A test reads u's rotation once. A placement retests only its unplaced
+    neighbors and the vertices of the faces it touches first, and each face
+    is touched once, so the tests sum to O(m) of O(d) each; a lazy min-heap
+    of the eligible vertices gives each step's pick. The peel takes
+    O(m·d·log n) time. Raises StOrderInfeasible when no admissible v_2
+    exists.
     """
     g = e.graph
     if s == t:
@@ -479,23 +525,7 @@ def st_order(e: Embedding, s: int, t: int) -> StOrder:
     for v2 in cyc_nbrs:
         if sum(v2 in b for b in blocks_without_s) > 1:
             continue
-        order = [s, v2]
-        rest = all_v - {s, v2}
-        blocks = _Blocks(adj, rest)
-        frontier = {w for w in (*adj[s], *adj[v2]) if w in rest}
-        while rest:
-            pick = next(
-                (u for u in sorted(frontier)
-                 if (u != t or len(rest) == 1) and not blocks.is_cut(u)),
-                None,
-            )
-            assert pick is not None, "greedy st-order stalled on feasible input"
-            order.append(pick)
-            rest.remove(pick)
-            blocks.remove(pick)
-            frontier.remove(pick)
-            frontier.update(w for w in adj[pick] if w in rest)
-        st = StOrder(tuple(order))
+        st = StOrder(tuple(_peel(e, s, v2, t)))
         _assert_st_valid(g, st)
         return st
     raise StOrderInfeasible(

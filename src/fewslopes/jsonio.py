@@ -10,7 +10,8 @@ parser builds as (points[u], *bends, points[v]). Coordinates must match
 coord_kind: JSON integers in an "int" drawing, JSON numbers in a "float"
 one, and "num/den" strings or plain integers in a "rational" one. A
 malformed drawing, or one in format 1 (edges with "poly"), raises
-ValueError naming the field or coordinate.
+ValueError naming the field or coordinate. A graph is {"n", "edges"} plus
+optional "labels"; a malformed one raises ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -109,8 +110,15 @@ def graph_to_obj(g: PlanarGraph) -> dict:
 
 
 def graph_from_obj(obj) -> PlanarGraph:
-    labels = tuple(obj["labels"]) if "labels" in obj else None
-    return PlanarGraph(obj["n"], tuple((u, v) for u, v in obj["edges"]), labels=labels)
+    if type(obj) is not dict:
+        raise ValueError(f"a graph is a JSON object, not {type(obj).__name__}")
+    n = _field(obj, "n", int, "graph")
+    edges = _field(obj, "edges", list, "graph")
+    for i, e in enumerate(edges):
+        if type(e) is not list or len(e) != 2 or any(type(x) is not int for x in e):
+            raise ValueError(f"edge {i} is not a pair of integers: {e!r}")
+    labels = tuple(_field(obj, "labels", list, "graph")) if "labels" in obj else None
+    return PlanarGraph(n, tuple((u, v) for u, v in edges), labels=labels)
 
 
 # --- packings ----------------------------------------------------------------------

@@ -74,12 +74,48 @@ class _Column:
 
     pending is the episode the column holds open, or None. A column can be
     reused once: a straight-up outgoing edge of the vertex that consumed it
-    opens a fresh episode on the same x. Columns compare by identity, so
-    list.index finds one without comparing fields.
+    opens a fresh episode on the same x. prev and next link the master
+    order, pending_prev and pending_next the pending order. Columns compare
+    and hash by identity.
     """
 
     x: int = -1
     pending: "_Episode | None" = None
+    prev: "_Column | None" = None
+    next: "_Column | None" = None
+    pending_prev: "_Column | None" = None
+    pending_next: "_Column | None" = None
+
+
+def _walk(col: _Column | None, link: str):
+    """col and the columns after it along the link named link."""
+    while col is not None:
+        yield col
+        col = getattr(col, link)
+
+
+def _chain(cols: list[_Column], prev: str, next_: str) -> None:
+    """Link cols in list order along the links named prev and next_. The
+    first and last may be ends already in a list, or None."""
+    for a, b in zip(cols, cols[1:]):
+        if a is not None:
+            setattr(a, next_, b)
+        if b is not None:
+            setattr(b, prev, a)
+
+
+def _pending_run(members: set[_Column]) -> list[_Column]:
+    """The longest run of members, in pending order, that holds a given one
+    of them: it holds every member iff they are consecutive there."""
+    for first in _walk(next(iter(members)), "pending_prev"):
+        if first.pending_prev not in members:
+            break
+    run = []
+    for col in _walk(first, "pending_next"):
+        if col not in members or len(run) == len(members):
+            break
+        run.append(col)
+    return run
 
 
 @dataclass(eq=False)
@@ -119,7 +155,8 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
     pos = st_ord.position()
     v1, v2 = order[0], order[1]
 
-    master: list[_Column] = []
+    head = _Column()  # the master order starts at head.next
+    master: list[_Column] = [head]  # head, then v1's columns left to right
     by_target: dict[int, list[_Episode]] = {v: [] for v in range(g.n)}
     episodes: list[_Episode] = []
     anchor: dict[int, _Column] = {}
@@ -156,21 +193,23 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
         open_edge(v1, w, kk, col, dip=(w == v2 and kk == s))
         master.append(col)
 
-    # remaining vertices consume their pending columns bottom-up; live is the
-    # pending order, the columns of master that hold an open episode, and each
-    # vertex splices its own in-columns out of it and its new columns in
+    # remaining vertices consume their pending columns bottom-up; the pending
+    # order links the columns of the master order that hold an open episode,
+    # and each vertex splices its own in-columns out of it and its new
+    # columns in
+    _chain(master, "prev", "next")
     live = [c for c in master if c.pending is not None]
+    _chain([_Column(), *live], "pending_prev", "pending_next")
     for v in order[1:]:
         ins = by_target[v]
         assert ins, f"vertex {v} has no earlier neighbor"
         for ep in ins:
             assert ep.column.pending is ep, "incoming edge buried under a later episode"
-        at = {ep: live.index(ep.column) for ep in ins}
-        ins.sort(key=at.__getitem__)
-        idxs = [at[ep] for ep in ins]
-        assert idxs == list(range(idxs[0], idxs[0] + len(idxs))), (
+        run = _pending_run({ep.column for ep in ins})
+        assert len(run) == len(ins), (
             f"incoming columns of {v} are not consecutive in the pending order"
         )
+        ins = [c.pending for c in run]
 
         r = len(ins)
         assert r <= m - 1, f"in-fan of {v} exceeds capacity {m - 1}"
@@ -217,15 +256,20 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
             open_edge(v, w, kk, col)
         left_cols = [c for _, c, _ in sorted(lefts)]
         right_cols = [c for _, c, _ in sorted(rights)]
-        mi = master.index(median_col)
-        master[mi : mi + 1] = left_cols + [median_col] + right_cols
+        _chain(
+            [median_col.prev, *left_cols, median_col, *right_cols, median_col.next], "prev", "next"
+        )
         # in the pending order the in-columns give way to the new columns,
         # with the median between them when a straight-up edge reopened it
         reopened = [median_col] if median_col.pending is not None else []
-        live[idxs[0] : idxs[0] + r] = left_cols + reopened + right_cols
+        _chain(
+            [run[0].pending_prev, *left_cols, *reopened, *right_cols, run[-1].pending_next],
+            "pending_prev",
+            "pending_next",
+        )
 
-    assert all(c.pending is None for c in master), "pending columns left unconsumed"
-    for i, c in enumerate(master):
+    for i, c in enumerate(_walk(head.next, "next")):
+        assert c.pending is None, "pending columns left unconsumed"
         c.x = i
     return _Route(order, episodes, anchor, top_fan)
 
@@ -290,18 +334,18 @@ def _wedge_of(route: _Route, slopes: SlopeSet, apex) -> Wedge:
     return Wedge(apex, start % _TWO_PI, span)
 
 
-def _ray_hits_segment(apex, angle: float, p, q, tol: float) -> bool:
-    """True if the open ray from apex at the given clockwise-from-up angle
-    properly crosses the segment pq away from the apex."""
+def _ray_hits(apex, angle: float, p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+    """For each segment from a row of p to the same row of q (float64
+    arrays of shape (k, 2)), whether the open ray from apex at the given
+    clockwise-from-up angle properly crosses it away from the apex."""
     dx, dy = math.sin(angle), math.cos(angle)
-    rx, ry = p[0] - apex[0], p[1] - apex[1]
-    sx, sy = q[0] - p[0], q[1] - p[1]
-    den = dx * sy - dy * sx
-    if abs(den) < 1e-15:
-        return False
-    t_ray = (rx * sy - ry * sx) / den
-    t_seg = (rx * dy - ry * dx) / -den
-    return t_ray > tol and tol < t_seg < 1.0 - tol
+    with np.errstate(all="ignore"):  # as in Python floats; den == 0 is masked
+        rx, ry = p[:, 0] - apex[0], p[:, 1] - apex[1]
+        sx, sy = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
+        den = dx * sy - dy * sx
+        t_ray = (rx * sy - ry * sx) / den
+        t_seg = (rx * dy - ry * dx) / -den
+    return (np.abs(den) >= 1e-15) & (t_ray > tol) & (tol < t_seg) & (t_seg < 1.0 - tol)
 
 
 def _contained(arcs: list[EdgeArc], wedge: Wedge, apex_pt, slopes: SlopeSet) -> bool:
@@ -320,11 +364,12 @@ def _contained(arcs: list[EdgeArc], wedge: Wedge, apex_pt, slopes: SlopeSet) -> 
             delta = (math.atan2(qx, qy) % _TWO_PI - wedge.start) % _TWO_PI
             if not margin <= delta <= wedge.span - margin:
                 return False
-        for p, q in arc.segments:
-            for ang in (wedge.start, wedge.start + wedge.span):
-                if _ray_hits_segment(wedge.apex, ang, p, q, 1e-12):
-                    return False
-    return True
+    p = np.array([a for arc in arcs for a in arc.poly[:-1]], dtype=float).reshape(-1, 2)
+    q = np.array([b for arc in arcs for b in arc.poly[1:]], dtype=float).reshape(-1, 2)
+    return not any(
+        _ray_hits(wedge.apex, ang, p, q, 1e-12).any()
+        for ang in (wedge.start, wedge.start + wedge.span)
+    )
 
 
 def _build_positions(route: _Route, slopes: SlopeSet):

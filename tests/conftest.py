@@ -26,6 +26,17 @@ TWOBEND_BLOCKS_ROUND0 = {
     600: 5893131959065055312,
 }
 
+# the same for seed 2
+TWOBEND_BLOCKS_ROUND0_SEED2 = {
+    150: 18320269517544729426,
+    225: 2624899411849109899,
+    300: 12439149989687694684,
+    375: 15104162658631139677,
+    450: 15037045365048274124,
+    525: 3886011834867453894,
+    600: 6016899586835337954,
+}
+
 
 def bench_instances():
     """bench/instances.py, loaded by path: the benchmark's generators."""

@@ -260,6 +260,23 @@ def test_malformed_drawing_is_one_value_error(tmp_path, capsys, name):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "obj,match",
+    [
+        ([1, 2], "a graph is a JSON object, not list"),
+        ({"edges": []}, "graph has no 'n' field"),
+        ({"n": 2, "edges": [[0]]}, "edge 0 is not a pair of integers: [0]"),
+    ],
+    ids=["array", "no-n", "one-end-edge"],
+)
+@pytest.mark.parametrize("cmd", [["stats"], ["draw", "--method", "onebend"], ["pack"]])
+def test_malformed_graph_is_one_value_error(tmp_path, capsys, obj, match, cmd):
+    assert run([*cmd, "--in", put(tmp_path, "g.json", obj)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: {match}\n"
+
+
 def run_module(*args):
     env = dict(os.environ)
     src = str(Path(fewslopes.__file__).resolve().parents[1])

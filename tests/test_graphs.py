@@ -7,8 +7,15 @@ import time
 
 import networkx as nx
 import pytest
-from conftest import TWOBEND_BLOCKS_ROUND0, bench_instances, capped_planar, glued_blocks
+from conftest import (
+    TWOBEND_BLOCKS_ROUND0,
+    TWOBEND_BLOCKS_ROUND0_SEED2,
+    bench_instances,
+    capped_planar,
+    glued_blocks,
+)
 
+from fewslopes import twobend
 from fewslopes.errors import (
     Disconnected,
     NotBiconnected,
@@ -31,6 +38,7 @@ from fewslopes.graphs import (
     st_order,
     triangulate,
 )
+from fewslopes.twobend import draw_twobend
 
 
 def complete(n: int) -> PlanarGraph:
@@ -393,6 +401,21 @@ def _block_graphs(g: PlanarGraph):
         yield PlanarGraph(len(verts), tuple((local[u], local[v]) for u, v in block))
 
 
+def _assert_matches_greedy(e: Embedding) -> None:
+    """st_order agrees with the oracle on every ordered pair of outer
+    vertices of a block of at most 100 vertices. On a larger block, where
+    one oracle call takes up to seconds, it checks the pair a drawing tries
+    first with t = outer[0]."""
+    outer = e.outer_face
+    if e.graph.n <= 100:
+        pairs = [(s, t) for s in outer for t in outer if s != t]
+    else:
+        pairs = [(outer[1], outer[0])]
+    for s, t in pairs:
+        want = _st_outcome(greedy_st_order, e, s, t)
+        assert _st_outcome(st_order, e, s, t) == want, (e.graph.n, s, t)
+
+
 class TestStOrderMatchesGreedy:
     @pytest.mark.parametrize("n,seed", [(4, 0), (8, 1), (15, 2), (30, 3), (60, 4)])
     def test_every_outer_pair_of_a_triangulation(self, n, seed):
@@ -414,6 +437,41 @@ class TestStOrderMatchesGreedy:
                 s = outer[(j + 1) % len(outer)]
                 want = _st_outcome(greedy_st_order, e, s, t)
                 assert _st_outcome(st_order, e, s, t) == want, (bg.n, s, t)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_block_of_twobend_blocks_round0(self, seed):
+        instances = {1: TWOBEND_BLOCKS_ROUND0, 2: TWOBEND_BLOCKS_ROUND0_SEED2}[seed]
+        for n, iseed in sorted(instances.items()):
+            g = bench_instances().capped_planar(n, 8, iseed)
+            for bg in _block_graphs(g):
+                if bg.n >= 3:
+                    _assert_matches_greedy(planar_embed(bg))
+
+    # capped graphs whose drawing stops at a child block with no greedy order
+    @pytest.mark.parametrize(
+        "d,seed,at", [(4, 5, 1), (5, 5, 1), (9, 3, 0), (9, 4, 2), (10, 3, 0)]
+    )
+    def test_every_block_of_a_capped_graph_without_a_drawing(self, d, seed, at, monkeypatch):
+        g = bench_instances().capped_planar(300, d, seed)
+        for bg in _block_graphs(g):
+            if bg.n >= 3:
+                _assert_matches_greedy(planar_embed(bg))
+        # and every call the drawing makes, on the embeddings it makes
+        calls = []
+
+        def recorded(e, s, t):
+            calls.append((e, s, t))
+            return st_order(e, s, t)
+
+        monkeypatch.setattr(twobend, "st_order", recorded)
+        with pytest.raises(
+            StOrderInfeasible,
+            match=f"^no outer edge at {at} leaves the graph connected without its endpoints$",
+        ):
+            draw_twobend(g)
+        outcomes = [_st_outcome(st_order, e, s, t) for e, s, t in calls]
+        assert outcomes[-1] == "StOrderInfeasible"
+        assert outcomes == [_st_outcome(greedy_st_order, e, s, t) for e, s, t in calls]
 
     def test_rejects_what_the_greedy_rejects(self):
         two_triangles = PlanarGraph(5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)))

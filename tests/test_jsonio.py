@@ -1,6 +1,8 @@
 """Round-trip and canonical-bytes tests for the JSON layer."""
 
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +62,24 @@ class TestGraph:
         h = graph_from_obj(obj)
         assert h.labels is None
         assert h.edges == g.edges
+
+
+    @pytest.mark.parametrize(
+        "obj,match",
+        [
+            ([1, 2], "a graph is a JSON object, not list"),
+            ({"edges": []}, "graph has no 'n' field"),
+            ({"n": True, "edges": []}, "graph field 'n' is not an integer: True"),
+            ({"n": 2}, "graph has no 'edges' field"),
+            ({"n": 2, "edges": {}}, "graph field 'edges' is not an array"),
+            ({"n": 2, "edges": [[0]]}, r"edge 0 is not a pair of integers: \[0\]"),
+            ({"n": 3, "edges": [[0, 1], [1, 2.0]]}, "edge 1 is not a pair of integers"),
+            ({"n": 2, "edges": [[0, 1]], "labels": "ab"}, "graph field 'labels' is not an array"),
+        ],
+    )
+    def test_malformed_graph_names_the_field(self, obj, match):
+        with pytest.raises(ValueError, match=match):
+            graph_from_obj(obj)
 
 
 class TestPacking:
@@ -336,3 +356,41 @@ class TestDrawingParse:
             drawing_from_obj(segment_obj("complex", [0, 0], [1, 1]))
         with pytest.raises(ValueError, match=r"unknown coord_kind \['int'\]"):
             drawing_from_obj(segment_obj(["int"], [0, 0], [1, 1]))
+
+
+class TestFloatFiniteness:
+    """The float coordinates of a float drawing must be finite; ints and
+    Fractions in it are accepted whatever their size."""
+
+    @staticmethod
+    def drawing(bad_point=None, bad_bend=None):
+        pts = {0: (0.0, 0.0), 1: bad_point or (1.0, 2.0), 2: (3.0, 0.0)}
+        arcs = [
+            EdgeArc(0, 1, (pts[0], pts[1])),
+            EdgeArc(1, 2, (pts[1], bad_bend or (2.0, 5.0), pts[2])),
+        ]
+        return Drawing("custom", pts, arcs, "float")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_point_is_named(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite coordinate {(1.0, bad)}")):
+            self.drawing(bad_point=(1.0, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bend_is_named(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite coordinate {(bad, 5.0)}")):
+            self.drawing(bad_bend=(bad, 5.0))
+
+    @pytest.mark.parametrize(
+        "odd",
+        [2**1100, Fraction(1, 3), Fraction(2**1100, 3)],
+        ids=["huge-int", "fraction", "huge-fraction"],
+    )
+    def test_int_beyond_float_range_and_fraction_accepted(self, odd):
+        assert self.drawing(bad_point=(1.0, odd)).points[1] == (1.0, odd)
+        assert self.drawing(bad_bend=(odd, 5.0)).edges[1].poly[1] == (odd, 5.0)
+
+    def test_non_finite_bend_after_a_huge_int_is_named(self):
+        # the huge int makes the one-pass test raise; the scan names the bend
+        with pytest.raises(ValueError, match=re.escape(f"non-finite coordinate {(math.nan, 5.0)}")):
+            self.drawing(bad_point=(1.0, 2**1100), bad_bend=(math.nan, 5.0))

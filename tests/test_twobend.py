@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from conftest import (
     TWOBEND_BLOCKS_ROUND0,
@@ -517,29 +518,107 @@ class TestClearance:
         assert min(ratios) < 2.0**-41
 
 
-def test_st_order_searches_only_the_changed_block(monkeypatch):
-    # a step splits only the block of the vertex it places, so the searches
-    # cover a small share of the unplaced vertices summed over all steps
-    real_blocks, real_st_order = graphs._blocks, twobend.st_order
-    searched = unplaced = 0
+def ray_hits_segment(apex, angle: float, p, q, tol: float) -> bool:
+    """Oracle for twobend._ray_hits, one segment at a time: True if the open
+    ray from apex at the given clockwise-from-up angle properly crosses the
+    segment pq away from the apex."""
+    dx, dy = math.sin(angle), math.cos(angle)
+    rx, ry = p[0] - apex[0], p[1] - apex[1]
+    sx, sy = q[0] - p[0], q[1] - p[1]
+    den = dx * sy - dy * sx
+    if abs(den) < 1e-15:
+        return False
+    t_ray = (rx * sy - ry * sx) / den
+    t_seg = (rx * dy - ry * dx) / -den
+    return t_ray > tol and tol < t_seg < 1.0 - tol
 
-    def counted_blocks(adj, keep):
-        nonlocal searched
-        searched += len(keep)
-        return real_blocks(adj, keep)
 
-    def counted_st_order(e, s, t):
-        nonlocal unplaced
-        st = real_st_order(e, s, t)
-        n = len(st.order)
-        unplaced += (n - 1) * (n - 2) // 2  # |rest| is n - 2, ..., 1
-        return st
+def assert_rays_match_oracle(apex, angles, segs, tol=1e-12) -> list[bool]:
+    """twobend._ray_hits against the oracle on every segment and angle; the
+    verdicts, in that order."""
+    p = np.array([a for a, _ in segs], dtype=float).reshape(-1, 2)
+    q = np.array([b for _, b in segs], dtype=float).reshape(-1, 2)
+    verdicts = []
+    for ang in angles:
+        want = [ray_hits_segment(apex, ang, a, b, tol) for a, b in segs]
+        assert twobend._ray_hits(apex, ang, p, q, tol).tolist() == want, ang
+        verdicts += want
+    return verdicts
 
-    monkeypatch.setattr(graphs, "_blocks", counted_blocks)
-    monkeypatch.setattr(twobend, "st_order", counted_st_order)
-    draw_twobend(capped_planar(1600, 0, 8))
-    assert unplaced > 10**5
-    assert searched < 0.10 * unplaced, (searched, unplaced)
+
+class TestWedgeRays:
+    def test_blocks_of_twobend_blocks_round0(self, monkeypatch):
+        # every wedge test the drawings make, including those of the wedges
+        # a drawing outgrows before t moves up far enough
+        real = twobend._contained
+        verdicts = []
+
+        def checked(arcs, wedge, apex_pt, slopes):
+            segs = [seg for arc in arcs for seg in arc.segments]
+            angles = (wedge.start, wedge.start + wedge.span)
+            verdicts.extend(assert_rays_match_oracle(wedge.apex, angles, segs))
+            return real(arcs, wedge, apex_pt, slopes)
+
+        monkeypatch.setattr(twobend, "_contained", checked)
+        for n in sorted(TWOBEND_BLOCKS_ROUND0):
+            _bench_twobend(n)
+        assert len(verdicts) > 30000 and any(verdicts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_segments_near_both_rays(self, seed):
+        # ends on either side of a ray at distances down to 0 and past the
+        # tolerance, ends at the apex and behind it, and segments parallel
+        # or nearly parallel to the ray, whose |den| straddles 1e-15
+        rng = random.Random(seed)
+        s = rng.choice([2, 3, 4, 5])
+        apex = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+        lo = rng.randrange(1, s + 1)
+        start = (lo - 0.5) * math.pi / s
+        angles = (start, start + rng.randrange(1, s) * math.pi / s)
+        offsets = [0.0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-9, 1e-3, 1.0]
+        segs = []
+        for ang in angles:
+            dx, dy = math.sin(ang), math.cos(ang)
+            for _ in range(400):
+                t0, t1 = rng.uniform(-1.0, 50.0), rng.uniform(-1.0, 50.0)
+                o0 = rng.choice(offsets) * rng.choice([-1, 1])
+                o1 = rng.choice(offsets) * rng.choice([-1, 1])
+                a = (apex[0] + t0 * dx + o0 * dy, apex[1] + t0 * dy - o0 * dx)
+                b = (apex[0] + t1 * dx + o1 * dy, apex[1] + t1 * dy - o1 * dx)
+                segs.append((a, b))
+                segs.append((apex, b))
+                tilt = rng.choice([0.0, 1e-16, 1e-15, 1e-14, 1e-6])
+                c = (a[0] + dx + tilt * dy, a[1] + dy - tilt * dx)
+                segs.append((a, c))
+        verdicts = assert_rays_match_oracle(apex, angles, segs)
+        assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_st_order_and_route_work_is_linear(n, monkeypatch):
+    # st_order retests a vertex only when a neighbor is placed or a face at
+    # it is first touched, and _route walks O(r) links per vertex; counted
+    # through the helpers that make them, both stay within one constant
+    # times n + m on one big block
+    counts = {"cut tests": 0, "link steps": 0}
+    real_is_cut, real_walk = graphs._is_cut, twobend._walk
+
+    def counted_is_cut(*args):
+        counts["cut tests"] += 1
+        return real_is_cut(*args)
+
+    def counted_walk(col, link):
+        for c in real_walk(col, link):
+            counts["link steps"] += 1
+            yield c
+
+    monkeypatch.setattr(graphs, "_is_cut", counted_is_cut)
+    monkeypatch.setattr(twobend, "_walk", counted_walk)
+    g = bench_instances().bounded_triangulation(n, 8, 1)
+    draw_twobend(g)
+    size = g.n + len(g.edges)
+    assert counts["cut tests"] >= g.n - 3 and counts["link steps"] >= len(g.edges)
+    assert all(k < 3 * size for k in counts.values()), (counts, size)
 
 
 def _bench_twobend(n: int):
@@ -553,7 +632,8 @@ def _bench_twobend(n: int):
 # taken when st_order searched the whole unplaced subgraph per step and
 # _clearance scanned every feature of the composite per glue. All were
 # re-taken for drawing format 2 once each drawing's format 2 parse equalled
-# its format 1 parse, every coordinate in value and type.
+# its format 1 parse, every coordinate in value and type. The face-local
+# cut test of st_order and the linked column lists of _route keep them all.
 PINNED_BYTES = {
     "octahedron": (lambda: draw_twobend(gen_octahedron(), SlopeSet(3)),
         "e4f25711c4aab9db676e5e027c29e5ef60bf8e1da00193e85477468121e95e15",
