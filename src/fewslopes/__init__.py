@@ -77,7 +77,6 @@ from .verify import (
     check_contiguous,
     check_gd_claims,
     check_noncrossing,
-    hausdorff_within,
     max_bends,
     slope_census,
     slope_classes,

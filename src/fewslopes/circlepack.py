@@ -114,10 +114,8 @@ def _check_packable(e: Embedding):
 
 def _inner_faces(e: Embedding) -> np.ndarray:
     """Inner faces as rows (i, j, k); the outer face holds dart outer[0:2]."""
-    o = e.outer_face
-    return np.array(
-        [f for f in e.faces if (o[0], o[1]) not in zip(f, f[1:] + f[:1])], dtype=np.intp
-    )
+    outer = e.face_of[e.outer_face[0], e.outer_face[1]]
+    return np.array([f for i, f in enumerate(e.faces) if i != outer], dtype=np.intp)
 
 
 def _face_terms(u: np.ndarray, faces: np.ndarray):

@@ -194,6 +194,13 @@ class Embedding:
     def faces(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_all_faces(self.rotation, self.graph.edges))
 
+    @cached_property
+    def face_of(self) -> dict[tuple[int, int], int]:
+        """Dart (a, b) -> index in faces of the face that holds it. At v, the
+        face of dart (v, rotation[v][i]) lies between rotation[v][i] and
+        rotation[v][i + 1]."""
+        return {(a, b): i for i, f in enumerate(self.faces) for a, b in zip(f, f[1:] + f[:1])}
+
     def euler_ok(self) -> bool:
         g = self.graph
         faces = 1 if g.n == 1 else len(self.faces)
@@ -366,61 +373,63 @@ class StOrder:
         return {v: i for i, v in enumerate(self.order)}
 
 
-def _blocks(adj, keep) -> list[set[int]]:
-    """Vertex sets of the blocks of the connected induced subgraph G[keep];
-    a single vertex has none.
+def _blocks(adj) -> list[set[int]]:
+    """Vertex sets of the blocks of the graph with adjacency lists adj; an
+    isolated vertex has none.
 
-    One iterative depth-first search with Hopcroft–Tarjan lowpoints: low[u]
-    is the smallest discovery number reachable from u's subtree by one back
-    edge. When a child c of u finishes with low[c] >= num[u], u and the
-    vertices discovered since c, c included, form a block.
+    One iterative depth-first search from each unvisited root, with
+    Hopcroft–Tarjan lowpoints: low[u] is the smallest discovery number
+    reachable from u's subtree by one back edge. When a child c of u
+    finishes with low[c] >= num[u], u and the vertices discovered since c,
+    c included, form a block.
     """
-    root = next(iter(keep))
-    num = {root: 0}
-    low = {root: 0}
+    num: dict[int, int] = {}
+    low: dict[int, int] = {}
     found: list[int] = []  # discovered vertices not yet in a finished block
     blocks = []
-    stack = [(root, iter(adj[root]), 0)]
-    while stack:
-        u, nbrs, since = stack[-1]
-        for w in nbrs:
-            if w not in keep:
-                continue
-            if w not in num:
-                num[w] = low[w] = len(num)
-                stack.append((w, iter(adj[w]), len(found)))
-                found.append(w)
-                break
-            if num[w] < low[u]:  # the tree edge to u's parent is harmless
-                low[u] = num[w]
-        else:
-            stack.pop()
-            if not stack:
-                break
-            p = stack[-1][0]
-            if low[u] < low[p]:
-                low[p] = low[u]
-            if low[u] >= num[p]:
-                block = set(found[since:])
-                block.add(p)
-                del found[since:]
-                blocks.append(block)
+    for root in range(len(adj)):
+        if root in num:
+            continue
+        num[root] = low[root] = len(num)
+        stack = [(root, iter(adj[root]), 0)]
+        while stack:
+            u, nbrs, since = stack[-1]
+            for w in nbrs:
+                if w not in num:
+                    num[w] = low[w] = len(num)
+                    stack.append((w, iter(adj[w]), len(found)))
+                    found.append(w)
+                    break
+                if num[w] < low[u]:  # the tree edge to u's parent is harmless
+                    low[u] = num[w]
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                p = stack[-1][0]
+                if low[u] < low[p]:
+                    low[p] = low[u]
+                if low[u] >= num[p]:
+                    block = set(found[since:])
+                    block.add(p)
+                    del found[since:]
+                    blocks.append(block)
     return blocks
 
 
-def _is_cut(nbrs, sectors, placed, touched) -> bool:
-    """Whether an unplaced vertex with clockwise neighbors nbrs is a cut
+def _is_cut(u, nbrs, face_of, placed, touched) -> bool:
+    """Whether an unplaced vertex u with clockwise neighbors nbrs is a cut
     vertex of the unplaced subgraph: whether two or more of the gaps between
-    cyclically consecutive unplaced neighbors hold a touched face.
-    sectors[i] is the face between nbrs[i] and nbrs[i + 1]."""
+    cyclically consecutive unplaced neighbors hold a touched face. The face
+    between nbrs[i] and nbrs[i + 1] is that of dart (u, nbrs[i])."""
     d = len(nbrs)
     start = next((i for i in range(d) if not placed[nbrs[i]]), None)
     if start is None:
         return False
     gaps = 0
     hit = False
-    for i in range(start - d, start):  # from sector start round to nbrs[start]
-        if touched[sectors[i]]:
+    for i in range(start - d, start):  # from the face after nbrs[start] round to nbrs[start]
+        if not hit and touched[face_of[u, nbrs[i]]]:
             hit = True
         if hit and not placed[nbrs[i + 1]]:
             gaps += 1
@@ -430,17 +439,11 @@ def _is_cut(nbrs, sectors, placed, touched) -> bool:
     return False
 
 
-def _peel(e: Embedding, s: int, v2: int, t: int) -> list[int]:
-    """The greedy order from s, v2 to t, with the face-local cut test; see
-    st_order."""
+def _peel(e: Embedding, s: int, t: int, firsts: list[int]) -> list[int]:
+    """The greedy order from s to t whose second vertex is taken from
+    firsts, with the face-local cut test; see st_order."""
     n = e.graph.n
-    adj, rot, faces = e.graph.adjacency, e.rotation, e.faces
-    face_of = {}  # dart (a, b) -> index of its face
-    for fi, f in enumerate(faces):
-        for a, b in zip(f, f[1:] + f[:1]):
-            face_of[a, b] = fi
-    # sectors[u][i]: the face between rot[u][i] and rot[u][i + 1]
-    sectors = [[face_of[u, w] for w in rot[u]] for u in range(n)]
+    adj, rot, faces, face_of = e.graph.adjacency, e.rotation, e.faces, e.face_of
     placed = [False] * n
     touched = [False] * len(faces)
     near = [False] * n  # has a placed neighbor
@@ -452,19 +455,25 @@ def _peel(e: Embedding, s: int, v2: int, t: int) -> list[int]:
         stale = {w for w in adj[v] if not placed[w]}
         for w in stale:
             near[w] = True
-        for fi in sectors[v]:
+        for w in rot[v]:
+            fi = face_of[v, w]
             if not touched[fi]:
                 touched[fi] = True
                 stale.update(faces[fi])
         for u in stale:
             if placed[u] or u == t or not near[u]:
                 continue
-            ready[u] = not _is_cut(rot[u], sectors[u], placed, touched)
+            ready[u] = not _is_cut(u, rot[u], face_of, placed, touched)
             if ready[u]:
                 heapq.heappush(heap, u)
 
-    order = [s, v2]
     place(s)
+    v2 = next((v for v in firsts if ready[v]), None)
+    if v2 is None:
+        raise StOrderInfeasible(
+            f"no outer edge at {s} leaves the graph connected without its endpoints"
+        )
+    order = [s, v2]
     place(v2)
     while len(order) < n - 1:
         pick = None
@@ -483,11 +492,11 @@ def _peel(e: Embedding, s: int, v2: int, t: int) -> list[int]:
 def st_order(e: Embedding, s: int, t: int) -> StOrder:
     """Greedy st-order for a biconnected embedding with v_1 = s, v_n = t.
 
-    v_2 is the smallest-id outer-cycle neighbor of s that is not a cut
-    vertex of G - s, so G - {s, v_2} stays connected. Each later step
-    places the smallest-id frontier vertex (unplaced, with a placed
-    neighbor) that is neither t nor a cut vertex of the unplaced subgraph,
-    which therefore stays connected, and the peel always succeeds.
+    After s, each step places the smallest-id eligible vertex: one that is
+    unplaced, has a placed neighbor, is not t, and is not a cut vertex of
+    the unplaced subgraph, which therefore stays connected. For v_2 the
+    candidates are the outer-cycle neighbors of s; later, every vertex.
+    When v_2 exists, the peel always succeeds.
 
     The cut test is local to the faces at u. Call a face touched once one
     of its vertices is placed, and split the clockwise rotation of u at its
@@ -502,35 +511,26 @@ def st_order(e: Embedding, s: int, t: int) -> StOrder:
     paths join all of w_1..w_k, and every unplaced vertex reaches one of
     them.
 
-    A test reads u's rotation once. A placement retests only its unplaced
-    neighbors and the vertices of the faces it touches first, and each face
-    is touched once, so the tests sum to O(m) of O(d) each; a lazy min-heap
-    of the eligible vertices gives each step's pick. The peel takes
-    O(m·d·log n) time. Raises StOrderInfeasible when no admissible v_2
-    exists.
+    A test reads u's rotation once, and the faces from the embedding's
+    dart-to-face index. A placement retests only its unplaced neighbors and
+    the vertices of the faces it touches first, and each face is touched
+    once, so the tests sum to O(m) of O(d) each; a lazy min-heap of the
+    eligible vertices gives each step's pick. The peel takes O(m·d·log n)
+    time. Raises StOrderInfeasible when no admissible v_2 exists.
     """
     g = e.graph
     if s == t:
         raise ValueError("s and t must differ")
-    adj = g.adjacency
-    all_v = set(range(g.n))
-    if g.n < 3 or [all_v] != _blocks(adj, all_v):
+    if g.n < 3 or _blocks(g.adjacency) != [set(range(g.n))]:
         raise NotBiconnected("st_order requires a biconnected graph")
     outer = e.outer_face
     if s not in outer or t not in outer:
         raise VerticesNotOnOuterFace(f"s={s}, t={t} must both lie on the outer face")
     pos = outer.index(s)
-    cyc_nbrs = sorted({outer[pos - 1], outer[(pos + 1) % len(outer)]} - {t})
-    blocks_without_s = _blocks(adj, all_v - {s})
-    for v2 in cyc_nbrs:
-        if sum(v2 in b for b in blocks_without_s) > 1:
-            continue
-        st = StOrder(tuple(_peel(e, s, v2, t)))
-        _assert_st_valid(g, st)
-        return st
-    raise StOrderInfeasible(
-        f"no outer edge at {s} leaves the graph connected without its endpoints"
-    )
+    firsts = sorted({outer[pos - 1], outer[(pos + 1) % len(outer)]} - {t})
+    st = StOrder(tuple(_peel(e, s, t, firsts)))
+    _assert_st_valid(g, st)
+    return st
 
 
 def _assert_st_valid(g: PlanarGraph, st: StOrder) -> None:
@@ -661,16 +661,15 @@ class BlockCutTree:
 
 
 def block_cut_tree(g: PlanarGraph) -> BlockCutTree:
-    """One lowpoint search per component. Two blocks share at most one
+    """One lowpoint search over the whole graph. Two blocks share at most one
     vertex, so a block's edges are those its vertex set induces, and a cut
     vertex is one that lies in two or more blocks."""
     adj = g.adjacency
     found = []
-    for vs in g.components:
-        for block in _blocks(adj, set(vs)):
-            verts = tuple(sorted(block))
-            edges = tuple((u, w) for u in verts for w in adj[u] if u < w and w in block)
-            found.append((edges, verts))
+    for block in _blocks(adj):
+        verts = tuple(sorted(block))
+        edges = tuple((u, w) for u in verts for w in adj[u] if u < w and w in block)
+        found.append((edges, verts))
     found.sort()
     held = Counter(v for _, verts in found for v in verts)
     cuts = tuple(sorted(v for v, k in held.items() if k >= 2))

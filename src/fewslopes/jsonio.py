@@ -5,13 +5,14 @@ parse(emit(x)) round-trips every object.
 
 A drawing is written in format 2: {"format": 2, "method", "coord_kind",
 "points", "edges", "meta"}, each edge {"u", "v", "bends"} plus an optional
-"slope_indices". bends are the interior points of its polyline, which the
-parser builds as (points[u], *bends, points[v]). Coordinates must match
-coord_kind: JSON integers in an "int" drawing, JSON numbers in a "float"
-one, and "num/den" strings or plain integers in a "rational" one. A
-malformed drawing, or one in format 1 (edges with "poly"), raises
-ValueError naming the field or coordinate. A graph is {"n", "edges"} plus
-optional "labels"; a malformed one raises ValueError naming the field.
+"slope_indices", an array of JSON integers. bends are the interior points
+of its polyline, which the parser builds as (points[u], *bends, points[v]).
+Coordinates must match coord_kind: JSON integers in an "int" drawing, JSON
+numbers in a "float" one, and "num/den" strings or plain integers in a
+"rational" one. A malformed drawing, or one in format 1 (edges with
+"poly"), raises ValueError naming the field or coordinate. A graph is
+{"n", "edges"} plus optional "labels", an array of strings; a malformed one
+raises ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -99,6 +100,14 @@ def _field(obj: dict, key: str, typ: type, where: str):
     return x
 
 
+def _array_of(obj: dict, key: str, typ: type, where: str) -> tuple:
+    xs = tuple(_field(obj, key, list, where))
+    for x in xs:
+        if type(x) is not typ:
+            raise ValueError(f"{where} field {key!r} holds {x!r}, not {_JSON_TYPE[typ]}")
+    return xs
+
+
 # --- graphs -----------------------------------------------------------------------
 
 
@@ -117,7 +126,7 @@ def graph_from_obj(obj) -> PlanarGraph:
     for i, e in enumerate(edges):
         if type(e) is not list or len(e) != 2 or any(type(x) is not int for x in e):
             raise ValueError(f"edge {i} is not a pair of integers: {e!r}")
-    labels = tuple(_field(obj, "labels", list, "graph")) if "labels" in obj else None
+    labels = _array_of(obj, "labels", str, "graph") if "labels" in obj else None
     return PlanarGraph(n, tuple((u, v) for u, v in edges), labels=labels)
 
 
@@ -192,7 +201,7 @@ def drawing_from_obj(obj) -> Drawing:
         if "poly" in eo:
             raise ValueError(f"{where} has a 'poly' field: a format 1 drawing, not read")
         u, v = _field(eo, "u", int, where), _field(eo, "v", int, where)
-        si = tuple(_field(eo, "slope_indices", list, where)) if "slope_indices" in eo else None
+        si = _array_of(eo, "slope_indices", int, where) if "slope_indices" in eo else None
         edges.append((u, v, _field(eo, "bends", list, where), si))
     # coord_kind and meta are our extensions; hand-written files may omit them
     kind = obj.get("coord_kind") or _infer_kind(raw_points, [p for e in edges for p in e[2]])

@@ -142,18 +142,17 @@ def orientation_check(cp: CirclePacking, sl: SnappedLayout) -> OrientationReport
     inverted or degenerate is a violation, whatever the float centers say."""
     if cp.embedding is None:
         raise ValueError("packing carries no embedding")
-    outer = cp.embedding.outer_face
-    outer_darts = {(outer[i - 1], outer[i]) for i in range(len(outer))}
+    e = cp.embedding
+    outer = e.face_of[e.outer_face[0], e.outer_face[1]]
     bad = []
-    faces = cp.embedding.faces
-    for face in faces:
+    for fi, face in enumerate(e.faces):
         i, j, k = face
         pi, pj, pk = sl.points[i], sl.points[j], sl.points[k]
         cross = (pj[0] - pi[0]) * (pk[1] - pi[1]) - (pj[1] - pi[1]) * (pk[0] - pi[0])
-        sign = 1 if (i, j) in outer_darts else -1
+        sign = 1 if fi == outer else -1
         if sign * cross <= 0:
             bad.append(face)
-    return OrientationReport(faces_checked=len(faces), violations=tuple(bad))
+    return OrientationReport(faces_checked=len(e.faces), violations=tuple(bad))
 
 
 def _slope_radius(d: int) -> float:

@@ -590,7 +590,7 @@ def _used_slots_at(pts, arcs, v: int, slopes: SlopeSet) -> set[int]:
     return used
 
 
-def _clearance(comp: _Composite, v: int, wedge: Wedge | None) -> float:
+def _clearance(comp: _Composite, v: int, wedge: Wedge) -> float:
     """Half the distance from v to the nearest foreign feature.
 
     The first segment of an edge leaving v is radial at v and occupies its
@@ -607,7 +607,7 @@ def _clearance(comp: _Composite, v: int, wedge: Wedge | None) -> float:
     """
     p = comp.pts[v]
     best = math.inf
-    if wedge is not None and (p[0], p[1]) != tuple(wedge.apex):
+    if (p[0], p[1]) != tuple(wedge.apex):
         for ang in (wedge.start, wedge.start + wedge.span):
             best = min(best, _dist_point_ray(p, wedge.apex, ang))
     own = [comp.point_row[v]]
@@ -776,7 +776,7 @@ def _nonvertical_middle_edges(arcs) -> list[tuple[int, int]]:
     )
 
 
-def _glue(comp: _Composite, c: int, child: Drawing, verts, slopes: SlopeSet, wedge):
+def _glue(comp: _Composite, c: int, child: Drawing, verts, slopes: SlopeSet, wedge: Wedge):
     """Rotate, shrink and attach a child block drawing, whose local vertex i
     is verts[i], at cut vertex c of comp.
 

@@ -1,4 +1,4 @@
-"""Shared instance builders.
+"""Shared instance builders and test oracles.
 
 Everything here is deterministic given its seed so reruns produce identical
 graphs (and therefore byte-identical drawings downstream).
@@ -7,6 +7,7 @@ graphs (and therefore byte-identical drawings downstream).
 from __future__ import annotations
 
 import importlib.util
+import math
 import random
 from pathlib import Path
 
@@ -144,3 +145,58 @@ def glued_blocks(d: int, seed: int, k: int = 3) -> PlanarGraph:
     out = PlanarGraph(n, tuple(edges))
     assert out.max_degree <= d
     return out
+
+
+def _dist_pt_seg(p, a, b) -> float:
+    ax, ay = float(a[0]), float(a[1])
+    bx, by = float(b[0]), float(b[1])
+    px, py = float(p[0]), float(p[1])
+    vx, vy = bx - ax, by - ay
+    L2 = vx * vx + vy * vy
+    if L2 == 0.0:
+        return math.hypot(px - ax, py - ay)
+    t = max(0.0, min(1.0, ((px - ax) * vx + (py - ay) * vy) / L2))
+    return math.hypot(px - ax - t * vx, py - ay - t * vy)
+
+
+def _dist_to_polyline(p, poly) -> float:
+    return min(_dist_pt_seg(p, poly[i], poly[i + 1]) for i in range(len(poly) - 1))
+
+
+def hausdorff_within(pa, pb, bound: float) -> bool:
+    """Certified test: is the Hausdorff distance between polylines < bound?
+
+    Branch-and-bound on each source segment.  Point-to-segment distance is
+    convex along a straight subsegment, so against any single target segment
+    the subsegment's worst point is one of its endpoints; taking the best
+    target segment gives an upper bound with no dependence on subsegment
+    length, and flat regions prune without subdividing.  Returns False as
+    soon as a point at distance >= bound is found.
+    """
+    for src, dst in ((pa, pb), (pb, pa)):
+        dseg = [(dst[j], dst[j + 1]) for j in range(len(dst) - 1)]
+        for i in range(len(src) - 1):
+            stack = [(src[i], src[i + 1])]
+            while stack:
+                a, b = stack.pop()
+                wa = math.inf
+                wb = math.inf
+                ub = math.inf
+                for p, q in dseg:
+                    da = _dist_pt_seg(a, p, q)
+                    db = _dist_pt_seg(b, p, q)
+                    wa = min(wa, da)
+                    wb = min(wb, db)
+                    ub = min(ub, max(da, db))
+                if wa >= bound or wb >= bound:
+                    return False
+                if ub < bound:
+                    continue
+                mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+                if math.hypot(b[0] - a[0], b[1] - a[1]) < 2e-12:
+                    if _dist_to_polyline(mid, dst) >= bound:
+                        return False
+                    continue
+                stack.append((a, mid))
+                stack.append((mid, b))
+    return True

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import bounded_stack, capped_planar, glued_blocks
+from conftest import bounded_stack, capped_planar, glued_blocks, hausdorff_within
 from fewslopes.circlepack import ALPHA, layout_centers, pack_radii, ratio_check
 from fewslopes.cli import run
 from fewslopes.drawing import SlopeSet
@@ -29,7 +29,6 @@ from fewslopes.twobend import draw_twobend
 from fewslopes.verify import (
     check_gd_claims,
     check_noncrossing,
-    hausdorff_within,
     max_bends,
     slope_census,
     verify_drawing,

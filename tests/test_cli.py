@@ -242,6 +242,12 @@ MALFORMED_DRAWINGS = {
     "slope-indices-not-a-list": (
         _malformed_edge(slope_indices=3), "edge 0 field 'slope_indices' is not an array",
     ),
+    "slope-index-a-string": (
+        _malformed_edge(slope_indices=["x", 0]), "edge 0 field 'slope_indices' holds 'x', not an integer",
+    ),
+    "slope-index-true": (
+        _malformed_edge(slope_indices=[0, True]), "edge 0 field 'slope_indices' holds True, not an integer",
+    ),
 }
 
 

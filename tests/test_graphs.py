@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import time
+from collections import Counter
+from functools import cached_property
 
 import networkx as nx
 import pytest
@@ -15,7 +18,7 @@ from conftest import (
     glued_blocks,
 )
 
-from fewslopes import twobend
+from fewslopes import graphs, twobend
 from fewslopes.errors import (
     Disconnected,
     NotBiconnected,
@@ -103,6 +106,19 @@ class TestEmbedding:
         e = planar_embed(gen_octahedron())
         for f in e.faces:
             assert e.trace_face(f[0], f[1]) == f
+
+    @pytest.mark.parametrize("g", [gen_octahedron(), CUBE, capped_planar(60, 1, 5)],
+                             ids=["octahedron", "cube", "capped_planar_60"])
+    def test_face_of_indexes_every_dart(self, g):
+        e = planar_embed(g)
+        assert len(e.face_of) == 2 * len(g.edges)
+        for (a, b), i in e.face_of.items():
+            f = e.faces[i]
+            assert (a, b) in zip(f, f[1:] + f[:1])
+        # at v, the face of dart (v, rot[v][i]) is the one entering v from rot[v][i + 1]
+        for v, rot in enumerate(e.rotation):
+            for i, w in enumerate(rot):
+                assert e.face_of[v, w] == e.face_of[rot[(i + 1) % len(rot)], v]
 
     def test_outer_face_may_start_anywhere(self):
         e = planar_embed(CUBE)
@@ -484,6 +500,15 @@ def _block_sets(blocks) -> set[frozenset]:
     return {frozenset(b) for b in blocks}
 
 
+def _induced(g: PlanarGraph, keep) -> tuple[PlanarGraph, list[int]]:
+    """The subgraph of g that keep induces, on local ids, and its sorted
+    vertices (local id -> vertex of g)."""
+    verts = sorted(keep)
+    local = {v: j for j, v in enumerate(verts)}
+    edges = tuple((local[u], local[v]) for u, v in g.edges if u in local and v in local)
+    return PlanarGraph(len(verts), edges), verts
+
+
 class TestBlocks:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_networkx_on_connected_induced_subgraphs(self, seed):
@@ -493,20 +518,81 @@ class TestBlocks:
         for _ in range(25):
             keep = set(rng.sample(range(g.n), rng.randrange(2, g.n + 1)))
             comp = max(nx.connected_components(G.subgraph(keep)), key=lambda c: (len(c), min(c)))
+            sub, verts = _induced(g, comp)
             want = _block_sets(nx.biconnected_components(G.subgraph(comp)))
-            assert _block_sets(_blocks(g.adjacency, comp)) == want
+            got = [{verts[j] for j in b} for b in _blocks(sub.adjacency)]
+            assert _block_sets(got) == want
 
     def test_path_cycle_and_single_vertex(self):
         path = PlanarGraph(4, ((0, 1), (1, 2), (2, 3)))
-        assert _block_sets(_blocks(path.adjacency, {0, 1, 2, 3})) == {
+        assert _block_sets(_blocks(path.adjacency)) == {
             frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})
         }
-        assert _block_sets(_blocks(path.adjacency, {2, 1, 0})) == {
+        assert _block_sets(_blocks(_induced(path, {2, 1, 0})[0].adjacency)) == {
             frozenset({0, 1}), frozenset({1, 2})
         }
-        assert _blocks(path.adjacency, {3}) == []
+        assert _blocks(PlanarGraph(1, ()).adjacency) == []
         cycle = PlanarGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
-        assert _blocks(cycle.adjacency, {0, 1, 2, 3}) == [{0, 1, 2, 3}]
+        assert _blocks(cycle.adjacency) == [{0, 1, 2, 3}]
+
+    def test_every_component_and_isolated_vertex(self):
+        # a triangle, an isolated vertex and a path: one search covers all
+        g = PlanarGraph(7, ((0, 1), (1, 2), (0, 2), (4, 5), (5, 6)))
+        assert _block_sets(_blocks(g.adjacency)) == {
+            frozenset({0, 1, 2}), frozenset({4, 5}), frozenset({5, 6})
+        }
+
+
+class TestOneSearchPerQuestion:
+    # child blocks of both graphs retry v_1; seed 5 ends in StOrderInfeasible
+    @pytest.mark.parametrize("seed,fails", [(5, True), (6, False)])
+    def test_one_block_search_and_one_face_index_per_embedding(self, seed, fails, monkeypatch):
+        searches = []
+        real_blocks = graphs._blocks
+
+        def counted_blocks(adj):
+            searches.append(len(adj))
+            return real_blocks(adj)
+
+        monkeypatch.setattr(graphs, "_blocks", counted_blocks)
+        per_call = {"block_cut_tree": [], "st_order": []}
+        ordered = []  # the embedding of every st_order call
+
+        def counting(name, fn):
+            def wrapper(*args):
+                if name == "st_order":
+                    ordered.append(args[0])
+                before = len(searches)
+                try:
+                    return fn(*args)
+                finally:
+                    per_call[name].append(len(searches) - before)
+            return wrapper
+
+        monkeypatch.setattr(twobend, "block_cut_tree", counting("block_cut_tree", block_cut_tree))
+        monkeypatch.setattr(twobend, "st_order", counting("st_order", st_order))
+        built = Counter()
+        indexed = []  # every embedding indexed, kept alive so no id is reused
+        real_index = Embedding.__dict__["face_of"].func
+
+        def counted_index(e):
+            indexed.append(e)
+            built[id(e)] += 1
+            return real_index(e)
+
+        prop = cached_property(counted_index)
+        prop.__set_name__(Embedding, "face_of")
+        monkeypatch.setattr(Embedding, "face_of", prop)
+
+        g = bench_instances().capped_planar(300, 4, seed)
+        with pytest.raises(StOrderInfeasible) if fails else contextlib.nullcontext():
+            draw_twobend(g)
+        assert per_call["block_cut_tree"] == [1]
+        assert max(per_call["st_order"]) <= 1
+        assert len(searches) == 1 + sum(per_call["st_order"])
+        assert max(Counter(map(id, ordered)).values()) >= 2  # some v_1 was retried
+        assert set(built) == set(map(id, ordered))
+        assert set(built.values()) == {1}
 
 
 def rebuild_canonical_order(e: Embedding) -> CanonicalOrder:

@@ -75,6 +75,8 @@ class TestGraph:
             ({"n": 2, "edges": [[0]]}, r"edge 0 is not a pair of integers: \[0\]"),
             ({"n": 3, "edges": [[0, 1], [1, 2.0]]}, "edge 1 is not a pair of integers"),
             ({"n": 2, "edges": [[0, 1]], "labels": "ab"}, "graph field 'labels' is not an array"),
+            ({"n": 3, "edges": [], "labels": [1, 2, None]}, "graph field 'labels' holds 1, not a string"),
+            ({"n": 2, "edges": [], "labels": ["a", None]}, "graph field 'labels' holds None, not a string"),
         ],
     )
     def test_malformed_graph_names_the_field(self, obj, match):

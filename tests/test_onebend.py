@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import bench_instances
+from conftest import bench_instances, hausdorff_within
 from fewslopes import onebend
 from fewslopes.errors import RetractionFailed, TooFewVertices
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
@@ -25,7 +25,6 @@ from fewslopes.onebend import (
 )
 from fewslopes.verify import (
     check_noncrossing,
-    hausdorff_within,
     max_bends,
     slope_census,
     verify_drawing,

@@ -17,7 +17,7 @@ from conftest import (
 )
 
 from fewslopes import graphs, twobend
-from fewslopes.drawing import EdgeArc, SlopeSet
+from fewslopes.drawing import EdgeArc, SlopeSet, Wedge
 from fewslopes.errors import (
     DegreeTooHigh,
     DegreeTooSmall,
@@ -453,7 +453,7 @@ def scan_clearance(pts, arcs, v, wedge) -> float:
                 best = min(best, _dist_point_segment(p, q0, q1))
                 continue
             best = min(best, math.hypot(far[0] - p[0], far[1] - p[1]))
-    if wedge is not None and (p[0], p[1]) != tuple(wedge.apex):
+    if (p[0], p[1]) != tuple(wedge.apex):
         for ang in (wedge.start, wedge.start + wedge.span):
             best = min(best, _dist_point_ray(p, wedge.apex, ang))
     return best / 2.0
@@ -497,8 +497,11 @@ class TestClearance:
             poly = (pts[u], *(pt() for _ in range(rng.randrange(3))), pts[v])
             arcs.append(EdgeArc(u, v, poly, (0,) * (len(poly) - 1)))
         comp = twobend._Composite(pts, arcs)
+        # a wedge that holds every point, as the root block's wedge holds
+        # the blocks glued below it, with rays near the outer points
+        wedge = Wedge((base + size / 2, base + 2 * size), 0.75 * math.pi, 0.5 * math.pi)
         for v in pts:
-            assert twobend._clearance(comp, v, None) == scan_clearance(pts, arcs, v, None), v
+            assert twobend._clearance(comp, v, wedge) == scan_clearance(pts, arcs, v, wedge), v
 
     def test_deep_chain_shrinks_below_the_margin(self, monkeypatch):
         # k4_chain(9) reaches clearances below the prefilter's rounding

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import bench_instances, capped_planar
+from conftest import bench_instances, capped_planar, hausdorff_within
 from fewslopes import verify
 from fewslopes.drawing import Drawing, EdgeArc, SlopeSet, Wedge
 from fewslopes.errors import AmbiguousBucket, SlopeOffGrid
@@ -25,7 +25,6 @@ from fewslopes.verify import (
     check_contiguous,
     check_gd_claims,
     check_noncrossing,
-    hausdorff_within,
     max_bends,
     slope_census,
     slope_classes,
