@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -281,11 +282,10 @@ def _cot(angle: float) -> float:
     return math.cos(angle) / math.sin(angle)
 
 
-def _arcs_from_route(
-    route: _Route, slopes: SlopeSet, pts: dict[int, tuple[float, float]]
-) -> list[EdgeArc]:
+def _polylines(route: _Route, slopes: SlopeSet, pts: dict[int, tuple[float, float]]):
+    """(u, v, poly, slope indices) of every routed edge, for the points pts."""
     s = slopes.s
-    arcs = []
+    lines = []
     for ep in route.episodes:
         u, v = ep.u, ep.target
         ux, uy = pts[u]
@@ -296,9 +296,8 @@ def _arcs_from_route(
             drop = uy - abs(vy - uy) - 1.0
             assert cx > ux
             mid_y = drop - (cx - ux) * _cot(math.pi / s)
-            poly = [(ux, uy), (ux, drop), (cx, mid_y), (vx, vy)]
-            ks = [0, (s - 1) % s, 0]
-            arcs.append(EdgeArc(u, v, tuple(poly), tuple(ks)))
+            poly = ((ux, uy), (ux, drop), (cx, mid_y), (vx, vy))
+            lines.append((u, v, poly, (0, (s - 1) % s, 0)))
             continue
         poly: list[tuple[float, float]] = [(ux, uy)]
         ks: list[int] = []
@@ -323,8 +322,8 @@ def _arcs_from_route(
             assert vy > poly[-1][1]
             poly.append((vx, vy))
             ks.append(0)
-        arcs.append(EdgeArc(u, v, tuple(poly), tuple(ks)))
-    return arcs
+        lines.append((u, v, tuple(poly), tuple(ks)))
+    return lines
 
 
 def _wedge_of(route: _Route, slopes: SlopeSet, apex) -> Wedge:
@@ -348,13 +347,13 @@ def _ray_hits(apex, angle: float, p: np.ndarray, q: np.ndarray, tol: float) -> n
     return (np.abs(den) >= 1e-15) & (t_ray > tol) & (tol < t_seg) & (t_seg < 1.0 - tol)
 
 
-def _contained(arcs: list[EdgeArc], wedge: Wedge, apex_pt, slopes: SlopeSet) -> bool:
-    """Whether every point of arcs but apex_pt lies strictly inside wedge,
+def _contained(polys, wedge: Wedge, apex_pt, slopes: SlopeSet) -> bool:
+    """Whether every point of polys but apex_pt lies strictly inside wedge,
     at least pi/(32s) radians from either boundary ray, and no segment
     crosses a boundary ray."""
     margin = math.pi / (32 * slopes.s)
-    for arc in arcs:
-        for p in arc.poly:
+    for poly in polys:
+        for p in poly:
             if p == apex_pt:
                 continue
             qx = float(p[0]) - wedge.apex[0]
@@ -364,8 +363,8 @@ def _contained(arcs: list[EdgeArc], wedge: Wedge, apex_pt, slopes: SlopeSet) -> 
             delta = (math.atan2(qx, qy) % _TWO_PI - wedge.start) % _TWO_PI
             if not margin <= delta <= wedge.span - margin:
                 return False
-    p = np.array([a for arc in arcs for a in arc.poly[:-1]], dtype=float).reshape(-1, 2)
-    q = np.array([b for arc in arcs for b in arc.poly[1:]], dtype=float).reshape(-1, 2)
+    p = np.array([a for poly in polys for a in poly[:-1]], dtype=float).reshape(-1, 2)
+    q = np.array([b for poly in polys for b in poly[1:]], dtype=float).reshape(-1, 2)
     return not any(
         _ray_hits(wedge.apex, ang, p, q, 1e-12).any()
         for ang in (wedge.start, wedge.start + wedge.span)
@@ -415,19 +414,17 @@ def _draw_routed(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
     tx, ty = pts[t]
     extra = 0.0
     while True:
-        arcs = _arcs_from_route(route, slopes, pts)
+        lines = _polylines(route, slopes, pts)
         wedge = _wedge_of(route, slopes, pts[t])
-        if _contained(arcs, wedge, pts[t], slopes):
+        if _contained([poly for _, _, poly, _ in lines], wedge, pts[t], slopes):
             break
         extra = spacing if extra == 0.0 else 2.0 * extra
         if extra > 1e30:
             raise GluingFailed(f"drawing cannot be confined to the wedge at {t}")
         pts[t] = (tx, ty + extra)
 
-    g = e.graph
     lo, hi = route.top_fan
     meta = {
-        "d": g.max_degree,
         "s": slopes.s,
         "t": t,
         "v1": route.order[0],
@@ -437,11 +434,10 @@ def _draw_routed(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
             "start": wedge.start,
             "span": wedge.span,
         },
-        "wedge_contained": True,
         "fan_slots": [lo, hi],
-        "nonvertical_middle_edges": [sorted((route.order[0], route.order[1]))],
     }
-    return Drawing("twobend", {v: pts[v] for v in range(g.n)}, arcs, "float", meta)
+    arcs = [EdgeArc(*line) for line in lines]
+    return Drawing("twobend", {v: pts[v] for v in range(e.graph.n)}, arcs, "float", meta)
 
 
 def _draw_k2(t_first: bool, slopes: SlopeSet) -> Drawing:
@@ -452,7 +448,6 @@ def _draw_k2(t_first: bool, slopes: SlopeSet) -> Drawing:
     arc = EdgeArc(bot, top, ((0.0, -1.0), (0.0, 0.0)), (0,))
     s = slopes.s
     meta = {
-        "d": 1,
         "s": s,
         "t": top,
         "wedge": {
@@ -460,9 +455,7 @@ def _draw_k2(t_first: bool, slopes: SlopeSet) -> Drawing:
             "start": (s - 0.5) * math.pi / s,
             "span": math.pi / s,
         },
-        "wedge_contained": True,
         "fan_slots": [s, s],
-        "nonvertical_middle_edges": [],
     }
     return Drawing("twobend", pts, [arc], "float", meta)
 
@@ -496,69 +489,60 @@ def draw_biconnected_twobend(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
 # --- block gluing ----------------------------------------------------------------
 
 
-def _place(dr: Drawing, verts, f=None, turn: int = 0):
-    """(points, arcs, meta) of dr with vertex i (and meta's t, v1, v2)
-    renamed to verts[i], every point mapped through f and every slope index
-    advanced by turn mod s: the clockwise rotation f applies, in slots of
-    pi/s. meta's wedge stays put. EdgeArc raises ValueError when f maps the
-    two ends of a piece to one point."""
-    s = dr.meta["s"]
-    f = f or (lambda p: p)
-    pts = {verts[v]: f(p) for v, p in dr.points.items()}
-    arcs = [
-        EdgeArc(
-            verts[a.u],
-            verts[a.v],
-            tuple(f(p) for p in a.poly),
-            tuple((k + turn) % s for k in a.slope_indices),
-        )
-        for a in dr.edges
-    ]
-    meta = dict(dr.meta)
-    for key in ("t", "v1", "v2"):
-        if key in meta:
-            meta[key] = verts[meta[key]]
-    return pts, arcs, meta
-
-
 class _Composite:
-    """The drawing glued so far, grown in place by each glue.
+    """A drawing assembled in graph ids, grown in place block by block.
 
-    Besides the points and arcs in graph ids it keeps, for each vertex, the
-    indices of the arcs that end there, and every segment as a float64 row
-    (x0, y0, x1, y1) with the (arc index, segment index) it came from. Each
+    Besides the points and edges, named as a Drawing's so that one composite
+    can be added to another, it keeps for each vertex the indices of the
+    edges that end there, and every segment as a float64 row
+    (x0, y0, x1, y1) with the (edge index, segment index) it came from. Each
     vertex point is a row too, a segment of length zero from (-1, vertex).
     """
 
-    def __init__(self, pts, arcs):
-        self.pts: dict[int, tuple[float, float]] = {}
-        self.arcs: list[EdgeArc] = []
+    def __init__(self, s: int):
+        self.s = s
+        self.points: dict[int, tuple[float, float]] = {}
+        self.edges: list[EdgeArc] = []
         self.at: dict[int, list[int]] = defaultdict(list)
-        self.first_row: list[int] = []  # arc index -> row of its first segment
+        self.first_row: list[int] = []  # edge index -> row of its first segment
         self.point_row: dict[int, int] = {}
         self.src: list[tuple[int, int]] = []
         self.buf = np.empty((256, 4))
-        self.add(pts, arcs)
 
     @property
     def rows(self) -> np.ndarray:
         return self.buf[: len(self.src)]
 
     def arcs_at(self, v: int) -> list[EdgeArc]:
-        return [self.arcs[i] for i in self.at[v]]
+        return [self.edges[i] for i in self.at[v]]
 
-    def add(self, pts, arcs) -> None:
-        """Update the points with pts and append arcs, with their rows."""
+    def add(self, dr, verts, f=None, turn: int = 0) -> None:
+        """Add the points and edges of dr, with vertex i renamed to verts[i],
+        every point mapped through f and every slope index advanced by turn
+        mod s: the clockwise rotation f applies, in slots of pi/s. A vertex
+        already drawn keeps its point. EdgeArc raises ValueError, before
+        anything is added, when f maps the two ends of a piece to one point."""
+        f = f or (lambda p: p)
+        arcs = [
+            EdgeArc(
+                verts[a.u],
+                verts[a.v],
+                tuple(f(p) for p in a.poly),
+                tuple((k + turn) % self.s for k in a.slope_indices),
+            )
+            for a in dr.edges
+        ]
         rows = []
-        for v, p in pts.items():
-            if v not in self.pts:
+        for v, p in dr.points.items():
+            v = verts[v]
+            if v not in self.points:
+                p = self.points[v] = f(p)
                 self.point_row[v] = len(self.src)
                 rows.append((*p, *p))
                 self.src.append((-1, v))
-        self.pts.update(pts)
         for a in arcs:
-            i = len(self.arcs)
-            self.arcs.append(a)
+            i = len(self.edges)
+            self.edges.append(a)
             self.at[a.u].append(i)
             self.at[a.v].append(i)
             self.first_row.append(len(self.src))
@@ -571,6 +555,10 @@ class _Composite:
             grown[:start] = self.buf[:start]
             self.buf = grown
         self.buf[start:end] = rows
+
+
+# an isolated vertex, added as a block of one point
+_ISOLATED = SimpleNamespace(points={0: (0.0, 0.0)}, edges=())
 
 
 def _used_slots_at(pts, arcs, v: int, slopes: SlopeSet) -> set[int]:
@@ -605,14 +593,14 @@ def _clearance(comp: _Composite, v: int, wedge: Wedge) -> float:
     best distance so far; the rest are farther than that distance, so the
     result is the float a scan of every feature gives.
     """
-    p = comp.pts[v]
+    p = comp.points[v]
     best = math.inf
     if (p[0], p[1]) != tuple(wedge.apex):
         for ang in (wedge.start, wedge.start + wedge.span):
             best = min(best, _dist_point_ray(p, wedge.apex, ang))
     own = [comp.point_row[v]]
     for i in comp.at[v]:
-        a = comp.arcs[i]
+        a = comp.edges[i]
         r = comp.first_row[i] + (0 if a.u == v else len(a.poly) - 2)
         own.append(r)
         best = min(best, _row_distance(comp, p, v, r))
@@ -646,9 +634,9 @@ def _row_distance(comp: _Composite, p, v: int, r: int) -> float:
     scalar arithmetic of a scan of every feature."""
     i, j = comp.src[r]
     if i < 0:
-        q = comp.pts[j]
+        q = comp.points[j]
         return math.hypot(q[0] - p[0], q[1] - p[1])
-    a = comp.arcs[i]
+    a = comp.edges[i]
     q0, q1 = a.poly[j], a.poly[j + 1]
     if a.u == v and j == 0:
         far = q1
@@ -691,23 +679,33 @@ def _component_blocks(bct: BlockCutTree, comp: set[int]):
 
 
 def _embed_with_outer(bg: PlanarGraph, want: int) -> Embedding:
+    """planar_embed's embedding of bg, or, when want is not on its outer
+    face, the same rotation with the largest face at want outside."""
     e0 = planar_embed(bg)
     if want in e0.outer_face:
         return e0
     for f in sorted(e0.faces, key=lambda f: (-len(f), f)):
         if want in f:
-            return Embedding(bg, e0.rotation, f)
+            e = Embedding(bg, e0.rotation, f)
+            e.__dict__["faces"] = e0.faces  # the cached property: same rotation, same faces
+            return e
     raise AssertionError("vertex missing from every face")  # pragma: no cover
 
 
-def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) -> Drawing:
-    """Drawing, in graph ids, of the component on vertices vs."""
+def _draw_component(
+    vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet
+) -> tuple[_Composite, dict]:
+    """The component on vertices vs, assembled in graph ids, and its meta:
+    the root block's, in graph ids, with blocks and cut_vertices when the
+    component has more than one block."""
+    comp = _Composite(slopes.s)
     if len(vs) == 1:
-        return Drawing("twobend", {vs[0]: (0.0, 0.0)}, [], "float", {"s": slopes.s})
+        comp.add(_ISOLATED, vs)
+        return comp, {}
     cap = 2 * slopes.s
-    comp = set(vs)
-    blocks = _component_blocks(bct, comp)
-    cuts = comp.intersection(bct.cut_vertices)
+    in_comp = set(vs)
+    blocks = _component_blocks(bct, in_comp)
+    cuts = in_comp.intersection(bct.cut_vertices)
 
     # root at a non-cut top of any block if one draws: blocks glued at a cut
     # top would leave the top's wedge, which then is dropped from meta
@@ -717,7 +715,6 @@ def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) ->
         for t in range(bg.n)
         if bg.degree(t) < cap
     )
-    root = None
     last_err = None
     for cut_top, root_bi, _, t in tops:
         bg, verts, _ = blocks[root_bi]
@@ -726,19 +723,15 @@ def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) ->
         except StOrderInfeasible as exc:
             last_err = exc
             continue
-        root = _place(rdr, verts)
         break
-    if root is None:
+    else:
         raise last_err or DegreeTooHigh("no block vertex admits a free slope on top")
-    pts, arcs, meta = root
-    if len(blocks) == 1:
-        return Drawing("twobend", pts, arcs, "float", meta)
-
-    comp = _Composite(pts, arcs)
+    comp.add(rdr, verts)
+    meta = {k: verts[x] if k in ("t", "v1", "v2") else x for k, x in rdr.meta.items()}
     rw = meta.pop("wedge") if cut_top else meta["wedge"]
     root_wedge = Wedge(tuple(rw["apex"]), rw["start"], rw["span"])
     drawn_blocks = {root_bi}
-    drawn_vertices = set(pts)
+    drawn_vertices = set(verts)
 
     progressed = True
     while len(drawn_blocks) < len(blocks):
@@ -760,13 +753,10 @@ def _draw_component(vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet) ->
             drawn_vertices.update(bverts)
             progressed = True
 
-    meta["blocks"] = len(blocks)
-    meta["cut_vertices"] = sorted(cuts)
-    meta["nonvertical_middle_edges"] = _nonvertical_middle_edges(comp.arcs)
-    # a child glued within rho of its cut vertex, rho at most half that
-    # vertex's distance to the root wedge's rays, stays inside the wedge
-    meta["wedge_contained"] = "wedge" in meta
-    return Drawing("twobend", comp.pts, comp.arcs, "float", meta)
+    if len(blocks) > 1:
+        meta["blocks"] = len(blocks)
+        meta["cut_vertices"] = sorted(cuts)
+    return comp, meta
 
 
 def _nonvertical_middle_edges(arcs) -> list[tuple[int, int]]:
@@ -784,11 +774,11 @@ def _glue(comp: _Composite, c: int, child: Drawing, verts, slopes: SlopeSet, wed
     gives c contiguous slots and each child extends the arc), and the child
     takes the free slots after its clockwise end. The shrink comes from the
     clearance at c, which measures only the features near c; comp then
-    gains the child's points, arcs and rows in place.
+    gains the child's points, arcs and rows in place, c keeping its point.
     """
     s = slopes.s
     m = 2 * s
-    used = _used_slots_at(comp.pts, comp.arcs_at(c), c, slopes)
+    used = _used_slots_at(comp.points, comp.arcs_at(c), c, slopes)
     ends = [k for k in used if (k + 1) % m not in used]
     if len(ends) != 1:
         raise GluingFailed(f"slots taken at cut vertex {c} are not one arc: {sorted(used)}")
@@ -809,20 +799,19 @@ def _glue(comp: _Composite, c: int, child: Drawing, verts, slopes: SlopeSet, wed
     (mr, er), (mp, ep) = math.frexp(radius), math.frexp(rho)
     halvings = max(0, er - ep + (mr > mp))
     scale = math.ldexp(1.0, -halvings)
-    dest = comp.pts[c]
+    dest = comp.points[c]
 
     def move(p):
         x, y = p[0] - apex[0], p[1] - apex[1]
         return (dest[0] + scale * (x * cs + y * sn), dest[1] + scale * (-x * sn + y * cs))
 
     try:
-        pts, arcs, _ = _place(child, verts, move, rot_slots)
+        comp.add(child, verts, move, rot_slots)
     except ValueError as exc:  # a shrunk piece rounds to a point at dest
         raise GluingFailed(
             f"child block at {c}, halved {halvings} times, is below float "
             f"resolution at {dest}"
         ) from exc
-    comp.add({**pts, c: dest}, arcs)  # exact apex at c
 
 
 # --- entry points ----------------------------------------------------------------
@@ -853,35 +842,30 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
             slopes = SlopeSet(slopes.s + 1)
 
     bct = block_cut_tree(g)
-    drawings = [_draw_component(vs, bct, slopes) for vs in g.components]
-
-    if len(drawings) == 1:
-        final = drawings[0]
-        final.meta.setdefault("components", 1)
-        final.meta["d"] = d
-        return final
-
-    pts: dict[int, tuple[float, float]] = {}
-    arcs: list[EdgeArc] = []
-    x_off = 0.0
-    for dr in drawings:
-        xs = [p[0] for p in dr.points.values()] + [
-            p[0] for a in dr.edges for p in a.poly
-        ]
-        lo_x, hi_x = min(xs), max(xs)
-        shift = x_off - lo_x
-        placed_pts, placed_arcs, _ = _place(dr, range(g.n), lambda p: (p[0] + shift, p[1]))
-        pts.update(placed_pts)
-        arcs += placed_arcs
-        x_off += (hi_x - lo_x) + max(1.0, 0.05 * (hi_x - lo_x))
-    meta = {
-        "d": d,
-        "s": slopes.s,
-        "components": len(drawings),
-        "wedge_contained": False,
-        "nonvertical_middle_edges": _nonvertical_middle_edges(arcs),
-    }
-    return Drawing("twobend", pts, arcs, "float", meta)
+    parts = [_draw_component(vs, bct, slopes) for vs in g.components]
+    if len(parts) == 1:
+        comp, meta = parts[0]
+    else:
+        comp, meta = _Composite(slopes.s), {}
+        x_off = 0.0
+        for part, _ in parts:
+            xs = [p[0] for p in part.points.values()] + [
+                p[0] for a in part.edges for p in a.poly
+            ]
+            lo_x, hi_x = min(xs), max(xs)
+            shift = x_off - lo_x
+            comp.add(part, range(g.n), lambda p: (p[0] + shift, p[1]))
+            x_off += (hi_x - lo_x) + max(1.0, 0.05 * (hi_x - lo_x))
+    meta.update(
+        d=d,
+        s=slopes.s,
+        components=len(parts),
+        # a child glued within rho of its cut vertex, rho at most half that
+        # vertex's distance to the root wedge's rays, stays inside the wedge
+        wedge_contained="wedge" in meta,
+        nonvertical_middle_edges=_nonvertical_middle_edges(comp.edges),
+    )
+    return Drawing("twobend", comp.points, comp.edges, "float", meta)
 
 
 def draw_low_degree(g: PlanarGraph) -> Drawing:

@@ -17,7 +17,7 @@ from conftest import (
 )
 
 from fewslopes import graphs, twobend
-from fewslopes.drawing import EdgeArc, SlopeSet, Wedge
+from fewslopes.drawing import Drawing, EdgeArc, SlopeSet, Wedge
 from fewslopes.errors import (
     DegreeTooHigh,
     DegreeTooSmall,
@@ -116,7 +116,7 @@ class TestTriangleBlock:
         rep = verify_drawing(dr, SlopeSet(2))
         assert rep.ok and rep.max_bends <= 2
         assert rep.distinct_slopes <= 2
-        assert dr.meta["wedge_contained"]
+        assert rep.wedge_ok
         assert "fan_slots" in dr.meta and "wedge" in dr.meta
 
 
@@ -179,19 +179,24 @@ class TestOctahedron:
 
 
 def glued_components(monkeypatch, gs) -> list:
-    """The drawings of the components of gs glued from two or more blocks,
-    taken before the components are laid side by side."""
+    """The components of gs glued from two or more blocks, each a drawing
+    with its component meta, taken before the components are laid side by
+    side. The wedge_contained of each drawing of gs agrees with the
+    verifier."""
     drawn = []
     draw_component = twobend._draw_component
 
     def spy(*args):
-        drawn.append(draw_component(*args))
-        return drawn[-1]
+        comp, meta = draw_component(*args)
+        if meta.get("blocks", 1) > 1:
+            drawn.append(Drawing("twobend", dict(comp.points), list(comp.edges), meta=dict(meta)))
+        return comp, meta
 
     monkeypatch.setattr(twobend, "_draw_component", spy)
     for g in gs:
-        draw_twobend(g)
-    return [dr for dr in drawn if dr.meta.get("blocks", 1) > 1]
+        dr = draw_twobend(g)
+        assert dr.meta["wedge_contained"] is (check_wedge(dr) is True)
+    return drawn
 
 
 class TestGluing:
@@ -243,12 +248,12 @@ class TestGluing:
 
         def spied(comp, c, child, verts, slopes, wedge):
             m = 2 * slopes.s
-            before = _used_slots_at(comp.pts, comp.arcs_at(c), c, slopes)
+            before = _used_slots_at(comp.points, comp.arcs_at(c), c, slopes)
             ends = [k for k in before if (k + 1) % m not in before]
             assert len(ends) == 1, (c, sorted(before))
             real(comp, c, child, verts, slopes, wedge)
             lo, hi = child.meta["fan_slots"]
-            added = _used_slots_at(comp.pts, comp.arcs_at(c), c, slopes) - before
+            added = _used_slots_at(comp.points, comp.arcs_at(c), c, slopes) - before
             assert added == {(ends[0] + 1 + i) % m for i in range(hi - lo + 1)}
             seen.append(c)
 
@@ -300,7 +305,7 @@ class TestGluing:
     def test_glued_wedge_flag_agrees_with_verifier(self, monkeypatch, g):
         glued = glued_components(monkeypatch, [g])
         assert len(glued) == 1
-        assert glued[0].meta["wedge_contained"] is (check_wedge(glued[0]) is True)
+        assert ("wedge" in glued[0].meta) is (check_wedge(glued[0]) is True)
 
     def test_glued_wedge_flag_agrees_with_verifier_on_twobend_blocks(self, monkeypatch):
         glued = glued_components(monkeypatch, [
@@ -309,7 +314,7 @@ class TestGluing:
         ])
         assert len(glued) == 6
         for dr in glued:
-            assert dr.meta["wedge_contained"] is (check_wedge(dr) is True)
+            assert ("wedge" in dr.meta) is (check_wedge(dr) is True)
 
     def test_meta_degree_is_the_graphs(self):
         g = k4_chain(3)
@@ -471,7 +476,7 @@ class TestClearance:
 
         def checked(comp, v, wedge):
             got = real(comp, v, wedge)
-            assert got == scan_clearance(comp.pts, comp.arcs, v, wedge), v
+            assert got == scan_clearance(comp.points, comp.edges, v, wedge), v
             seen.append(got)
             return got
 
@@ -496,7 +501,8 @@ class TestClearance:
             u, v = rng.sample(range(25), 2)
             poly = (pts[u], *(pt() for _ in range(rng.randrange(3))), pts[v])
             arcs.append(EdgeArc(u, v, poly, (0,) * (len(poly) - 1)))
-        comp = twobend._Composite(pts, arcs)
+        comp = twobend._Composite(1)
+        comp.add(Drawing("twobend", pts, arcs), range(25))
         # a wedge that holds every point, as the root block's wedge holds
         # the blocks glued below it, with rays near the outer points
         wedge = Wedge((base + size / 2, base + 2 * size), 0.75 * math.pi, 0.5 * math.pi)
@@ -513,7 +519,7 @@ class TestClearance:
 
         def recorded(comp, v, wedge):
             got = real(comp, v, wedge)
-            ratios.append(got / max(abs(c) for p in comp.pts.values() for c in p))
+            ratios.append(got / max(abs(c) for p in comp.points.values() for c in p))
             return got
 
         monkeypatch.setattr(twobend, "_clearance", recorded)
@@ -556,11 +562,11 @@ class TestWedgeRays:
         real = twobend._contained
         verdicts = []
 
-        def checked(arcs, wedge, apex_pt, slopes):
-            segs = [seg for arc in arcs for seg in arc.segments]
+        def checked(polys, wedge, apex_pt, slopes):
+            segs = [seg for poly in polys for seg in zip(poly, poly[1:])]
             angles = (wedge.start, wedge.start + wedge.span)
             verdicts.extend(assert_rays_match_oracle(wedge.apex, angles, segs))
-            return real(arcs, wedge, apex_pt, slopes)
+            return real(polys, wedge, apex_pt, slopes)
 
         monkeypatch.setattr(twobend, "_contained", checked)
         for n in sorted(TWOBEND_BLOCKS_ROUND0):
@@ -624,6 +630,31 @@ def test_st_order_and_route_work_is_linear(n, monkeypatch):
     assert all(k < 3 * size for k in counts.values()), (counts, size)
 
 
+def test_edges_and_faces_are_built_once_per_block(monkeypatch):
+    # each EdgeArc is built once in its block drawing, after the top has
+    # stopped moving, and once at its glued place; each block embedding
+    # traces its faces once, also when its outer face is moved to the top
+    g = bench_instances().capped_planar(600, 8, TWOBEND_BLOCKS_ROUND0[600])
+    assert g.is_connected()
+    blocks = len(graphs.block_cut_tree(g).blocks)
+    counts = {"arcs": 0, "face traces": 0}
+    real_init, real_all_faces = EdgeArc.__post_init__, graphs._all_faces
+
+    def counted_init(self):
+        counts["arcs"] += 1
+        real_init(self)
+
+    def counted_all_faces(*args):
+        counts["face traces"] += 1
+        return real_all_faces(*args)
+
+    monkeypatch.setattr(EdgeArc, "__post_init__", counted_init)
+    monkeypatch.setattr(graphs, "_all_faces", counted_all_faces)
+    draw_twobend(g)
+    assert counts["arcs"] <= 2 * len(g.edges), counts
+    assert counts["face traces"] == blocks, (counts, blocks)
+
+
 def _bench_twobend(n: int):
     return draw_twobend(bench_instances().capped_planar(n, 8, TWOBEND_BLOCKS_ROUND0[n]))
 
@@ -637,6 +668,9 @@ def _bench_twobend(n: int):
 # re-taken for drawing format 2 once each drawing's format 2 parse equalled
 # its format 1 parse, every coordinate in value and type. The face-local
 # cut test of st_order and the linked column lists of _route keep them all.
+# two_k4_and_isolated was taken when a component of one block returned its
+# root drawing without gluing: two such components on renamed vertex ids
+# and an isolated vertex 0.
 PINNED_BYTES = {
     "octahedron": (lambda: draw_twobend(gen_octahedron(), SlopeSet(3)),
         "e4f25711c4aab9db676e5e027c29e5ef60bf8e1da00193e85477468121e95e15",
@@ -658,6 +692,10 @@ PINNED_BYTES = {
     ),
     "capped_planar_250_0_8": (lambda: draw_twobend(capped_planar(250, 0, 8)),
         "304b7de41f569facb7c4dba54e9baeefbce8b2c26f0f99dc703da4171588fa95",
+    ),
+    "two_k4_and_isolated": (
+        lambda: draw_twobend(PlanarGraph(9, tuple(k4([1, 2, 3, 4]) + k4([5, 6, 7, 8])))),
+        "69e3b6a2ace1ed43600229691f7d46c755ab35b9a601511d7e885596e86a1a42",
     ),
     "twobend_blocks_150": (lambda: _bench_twobend(150),
         "d28842d2b860791b7f3710bf1ae2127ed11af07c56940ab1c6961d69928ec759",
