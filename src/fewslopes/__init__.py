@@ -40,7 +40,6 @@ from .graphs import (
     CanonicalOrder,
     Embedding,
     PlanarGraph,
-    StOrder,
     block_cut_tree,
     canonical_order,
     planar_embed,

@@ -78,17 +78,28 @@ def lr_witness(n: int, edges) -> tuple[tuple[int, int], ...]:
     pairs): an edge stays deleted while the rest is still non-planar. For
     sorted input this is the subgraph networkx's ``get_counterexample``
     returns, because it meets its undecided edges in the same order.
+
+    The deletions are tried in bisected chunks of consecutive edges. When
+    the rest is still non-planar without a whole chunk, the greedy deletes
+    each of its edges too, since every graph it tests on the way holds that
+    rest; so the chunk goes at once. Otherwise its halves are tried in turn.
+    A witness of w edges out of m takes O(w log m) planarity tests.
     """
     alive = [True] * len(edges)
-    for k in range(len(edges)):
-        alive[k] = False
+    chunks = [(0, len(edges))]
+    while chunks:
+        lo, hi = chunks.pop()
+        alive[lo:hi] = [False] * (hi - lo)
         adj = [[] for _ in range(n)]
         for (u, v), a in zip(edges, alive):
             if a:
                 adj[u].append(v)
                 adj[v].append(u)
         if _lr(n, adj, embed=False) is not None:
-            alive[k] = True
+            alive[lo:hi] = [True] * (hi - lo)
+            if hi - lo > 1:
+                mid = (lo + hi) // 2
+                chunks += [(mid, hi), (lo, mid)]
     return tuple(e for e, a in zip(edges, alive) if a)
 
 

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentRadii, NoConvergence, NotTriangulated, PrecisionExhausted
+from .errors import (
+    InconsistentRadii,
+    NoConvergence,
+    NotTriangulated,
+    PrecisionExhausted,
+    TooFewVertices,
+)
 from .graphs import Embedding
 
 log = logging.getLogger(__name__)
@@ -105,7 +111,7 @@ def _tangency_residual(centers, radii, edges) -> float:
 
 def _check_packable(e: Embedding):
     if e.graph.n < 4:
-        raise ValueError("packing needs at least 4 vertices")
+        raise TooFewVertices("packing needs at least 4 vertices")
     if not e.is_triangulated():
         raise NotTriangulated("packing requires a triangulated embedding")
     if len(e.outer_face) != 3:

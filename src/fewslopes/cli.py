@@ -21,7 +21,7 @@ from .circlepack import layout_centers, pack_radii
 from .drawing import Drawing, SlopeSet
 from .errors import FewslopesError, SlopesTooFew
 from .families import gen_gd, gen_octahedron, gen_random_triangulation
-from .graphs import planar_embed
+from .graphs import planar_embed, triangulate
 from .jsonio import (
     drawing_from_obj,
     drawing_to_obj,
@@ -234,6 +234,7 @@ def _cmd_draw(args) -> int:
 def _cmd_pack(args) -> int:
     g = graph_from_obj(_read_obj(getattr(args, "in")))
     emb = planar_embed(g)
+    emb = emb if emb.is_triangulated() else triangulate(emb)
     cp = layout_centers(pack_radii(emb, args.eps), emb)
     _emit(packing_to_obj(cp), args.out)
     return 0
@@ -318,7 +319,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.set_defaults(func=_cmd_draw)
 
-    p = sub.add_parser("pack", help="circle-pack a triangulation")
+    p = sub.add_parser(
+        "pack", help="circle-pack a graph, triangulated first as draw --method straight does"
+    )
     p.add_argument("--eps", type=float, default=1e-10)
     _add_io(p)
     p.set_defaults(func=_cmd_pack)

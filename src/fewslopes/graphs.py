@@ -23,13 +23,13 @@ from .errors import (
     NotPlanar,
     NotTriangulated,
     StOrderInfeasible,
+    TooFewVertices,
     VerticesNotOnOuterFace,
 )
 
 __all__ = [
     "PlanarGraph",
     "Embedding",
-    "StOrder",
     "CanonicalOrder",
     "BlockCutTree",
     "planar_embed",
@@ -281,7 +281,7 @@ def triangulate(e: Embedding) -> Embedding:
     """
     g = e.graph
     if g.n < 3:
-        raise ValueError("triangulate requires n >= 3")
+        raise TooFewVertices("triangulate requires n >= 3")
     if not g.is_connected():
         raise Disconnected("triangulate requires a connected embedding")
 
@@ -360,18 +360,6 @@ def triangulate(e: Embedding) -> Embedding:
 
 
 # --- st-order ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StOrder:
-    """Vertex order v_1..v_n where every inner vertex has an earlier and a
-    later neighbor; v_1 and v_n are the poles s and t, and v_1v_2 is an
-    outer edge."""
-
-    order: tuple[int, ...]
-
-    def position(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.order)}
-
 
 def _blocks(adj) -> list[set[int]]:
     """Vertex sets of the blocks of the graph with adjacency lists adj; an
@@ -489,8 +477,10 @@ def _peel(e: Embedding, s: int, t: int, firsts: list[int]) -> list[int]:
     return order
 
 
-def st_order(e: Embedding, s: int, t: int) -> StOrder:
-    """Greedy st-order for a biconnected embedding with v_1 = s, v_n = t.
+def st_order(e: Embedding, s: int, t: int) -> tuple[int, ...]:
+    """Greedy st-order v_1..v_n for a biconnected embedding with v_1 = s,
+    v_n = t: every inner vertex has an earlier and a later neighbor, and
+    v_1v_2 is an outer edge.
 
     After s, each step places the smallest-id eligible vertex: one that is
     unplaced, has a placed neighbor, is not t, and is not a cut vertex of
@@ -528,13 +518,13 @@ def st_order(e: Embedding, s: int, t: int) -> StOrder:
         raise VerticesNotOnOuterFace(f"s={s}, t={t} must both lie on the outer face")
     pos = outer.index(s)
     firsts = sorted({outer[pos - 1], outer[(pos + 1) % len(outer)]} - {t})
-    st = StOrder(tuple(_peel(e, s, t, firsts)))
-    _assert_st_valid(g, st)
-    return st
+    order = tuple(_peel(e, s, t, firsts))
+    _assert_st_valid(g, order)
+    return order
 
 
-def _assert_st_valid(g: PlanarGraph, st: StOrder) -> None:
-    p = st.position()
+def _assert_st_valid(g: PlanarGraph, order: tuple[int, ...]) -> None:
+    p = {v: i for i, v in enumerate(order)}
     for v in range(g.n):
         i = p[v]
         nbr_pos = [p[w] for w in g.adjacency[v]]

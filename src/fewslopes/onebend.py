@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "TShape",
     "Contact",
     "TShapeRep",
-    "ContactNumbering",
     "tshape_representation",
     "contact_numbering",
     "draw_onebend",
@@ -81,41 +79,6 @@ class TShapeRep:
     contacts: tuple[Contact, ...]
     grid: tuple[int, int]
     d_t: int
-
-    @property
-    def n(self) -> int:
-        return len(self.shapes)
-
-    @cached_property
-    def _incident(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, c in enumerate(self.contacts):
-            out[c.u].append(i)
-            out[c.v].append(i)
-        return tuple(map(tuple, out))
-
-    def contacts_at(self, v: int) -> tuple[int, ...]:
-        """Indices of the contacts at v, ascending."""
-        return self._incident[v]
-
-
-@dataclass(frozen=True)
-class ContactNumbering:
-    """Per-vertex contact order along the ccw boundary walk of the T."""
-
-    orders: tuple[tuple[int, ...], ...]  # orders[v] = indices into rep.contacts
-
-    @cached_property
-    def _rank(self) -> dict[tuple[int, int], int]:
-        out = {}
-        for v, row in enumerate(self.orders):
-            for rank, ci in enumerate(row, start=1):
-                out[(v, ci)] = rank
-        return out
-
-    def index_at(self, v: int, contact_idx: int) -> int:
-        """1-based index of the contact in v's traversal."""
-        return self._rank[(v, contact_idx)]
 
 
 # --- construction ---------------------------------------------------------
@@ -367,14 +330,19 @@ def _traversal_key(rep: TShapeRep, v: int, c: Contact):
     return (5, p[1])
 
 
-def contact_numbering(rep: TShapeRep) -> ContactNumbering:
-    orders = []
-    for v in range(rep.n):
-        incident = sorted(
-            rep.contacts_at(v), key=lambda ci: _traversal_key(rep, v, rep.contacts[ci])
-        )
-        orders.append(tuple(incident))
-    return ContactNumbering(tuple(orders))
+def contact_numbering(rep: TShapeRep) -> tuple[tuple[int, int], ...]:
+    """The ranks (i, j) of each contact in rep.contacts: its 1-based places
+    in the ccw walks of the T of its hat vertex (i) and of its leg vertex (j)."""
+    at: list[list[int]] = [[] for _ in rep.shapes]
+    for ci, c in enumerate(rep.contacts):
+        at[c.u].append(ci)
+        at[c.v].append(ci)
+    ranks = [[0, 0] for _ in rep.contacts]
+    for v, row in enumerate(at):
+        row.sort(key=lambda ci: _traversal_key(rep, v, rep.contacts[ci]))
+        for rank, ci in enumerate(row, start=1):
+            ranks[ci][v != rep.contacts[ci].hat_vertex] = rank
+    return tuple(map(tuple, ranks))
 
 
 def draw_onebend(g: PlanarGraph) -> Drawing:
@@ -389,14 +357,15 @@ def draw_onebend(g: PlanarGraph) -> Drawing:
         raise TooFewVertices(f"need n >= 2, got {g.n}")
     e = planar_embed(g)
     rep = tshape_representation(e)
-    num = contact_numbering(rep)
-    big_n = max(rep.n, rep.grid[0], rep.grid[1])
+    ranks = contact_numbering(rep)
+    big_n = max(len(rep.shapes), *rep.grid)
     points = {v: rep.shapes[v].center for v in range(g.n)}
     arcs = []
     for ci, c in enumerate(rep.contacts):
         h, l = c.hat_vertex, c.leg_vertex
-        p = 2 * num.index_at(h, ci) * big_n
-        q = 2 * num.index_at(l, ci) * big_n
+        i, j = ranks[ci]
+        p = 2 * i * big_n
+        q = 2 * j * big_n
         den = 1 + p * q
         hx, hy = points[h]
         lx, ly = points[l]

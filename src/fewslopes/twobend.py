@@ -142,7 +142,7 @@ class _Route:
     top_fan: tuple[int, int]  # (lo, hi) directed in-slope range of order[-1]
 
 
-def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
+def _route(e: Embedding, order: tuple[int, ...], slopes: SlopeSet) -> _Route:
     """Assign every edge a column and directed slopes at both endpoints.
 
     Raises AssertionError if the pending order ever disagrees with the
@@ -152,8 +152,7 @@ def _route(e: Embedding, st_ord, slopes: SlopeSet) -> _Route:
     g = e.graph
     s = slopes.s
     m = 2 * s
-    order = st_ord.order
-    pos = st_ord.position()
+    pos = {v: i for i, v in enumerate(order)}
     v1, v2 = order[0], order[1]
 
     head = _Column()  # the master order starts at head.next
@@ -400,13 +399,13 @@ def _draw_routed(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
     j = outer.index(t)
     for off in range(1, len(outer)):
         try:
-            st_ord = st_order(e, outer[(j + off) % len(outer)], t)
+            order = st_order(e, outer[(j + off) % len(outer)], t)
             break
         except StOrderInfeasible as exc:
             err = exc  # try the next outer vertex as v1
     else:
         raise err  # biconnected blocks reach this: st_order finds no v2 from any v1
-    route = _route(e, st_ord, slopes)
+    route = _route(e, order, slopes)
 
     # only t moves: up by spacing, then by doubling steps, until the
     # drawing fits into the wedge at t
@@ -665,16 +664,16 @@ def _dist_point_ray(p, apex, angle: float) -> float:
     return math.hypot(rx - t * dx, ry - t * dy)
 
 
-def _component_blocks(bct: BlockCutTree, comp: set[int]):
-    """The blocks inside the component comp, each as its graph on local ids,
-    its sorted graph ids and the map from graph id to local id."""
-    out = []
+def _component_blocks(g: PlanarGraph, bct: BlockCutTree):
+    """For each component of g, in order, the blocks inside it, each as its
+    graph on local ids, its sorted graph ids and the map from graph id to
+    local id; one pass over the blocks."""
+    comp_of = {v: i for i, vs in enumerate(g.components) for v in vs}
+    out = [[] for _ in g.components]
     for block, verts in zip(bct.blocks, bct.vertices):
-        if verts[0] not in comp:
-            continue
         to_local = {v: j for j, v in enumerate(verts)}
         edges = tuple((to_local[u], to_local[v]) for u, v in block)
-        out.append((PlanarGraph(len(verts), edges), verts, to_local))
+        out[comp_of[verts[0]]].append((PlanarGraph(len(verts), edges), verts, to_local))
     return out
 
 
@@ -693,19 +692,17 @@ def _embed_with_outer(bg: PlanarGraph, want: int) -> Embedding:
 
 
 def _draw_component(
-    vs: tuple[int, ...], bct: BlockCutTree, slopes: SlopeSet
+    vs: tuple[int, ...], blocks, cut_vertices: set[int], slopes: SlopeSet
 ) -> tuple[_Composite, dict]:
-    """The component on vertices vs, assembled in graph ids, and its meta:
-    the root block's, in graph ids, with blocks and cut_vertices when the
-    component has more than one block."""
+    """The component on vertices vs with the given blocks, assembled in
+    graph ids, and its meta: the root block's, in graph ids, with blocks and
+    cut_vertices when the component has more than one block."""
     comp = _Composite(slopes.s)
     if len(vs) == 1:
         comp.add(_ISOLATED, vs)
         return comp, {}
     cap = 2 * slopes.s
-    in_comp = set(vs)
-    blocks = _component_blocks(bct, in_comp)
-    cuts = in_comp.intersection(bct.cut_vertices)
+    cuts = cut_vertices.intersection(vs)
 
     # root at a non-cut top of any block if one draws: blocks glued at a cut
     # top would leave the top's wedge, which then is dropped from meta
@@ -824,7 +821,9 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
     within a component, biconnected blocks are glued at cut vertices. The
     first block hangs below a vertex that is not a cut vertex when one
     admits a drawing; when only a cut vertex does, meta declares no wedge,
-    since the blocks glued at that top leave it.
+    since the blocks glued at that top leave it. Without slopes it draws on
+    ceil(d/2) slopes, and on one more when a component is biconnected and
+    2s-regular; given slopes are never raised.
     """
     d = g.max_degree
     if d <= 2:
@@ -832,17 +831,23 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
             f"maximum degree {d}: paths and cycles are outside this construction "
             "(see draw_low_degree)"
         )
-    if slopes is not None:
-        slopes = regular_slopes(d, slopes.s)
-    else:
-        # a 2s-regular component leaves no top vertex with a spare slot at the
-        # minimum slope count; one extra slope always clears it
-        slopes = regular_slopes(d)
-        if any(all(g.degree(v) >= 2 * slopes.s for v in vs) for vs in g.components):
-            slopes = SlopeSet(slopes.s + 1)
-
+    given = slopes is not None
+    slopes = regular_slopes(d, slopes.s if given else None)
     bct = block_cut_tree(g)
-    parts = [_draw_component(vs, bct, slopes) for vs in g.components]
+    blocks = _component_blocks(g, bct)
+    # A top needs block degree below 2s. Only a biconnected 2s-regular
+    # component has none (a cut vertex's block degree is below its degree),
+    # and one extra slope always clears it.
+    if not given and any(
+        len(bs) == 1 and all(g.degree(v) == 2 * slopes.s for v in vs)
+        for vs, bs in zip(g.components, blocks)
+    ):
+        slopes = SlopeSet(slopes.s + 1)
+
+    cuts = set(bct.cut_vertices)
+    parts = [
+        _draw_component(vs, bs, cuts, slopes) for vs, bs in zip(g.components, blocks)
+    ]
     if len(parts) == 1:
         comp, meta = parts[0]
     else:

@@ -13,7 +13,7 @@ import pytest
 import fewslopes
 from fewslopes.cli import RenderOptions, render_svg, run
 from fewslopes.drawing import Drawing, EdgeArc
-from fewslopes.families import gen_octahedron, gen_random_triangulation
+from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
 from fewslopes.jsonio import drawing_from_obj, dumps_canonical, graph_to_obj
 from fewslopes.straightline import draw_straight
 from fewslopes.verify import verify_drawing
@@ -94,6 +94,23 @@ class TestPipeline:
         st = get(sp)
         assert st["kind"] == "packing"
         assert st["circles"] == 6
+
+    @pytest.mark.parametrize("d", range(4, 10))
+    def test_pack_triangulates_first(self, tmp_path, d):
+        # G_d is not a triangulation; pack packs the triangulation
+        # draw_straight packs, which has the same vertices
+        g = gen_gd(d)
+        gp = put(tmp_path, "g.json", graph_to_obj(g))
+        pp = str(tmp_path / "p.json")
+        assert run(["pack", "--in", gp, "--out", pp]) == 0
+        assert len(get(pp)["radii"]) == g.n
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pack_refuses_fewer_than_four_vertices(self, tmp_path, capsys, n):
+        # a path on 2 vertices fails in triangulate, one on 3 in the packing
+        gp = put(tmp_path, "g.json", {"n": n, "edges": [[0, 1], [1, 2]][: n - 1]})
+        assert run(["pack", "--in", gp]) == 1
+        assert capsys.readouterr().err.startswith("error: TooFewVertices: ")
 
     def test_stats_kinds(self, tmp_path):
         gp = put(tmp_path, "g.json", K4)

@@ -18,7 +18,7 @@ from conftest import (
     glued_blocks,
 )
 
-from fewslopes import graphs, twobend
+from fewslopes import _lrplanarity, graphs, twobend
 from fewslopes.errors import (
     Disconnected,
     NotBiconnected,
@@ -265,6 +265,26 @@ class TestLeftRightMatchesNetworkx:
             planar_embed(g)
         assert err.value.witness_edges == networkx_witness(g)
 
+    def test_witness_takes_few_planarity_tests(self, monkeypatch):
+        # a K5 joined by one edge to a triangulation on 1000 vertices: one
+        # planarity test per edge made 3005 of them and took about 15 s
+        calls = []
+        real_lr = _lrplanarity._lr
+
+        def counted_lr(*args, **kwargs):
+            calls.append(1)
+            return real_lr(*args, **kwargs)
+
+        monkeypatch.setattr(_lrplanarity, "_lr", counted_lr)
+        k5 = tuple((1000 + i, 1000 + j) for i in range(5) for j in range(i + 1, 5))
+        edges = gen_random_triangulation(1000, 1).edges + ((0, 1000),) + k5
+        g = PlanarGraph(1005, tuple(sorted(edges)))
+        assert len(g.edges) == 3005
+        with pytest.raises(NotPlanar) as err:
+            planar_embed(g)
+        assert err.value.witness_edges == k5
+        assert len(calls) < 300, len(calls)
+
     def test_deep_cycle_embeds_without_recursion(self):
         # the depth-first search runs 20 000 deep, far past the recursion limit
         e = planar_embed(cycle(20_000))
@@ -329,11 +349,11 @@ class TestStOrder:
         e = planar_embed(gen_octahedron())
         s, t = e.outer_face[0], e.outer_face[1]
         o = st_order(e, s, t)
-        assert o.order[0] == s and o.order[-1] == t
-        assert sorted(o.order) == list(range(6))
-        pos = o.position()
+        assert o[0] == s and o[-1] == t
+        assert sorted(o) == list(range(6))
+        pos = {v: i for i, v in enumerate(o)}
         g = e.graph
-        for v in o.order[1:-1]:
+        for v in o[1:-1]:
             assert any(pos[u] < pos[v] for u in g.neighbors(v))
             assert any(pos[u] > pos[v] for u in g.neighbors(v))
 
@@ -341,7 +361,7 @@ class TestStOrder:
         e = planar_embed(gen_random_triangulation(30, 5))
         s, t = e.outer_face[0], e.outer_face[2]
         o = st_order(e, s, t)
-        assert o.order[1] in e.outer_face
+        assert o[1] in e.outer_face
 
     def test_requires_biconnected(self):
         path = PlanarGraph(3, ((0, 1), (1, 2)))
@@ -402,12 +422,11 @@ def greedy_st_order(e: Embedding, s: int, t: int) -> tuple[int, ...]:
 
 
 def _st_outcome(order_fn, e, s, t):
-    """The order as a tuple, or the name of the error raised."""
+    """The order, or the name of the error raised."""
     try:
-        order = order_fn(e, s, t)
+        return order_fn(e, s, t)
     except (NotBiconnected, StOrderInfeasible, VerticesNotOnOuterFace) as exc:
         return type(exc).__name__
-    return getattr(order, "order", order)
 
 
 def _block_graphs(g: PlanarGraph):

@@ -41,7 +41,7 @@ class TestDrawnSlopeFamilies:
         # hat side: slope -1/(2iN); leg side: slope 2jN, i and j the
         # contact's ranks in the hat and leg vertex's numbering
         rep = tshape_representation(planar_embed(g))
-        num = contact_numbering(rep)
+        ranks = contact_numbering(rep)
         dr = draw_onebend(g)
         big_n = dr.meta["N"]
         by_edge = {(c.u, c.v): ci for ci, c in enumerate(rep.contacts)}
@@ -51,8 +51,7 @@ class TestDrawnSlopeFamilies:
             bx, by = arc.poly[1]
             hx, hy = dr.points[c.hat_vertex]
             lx, ly = dr.points[c.leg_vertex]
-            i = num.index_at(c.hat_vertex, ci)
-            j = num.index_at(c.leg_vertex, ci)
+            i, j = ranks[ci]
             assert (by - hy) / (bx - hx) == Fraction(-1, 2 * i * big_n)
             assert (ly - by) / (lx - bx) == Fraction(2 * j * big_n)
         d_t = dr.meta["d_T"]
@@ -84,9 +83,11 @@ class TestTShapes:
     def test_numbering_ranks_unique_per_vertex(self):
         g = gen_octahedron()
         rep = tshape_representation(planar_embed(g))
-        num = contact_numbering(rep)
-        for v in range(rep.n):
-            ranks = [num.index_at(v, ci) for ci in rep.contacts_at(v)]
+        at = [[] for _ in rep.shapes]
+        for c, (i, j) in zip(rep.contacts, contact_numbering(rep)):
+            at[c.hat_vertex].append(i)
+            at[c.leg_vertex].append(j)
+        for ranks in at:
             assert sorted(ranks) == list(range(1, len(ranks) + 1))
 
     def test_failed_contact_check_raises(self, monkeypatch):
