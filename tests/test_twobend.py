@@ -683,8 +683,8 @@ def test_edges_and_faces_are_built_once_per_block(monkeypatch):
 
 
 def test_blocks_are_grouped_by_component_in_one_pass(monkeypatch):
-    # 2000 disjoint K4s: scanning every block once per component took
-    # 4.5 s of 8.9 s at 8000 of them
+    # 2000 disjoint K4s: scanning every block once per component is
+    # quadratic in the number of components
     passes = []
 
     class CountingTuple(tuple):
