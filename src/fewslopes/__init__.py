@@ -1,7 +1,7 @@
 """fewslopes: drawing bounded-degree planar graphs with few edge slopes.
 
 Three pipelines (straight-line via circle packing, one bend via T-shape
-contacts, two bends via st-ordering on regular slopes), instance generators,
+contacts, two bends via st-ordering on integer slope vectors), instance generators,
 and an independent drawing verifier.
 """
 

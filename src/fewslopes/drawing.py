@@ -7,6 +7,8 @@ intersection tests or censuses (see verify).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -24,7 +26,7 @@ class EdgeArc:
     """One drawn edge: a polyline from the point of u to the point of v.
 
     poly has 2..4 points (1..3 segments). slope_indices, when present, give
-    the undirected regular-slope index of each segment (two-bend pipeline).
+    the undirected SlopeSet index of each segment (two-bend pipeline).
     """
 
     u: int
@@ -50,10 +52,12 @@ class EdgeArc:
 class Drawing:
     """A drawing of a graph: one point per vertex, one polyline per edge.
 
-    coord_kind tags the arithmetic regime: "int" drawings hold ints,
-    "rational" ones Fractions and "float" ones finite floats. Each is an exact
-    rational value, so crossings are decided exactly for every kind; only the
-    slope checks of float drawings use a tolerance (see verify).
+    coord_kind tags the arithmetic regime: "int" drawings hold ints (the
+    straight-line and two-bend pipelines), "rational" ones Fractions
+    (one-bend) and "float" ones finite floats (hand-made drawings). Each is
+    an exact rational value, so crossings are decided exactly for every
+    kind; only the slope checks of float drawings use a tolerance (see
+    verify).
     """
 
     method: str
@@ -88,11 +92,15 @@ class Drawing:
 
 @dataclass(frozen=True)
 class SlopeSet:
-    """s regular slopes: rotations of the vertical by multiples of pi/s.
+    """s slopes, given by primitive integer direction vectors in clockwise
+    order from the vertical: D_0 = (0, 1), then D_k = (1, m_k) for
+    0 < k < s with m_k = floor((s - 1)/2) - k + 1.
 
-    Directed slopes are the 2s directions indexed k in [0, 2s); index k means
-    the unit vector (sin(k*pi/s), cos(k*pi/s)), i.e. clockwise rotation of
-    "straight up" by k*pi/s.
+    For s = 2 and 4 these are the regular slopes k*pi/s; for other s the
+    drawings need only their clockwise order. Directed slopes are the 2s
+    directions indexed k in [0, 2s): D_k for k < s and -D_{k-s} for the
+    rest, so index k + s points against index k. Angles are derived from
+    the vectors, in radians clockwise from "straight up".
     """
 
     s: int
@@ -101,22 +109,37 @@ class SlopeSet:
         if self.s < 1:
             raise ValueError("slope count must be positive")
 
+    @functools.cached_property
+    def vectors(self) -> tuple[tuple[int, int], ...]:
+        """D_0, ..., D_{s-1}."""
+        top = (self.s - 1) // 2
+        return ((0, 1), *((1, top - k + 1) for k in range(1, self.s)))
+
+    def vector(self, k: int) -> tuple[int, int]:
+        """The directed slope k (mod 2s) as an integer vector."""
+        k %= 2 * self.s
+        x, y = self.vectors[k % self.s]
+        return (x, y) if k < self.s else (-x, -y)
+
+    @functools.cached_property
+    def _angles(self) -> tuple[float, ...]:
+        return tuple(math.atan2(*self.vector(k)) % _TWO_PI for k in range(2 * self.s))
+
     def angle(self, k: int) -> float:
-        return (k % (2 * self.s)) * math.pi / self.s
+        return self._angles[k % (2 * self.s)]
 
     def directed_index(self, dx: float, dy: float, tol: float = 1e-9) -> int | None:
-        """Directed-slope index of vector (dx, dy), or None if off-grid.
-
-        tol is the angular tolerance in radians.
-        """
+        """Index of the directed slope nearest the vector (dx, dy), or None
+        if it is more than tol radians away or the vector is zero."""
         if dx == 0 and dy == 0:
             return None
         theta = math.atan2(dx, dy) % _TWO_PI  # clockwise angle from +y
-        step = math.pi / self.s
-        k = round(theta / step)
-        if abs(theta - k * step) > tol and abs(theta - k * step - _TWO_PI) > tol:
-            return None
-        return k % (2 * self.s)
+        a = self._angles  # ascending from a[0] = 0
+        i = bisect.bisect(a, theta)
+        lo, hi = i - 1, i % len(a)
+        k = lo if theta - a[lo] <= (a[hi] - theta) % _TWO_PI else hi
+        off = abs(theta - a[k])
+        return k if min(off, _TWO_PI - off) <= tol else None
 
     def is_contiguous(self, indices) -> bool:
         """True iff the directed-slope index set forms one arc mod 2s."""
@@ -133,12 +156,12 @@ class SlopeSet:
 
 @dataclass(frozen=True)
 class Wedge:
-    """Infinite closed cone at an apex, spanned clockwise from one directed
-    slope to another.
+    """Infinite closed cone at an apex, spanned clockwise from one ray to
+    another.
 
     start/span are in radians, measured clockwise from the upward vertical.
-    For a degree-1 apex the cone has half-angle pi/(2s) around the single
-    segment, which callers encode directly via start/span.
+    A two-bend block's wedge at its top is bounded by half-slot rays
+    D_k + D_{k+1} of its SlopeSet (see twobend).
     """
 
     apex: tuple[float, float]

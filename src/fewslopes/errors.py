@@ -96,10 +96,8 @@ class DegreeTooHigh(FewslopesError):
 
 
 class GluingFailed(FewslopesError):
-    """A two-bend block cannot be placed: its drawing does not fit the wedge
-    at its top however far the top is raised, a child block shrunk to fit
-    at its cut vertex is below float resolution, or the slots read at a cut
-    vertex do not form one arc."""
+    """A two-bend block cannot be placed: the slots read at a cut vertex do
+    not form one arc."""
 
 
 # --- family generator errors --------------------------------------------------

@@ -1,23 +1,25 @@
-"""Two-bend drawings on s = ceil(d/2) regular slopes.
+"""Two-bend drawings on s = ceil(d/2) slopes, in integers.
 
 Vertices are processed in an st-order and placed on increasing horizontal
 levels. Every edge is routed through a "pending column": a vertical channel
 opened when the lower endpoint is placed and closed by a sloped fan segment
 when the upper endpoint consumes it. Columns live in a master list whose
 left-to-right order mirrors the pending order induced by the embedding, so
-the final x coordinate of a column is simply its index in the list.
+the x coordinate of a column is its index in the list, times a column step.
 
 Each edge therefore consists of at most three pieces: a short sloped piece
 leaving the lower endpoint, the vertical middle piece, and a sloped fan
 piece entering the upper endpoint. The bottom edge v1v2 is the one
 exception: it dips below the first level and its middle piece is not
-vertical.
+vertical. A block needs only the clockwise order of the slopes' integer
+direction vectors, so every block is drawn in integers.
 
 Cut vertices are handled by drawing each biconnected block with its
-attachment vertex on top, then rotating the block by a multiple of pi/s and
-shrinking it until it fits into the free sector just clockwise of the slots
-taken at the attachment point of the partly assembled drawing, which form
-one arc because every block drawing is good.
+attachment vertex on top, in a frame of directions that an integer matrix
+carries onto the slopes turned by whole slots, then mapping, shrinking by
+a power of two and translating it into the free sector just clockwise of
+the slots taken at the attachment point, which form one arc because every
+block drawing is good. Every map is fixed before any point is written.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from types import SimpleNamespace
+from fractions import Fraction
+from itertools import accumulate
+from typing import NamedTuple
 
-import numpy as np
-
-from .drawing import Drawing, EdgeArc, SlopeSet, Wedge
+from .drawing import Drawing, EdgeArc, SlopeSet
 from .errors import (
     DegreeTooHigh,
     DegreeTooSmall,
@@ -46,9 +48,6 @@ from .graphs import (
     planar_embed,
     st_order,
 )
-
-_TWO_PI = 2.0 * math.pi
-
 
 def regular_slopes(d: int, s: int | None = None) -> SlopeSet:
     """Slope set for maximum degree d: ceil(d/2) slopes, override allowed.
@@ -142,6 +141,13 @@ class _Route:
     top_fan: tuple[int, int]  # (lo, hi) directed in-slope range of order[-1]
 
 
+def _fan_slots(r: int, s: int) -> tuple[int, int]:
+    """(lo, hi): the directed slots at which r edges enter a vertex from
+    below, around straight down, the extra one on the left when r is even."""
+    med = (r - 1) // 2
+    return s - (r - 1 - med), s + med
+
+
 def _route(e: Embedding, order: tuple[int, ...], slopes: SlopeSet) -> _Route:
     """Assign every edge a column and directed slopes at both endpoints.
 
@@ -216,7 +222,7 @@ def _route(e: Embedding, order: tuple[int, ...], slopes: SlopeSet) -> _Route:
         med = (r - 1) // 2
         median_col = ins[med].column
         anchor[v] = median_col
-        lo, hi = s - (r - 1 - med), s + med
+        lo, hi = _fan_slots(r, s)
         for j, ep in enumerate(ins):
             ep.k_v = s + med - j
             ep.column.pending = None
@@ -277,124 +283,134 @@ def _route(e: Embedding, order: tuple[int, ...], slopes: SlopeSet) -> _Route:
 # --- geometry pass ---------------------------------------------------------------
 
 
-def _cot(angle: float) -> float:
-    return math.cos(angle) / math.sin(angle)
+class _Frame(NamedTuple):
+    """The directions a block is drawn on: s integer vectors F_0, ..., F_{s-1}
+    in clockwise order, F_0 pointing up and the rest to the right; directed
+    slot k + s is -F_k. A SlopeSet is the frame of its own vectors D."""
+
+    s: int
+    vectors: tuple[tuple[int, int], ...]
+    vector = SlopeSet.vector
 
 
-def _polylines(route: _Route, slopes: SlopeSet, pts: dict[int, tuple[float, float]]):
+def _step(frame) -> int:
+    """The column step: then every sloped piece ends on an integer point."""
+    return math.lcm(*(x for x, _ in frame.vectors[1:]))
+
+
+def _cw(a, b) -> int:
+    """Positive iff b is clockwise of a by less than pi, zero iff parallel."""
+    return a[1] * b[0] - a[0] * b[1]
+
+
+def _rays(frame, fan) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The rays of the wedge of a fan of slots (lo, hi): the half-slot rays
+    F_{lo-1} + F_lo and F_hi + F_{hi+1}."""
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = map(frame.vector, (fan[0] - 1, *fan, fan[1] + 1))
+    return (ax + bx, ay + by), (cx + dx, cy + dy)
+
+
+def _inside(v, rays) -> bool:
+    """Whether v points strictly inside the cone turning clockwise from the
+    first ray to the second."""
+    a, b = rays
+    if _cw(a, b) > 0:
+        return _cw(a, v) > 0 and _cw(v, b) > 0
+    return _cw(a, v) > 0 or _cw(v, b) > 0
+
+
+def _meets_ray(p, q, w) -> bool:
+    """Whether the segment pq, each end off the ray or at its apex, meets the
+    ray from the origin along w other than at an end: its ends lie on both
+    sides of the line, crossed at x with dot(x, w) >= 0, and dot(x, w)
+    (cp - cq) = cp dot(q, w) - cq dot(p, w)."""
+    cp, cq = _cw(w, p), _cw(w, q)
+    return cp * cq < 0 and (
+        cp * (q[0] * w[0] + q[1] * w[1]) - cq * (p[0] * w[0] + p[1] * w[1])
+    ) * (cp - cq) >= 0
+
+
+def _in_wedge(polys, apex, rays) -> bool:
+    """Whether every point of polys but apex lies strictly inside the wedge
+    at apex, and, where the wedge is not convex, no segment meets a ray."""
+    ax, ay = apex
+    rel = [[(x - ax, y - ay) for x, y in poly] for poly in polys]
+    if not all(_inside(p, rays) for poly in rel for p in poly if p != (0, 0)):
+        return False
+    return _cw(*rays) > 0 or not any(
+        _meets_ray(p, q, w) for poly in rel for p, q in zip(poly, poly[1:]) for w in rays
+    )
+
+
+def _rise(frame, k: int, dx: int) -> int:
+    """The rise of directed slot k over dx, a multiple of the column step."""
+    x, y = frame.vectors[k % frame.s]
+    return dx * y // x
+
+
+def _polylines(route: _Route, frame, pts: dict[int, tuple[int, int]]):
     """(u, v, poly, slope indices) of every routed edge, for the points pts."""
-    s = slopes.s
+    s, step = frame.s, _step(frame)
     lines = []
     for ep in route.episodes:
         u, v = ep.u, ep.target
         ux, uy = pts[u]
         vx, vy = pts[v]
-        cx = float(ep.column.x)
+        cx = step * ep.column.x
         if ep.dip:
             # the dip: straight down, one piece of slope index s-1, straight up
-            drop = uy - abs(vy - uy) - 1.0
+            drop = uy - abs(vy - uy) - step
             assert cx > ux
-            mid_y = drop - (cx - ux) * _cot(math.pi / s)
-            poly = ((ux, uy), (ux, drop), (cx, mid_y), (vx, vy))
+            poly = ((ux, uy), (ux, drop), (cx, drop + _rise(frame, s - 1, cx - ux)), (vx, vy))
             lines.append((u, v, poly, (0, (s - 1) % s, 0)))
             continue
-        poly: list[tuple[float, float]] = [(ux, uy)]
-        ks: list[int] = []
+        poly, ks = [(ux, uy)], []
         if ep.k_u != 0:
-            ang = slopes.angle(ep.k_u)
-            assert (cx - ux > 0) == (math.sin(ang) > 0) and cx != ux
-            poly.append((cx, uy + (cx - ux) * _cot(ang)))
+            assert (cx > ux) == (ep.k_u < s) and cx != ux
+            poly.append((cx, uy + _rise(frame, ep.k_u, cx - ux)))
             ks.append(ep.k_u % s)
-        else:
-            assert cx == ux
+        # the vertical middle piece, up to the bend below v or to v itself
+        top = (cx, vy + _rise(frame, ep.k_v, cx - vx)) if ep.k_v != s else (vx, vy)
+        assert poly[-1][0] == top[0] == cx and poly[-1][1] < top[1], (
+            f"middle piece of ({u},{v}) collapsed"
+        )
+        poly.append(top)
+        ks.append(0)
         if ep.k_v != s:
-            ang = slopes.angle(ep.k_v)
-            assert (cx - vx > 0) == (math.sin(ang) > 0) and cx != vx
-            bend = (cx, vy + (cx - vx) * _cot(ang))
-            assert bend[1] > poly[-1][1], f"middle piece of ({u},{v}) collapsed"
-            poly.append(bend)
-            ks.append(0)
+            assert (cx > vx) == (ep.k_v < s) and cx != vx
             poly.append((vx, vy))
             ks.append(ep.k_v % s)
-        else:
-            assert cx == vx
-            assert vy > poly[-1][1]
-            poly.append((vx, vy))
-            ks.append(0)
         lines.append((u, v, tuple(poly), tuple(ks)))
     return lines
 
 
-def _wedge_of(route: _Route, slopes: SlopeSet, apex) -> Wedge:
-    lo, hi = route.top_fan
-    start = (lo - 0.5) * math.pi / slopes.s
-    span = (hi - lo + 1) * math.pi / slopes.s
-    return Wedge(apex, start % _TWO_PI, span)
-
-
-def _ray_hits(apex, angle: float, p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
-    """For each segment from a row of p to the same row of q (float64
-    arrays of shape (k, 2)), whether the open ray from apex at the given
-    clockwise-from-up angle properly crosses it away from the apex."""
-    dx, dy = math.sin(angle), math.cos(angle)
-    with np.errstate(all="ignore"):  # as in Python floats; den == 0 is masked
-        rx, ry = p[:, 0] - apex[0], p[:, 1] - apex[1]
-        sx, sy = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
-        den = dx * sy - dy * sx
-        t_ray = (rx * sy - ry * sx) / den
-        t_seg = (rx * dy - ry * dx) / -den
-    return (np.abs(den) >= 1e-15) & (t_ray > tol) & (tol < t_seg) & (t_seg < 1.0 - tol)
-
-
-def _contained(polys, wedge: Wedge, apex_pt, slopes: SlopeSet) -> bool:
-    """Whether every point of polys but apex_pt lies strictly inside wedge,
-    at least pi/(32s) radians from either boundary ray, and no segment
-    crosses a boundary ray."""
-    margin = math.pi / (32 * slopes.s)
-    for poly in polys:
-        for p in poly:
-            if p == apex_pt:
-                continue
-            qx = float(p[0]) - wedge.apex[0]
-            qy = float(p[1]) - wedge.apex[1]
-            if math.hypot(qx, qy) == 0.0:
-                return False
-            delta = (math.atan2(qx, qy) % _TWO_PI - wedge.start) % _TWO_PI
-            if not margin <= delta <= wedge.span - margin:
-                return False
-    p = np.array([a for poly in polys for a in poly[:-1]], dtype=float).reshape(-1, 2)
-    q = np.array([b for poly in polys for b in poly[1:]], dtype=float).reshape(-1, 2)
-    return not any(
-        _ray_hits(wedge.apex, ang, p, q, 1e-12).any()
-        for ang in (wedge.start, wedge.start + wedge.span)
-    )
-
-
-def _build_positions(route: _Route, slopes: SlopeSet):
+def _build_positions(route: _Route, frame):
     # every hat leaving row i stays below y(i) + H[i] and above y(i) - H[i],
-    # so gaps of H[i] + H[i+1] + 1 keep each row band disjoint from the next
-    s = slopes.s
+    # so gaps of H[i] + H[i+1] + step keep each row band a column step from
+    # the next
+    s, step = frame.s, _step(frame)
     pos = {v: i for i, v in enumerate(route.order)}
-    hat = [0.0] * len(route.order)
+    hat = [0] * len(route.order)
     for ep in route.episodes:
         if ep.dip:
             continue
-        cx = float(ep.column.x)
-        if ep.k_u != 0:
-            rise = abs((cx - route.anchor[ep.u].x) * _cot(slopes.angle(ep.k_u)))
-            hat[pos[ep.u]] = max(hat[pos[ep.u]], rise)
-        if ep.k_v != s:
-            rise = abs((cx - route.anchor[ep.target].x) * _cot(slopes.angle(ep.k_v)))
-            hat[pos[ep.target]] = max(hat[pos[ep.target]], rise)
-    ys = [0.0]
-    for i in range(1, len(route.order)):
-        ys.append(ys[-1] + hat[i - 1] + hat[i] + 1.0)
-    pts = {v: (float(route.anchor[v].x), ys[i]) for i, v in enumerate(route.order)}
-    spacing = max(1.0, ys[-1] - ys[0])
-    return pts, spacing
+        cx = step * ep.column.x
+        for w, k in ((ep.u, ep.k_u), (ep.target, ep.k_v)):
+            if k % s:
+                rise = abs(_rise(frame, k, cx - step * route.anchor[w].x))
+                hat[pos[w]] = max(hat[pos[w]], rise)
+    ys = list(accumulate((hat[i - 1] + hat[i] + step for i in range(1, len(hat))), initial=0))
+    pts = {v: (step * route.anchor[v].x, ys[i]) for i, v in enumerate(route.order)}
+    return pts, max(step, ys[-1] - ys[0])
 
 
-def _draw_routed(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
+def _wedge_meta(apex, rays) -> dict:
+    """The wedge at apex between rays, in float radians clockwise from up."""
+    start, end = (math.atan2(*w) % (2 * math.pi) for w in rays)
+    return {"apex": list(apex), "start": start, "span": (end - start) % (2 * math.pi)}
+
+
+def _draw_routed(e: Embedding, t: int, frame) -> Drawing:
     outer = e.outer_face
     j = outer.index(t)
     for off in range(1, len(outer)):
@@ -405,58 +421,44 @@ def _draw_routed(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
             err = exc  # try the next outer vertex as v1
     else:
         raise err  # biconnected blocks reach this: st_order finds no v2 from any v1
-    route = _route(e, order, slopes)
+    route = _route(e, order, frame)
 
     # only t moves: up by spacing, then by doubling steps, until the
-    # drawing fits into the wedge at t
-    pts, spacing = _build_positions(route, slopes)
+    # drawing fits into the wedge at t, which holds straight down, so a
+    # point or piece inside stays inside as t rises
+    pts, spacing = _build_positions(route, frame)
     tx, ty = pts[t]
-    extra = 0.0
+    rays = _rays(frame, route.top_fan)
+    extra = 0
     while True:
-        lines = _polylines(route, slopes, pts)
-        wedge = _wedge_of(route, slopes, pts[t])
-        if _contained([poly for _, _, poly, _ in lines], wedge, pts[t], slopes):
+        lines = _polylines(route, frame, pts)
+        if _in_wedge([line[2] for line in lines], pts[t], rays):
             break
-        extra = spacing if extra == 0.0 else 2.0 * extra
-        if extra > 1e30:
-            raise GluingFailed(f"drawing cannot be confined to the wedge at {t}")
+        extra = spacing if extra == 0 else 2 * extra
         pts[t] = (tx, ty + extra)
 
-    lo, hi = route.top_fan
     meta = {
-        "s": slopes.s,
+        "s": frame.s,
         "t": t,
         "v1": route.order[0],
         "v2": route.order[1],
-        "wedge": {
-            "apex": [pts[t][0], pts[t][1]],
-            "start": wedge.start,
-            "span": wedge.span,
-        },
-        "fan_slots": [lo, hi],
+        "wedge": _wedge_meta(pts[t], rays),
+        "fan_slots": list(route.top_fan),
     }
     arcs = [EdgeArc(*line) for line in lines]
-    return Drawing("twobend", {v: pts[v] for v in range(e.graph.n)}, arcs, "float", meta)
+    return Drawing("twobend", {v: pts[v] for v in range(e.graph.n)}, arcs, "int", meta)
 
 
-def _draw_k2(t_first: bool, slopes: SlopeSet) -> Drawing:
-    """A bridge block: one vertical segment hanging below vertex 0 or 1."""
-    top = 0 if t_first else 1
-    bot = 1 - top
-    pts = {top: (0.0, 0.0), bot: (0.0, -1.0)}
-    arc = EdgeArc(bot, top, ((0.0, -1.0), (0.0, 0.0)), (0,))
-    s = slopes.s
-    meta = {
-        "s": s,
-        "t": top,
-        "wedge": {
-            "apex": [0.0, 0.0],
-            "start": (s - 0.5) * math.pi / s,
-            "span": math.pi / s,
-        },
-        "fan_slots": [s, s],
-    }
-    return Drawing("twobend", pts, [arc], "float", meta)
+def _draw_k2(t_first: bool, frame) -> Drawing:
+    """A bridge block: one vertical segment, a column step long, hanging
+    below vertex 0 or 1."""
+    top, bot = (0, 1) if t_first else (1, 0)
+    s, low = frame.s, (0, -_step(frame))
+    pts = {top: (0, 0), bot: low}
+    arc = EdgeArc(bot, top, (low, (0, 0)), (0,))
+    wedge = _wedge_meta((0, 0), _rays(frame, (s, s)))
+    meta = {"s": s, "t": top, "wedge": wedge, "fan_slots": [s, s]}
+    return Drawing("twobend", pts, [arc], "int", meta)
 
 
 def draw_biconnected_twobend(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
@@ -464,12 +466,14 @@ def draw_biconnected_twobend(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
 
     Every segment direction belongs to the slope set, the directed slopes at
     each vertex form one contiguous arc, middle pieces are vertical except on
-    the bottom edge, and the whole drawing lies in the reported wedge at t.
+    the bottom edge, and the whole drawing lies strictly inside the reported
+    wedge at t, between the half-slot rays around the slots its edges enter
+    t at. slopes may also be the frame a glued child block is drawn on.
     """
     g = e.graph
     cap = 2 * slopes.s
     if g.n == 2 and len(g.edges) == 1:
-        return _draw_k2(t_first=(t == 0), slopes=slopes)
+        return _draw_k2(t_first=(t == 0), frame=slopes)
     for v in range(g.n):
         if g.degree(v) > cap:
             raise DegreeTooHigh(
@@ -489,40 +493,23 @@ def draw_biconnected_twobend(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
 
 
 class _Composite:
-    """A drawing assembled in graph ids, grown in place block by block.
-
-    Besides the points and edges, named as a Drawing's so that one composite
-    can be added to another, it keeps for each vertex the indices of the
-    edges that end there, and every segment as a float64 row
-    (x0, y0, x1, y1) with the (edge index, segment index) it came from. Each
-    vertex point is a row too, a segment of length zero from (-1, vertex).
-    """
+    """A drawing assembled in graph ids, grown in place block by block; its
+    points and edges are named as a Drawing's, so that one composite can be
+    added to another."""
 
     def __init__(self, s: int):
         self.s = s
-        self.points: dict[int, tuple[float, float]] = {}
+        self.points: dict[int, tuple[int, int]] = {}
         self.edges: list[EdgeArc] = []
-        self.at: dict[int, list[int]] = defaultdict(list)
-        self.first_row: list[int] = []  # edge index -> row of its first segment
-        self.point_row: dict[int, int] = {}
-        self.src: list[tuple[int, int]] = []
-        self.buf = np.empty((256, 4))
 
-    @property
-    def rows(self) -> np.ndarray:
-        return self.buf[: len(self.src)]
-
-    def arcs_at(self, v: int) -> list[EdgeArc]:
-        return [self.edges[i] for i in self.at[v]]
-
-    def add(self, dr, verts, f=None, turn: int = 0) -> None:
+    def add(self, dr, verts, f, turn: int = 0) -> None:
         """Add the points and edges of dr, with vertex i renamed to verts[i],
         every point mapped through f and every slope index advanced by turn
-        mod s: the clockwise rotation f applies, in slots of pi/s. A vertex
-        already drawn keeps its point. EdgeArc raises ValueError, before
-        anything is added, when f maps the two ends of a piece to one point."""
-        f = f or (lambda p: p)
-        arcs = [
+        mod s. A vertex already drawn keeps its point."""
+        for v, p in dr.points.items():
+            if verts[v] not in self.points:
+                self.points[verts[v]] = f(p)
+        self.edges.extend(
             EdgeArc(
                 verts[a.u],
                 verts[a.v],
@@ -530,138 +517,161 @@ class _Composite:
                 tuple((k + turn) % self.s for k in a.slope_indices),
             )
             for a in dr.edges
-        ]
-        rows = []
-        for v, p in dr.points.items():
-            v = verts[v]
-            if v not in self.points:
-                p = self.points[v] = f(p)
-                self.point_row[v] = len(self.src)
-                rows.append((*p, *p))
-                self.src.append((-1, v))
-        for a in arcs:
-            i = len(self.edges)
-            self.edges.append(a)
-            self.at[a.u].append(i)
-            self.at[a.v].append(i)
-            self.first_row.append(len(self.src))
-            for j, (p, q) in enumerate(a.segments):
-                rows.append((*p, *q))
-                self.src.append((i, j))
-        end, start = len(self.src), len(self.src) - len(rows)
-        if end > len(self.buf):
-            grown = np.empty((max(end, 2 * len(self.buf)), 4))
-            grown[:start] = self.buf[:start]
-            self.buf = grown
-        self.buf[start:end] = rows
+        )
 
 
-# an isolated vertex, added as a block of one point
-_ISOLATED = SimpleNamespace(points={0: (0.0, 0.0)}, edges=())
+# the one-slot clockwise turn of the slope sets that have one: it maps each
+# D_k to a positive multiple of D_{k+1}
+_TURN = {2: ((0, 1), (-1, 0)), 4: ((1, 1), (-1, 1))}
 
 
-def _used_slots_at(pts, arcs, v: int, slopes: SlopeSet) -> set[int]:
+def _apply(L, p) -> tuple[int, int]:
+    (a, b), (c, d) = L
+    return (a * p[0] + b * p[1], c * p[0] + d * p[1])
+
+
+def _gluing_map(slopes: SlopeSet, r: int):
+    """An integer matrix L with det L > 0 and L (0, 1) a positive multiple
+    of D_r: a power of the one-slot turn where the slope set has one, else
+    the unimodular map with second column D_r."""
+    turn = _TURN.get(slopes.s)
+    if turn is not None:
+        L = ((1, 0), (0, 1))
+        for _ in range(r):  # turn each column of L
+            L = tuple(zip(*(_apply(turn, col) for col in zip(*L))))
+        return L
+    x, y = slopes.vector(r)
+    return ((y, 0), (0, y)) if x == 0 else ((0, x), (-x, y))
+
+
+def _column2(L, step: int) -> Fraction:
+    """A lower bound on |L x|^2 for every x one column step long: step^2
+    times 2 det^2 / (S + sqrt(S^2 - 4 det^2)), S the sum of L's squared
+    entries, the least squared singular value of L with the root rounded
+    up, so exact for a similarity."""
+    (a, b), (c, d) = L
+    det, sq = a * d - b * c, a * a + b * b + c * c + d * d
+    disc = sq * sq - 4 * det * det
+    root = math.isqrt(disc - 1) + 1 if disc else 0
+    return Fraction(2 * det * det * step * step, sq + root)
+
+
+def _ray_dist2(v, w) -> Fraction:
+    """The squared distance from the point v to the ray from the origin along w."""
+    if v[0] * w[0] + v[1] * w[1] <= 0:
+        return Fraction(v[0] * v[0] + v[1] * v[1])
+    return Fraction(_cw(w, v) ** 2, w[0] * w[0] + w[1] * w[1])
+
+
+@dataclass
+class _Block:
+    """A block drawing and its place: its point p goes to P(cut) +
+    2^-depth L (p - apex), P the component's points at the root's scale
+    (the root's top at the origin). L carries frame slot k to component
+    slot k + turn, and rays are its wedge's in component directions;
+    delta2 is the squared δ of its glue at its owner's scale."""
+
+    dr: Drawing
+    verts: tuple[int, ...]
+    to_local: dict[int, int]
+    frame: _Frame | SlopeSet
+    cut: int | None = None
+    turn: int = 0
+    L: tuple = ((1, 0), (0, 1))
+    depth: int = 0
+    delta2: Fraction = Fraction(0)
+
+    @property
+    def apex(self) -> tuple[int, int]:
+        return self.dr.points[self.dr.meta["t"]]
+
+    @property
+    def rays(self):
+        return tuple(_apply(self.L, w) for w in _rays(self.frame, self.dr.meta["fan_slots"]))
+
+
+def _used_slots_at(pts, arcs, v: int, frame) -> set[int]:
     """Directed slots taken at v, read from the stored slope indices: an end
     segment of undirected index k takes slot k, or k + s when it points
-    against direction k. Every arc in arcs ends at v."""
+    against F_k, which one integer dot product decides. Every arc in arcs
+    ends at v."""
     used = set()
     p = pts[v]
     for a in arcs:
-        if a.u == v:
-            q, k = a.poly[1], a.slope_indices[0]
-        else:
-            q, k = a.poly[-2], a.slope_indices[-1]
-        ang = slopes.angle(k)
-        along = (q[0] - p[0]) * math.sin(ang) + (q[1] - p[1]) * math.cos(ang)
-        used.add(k if along > 0 else k + slopes.s)
+        q, k = (a.poly[1], a.slope_indices[0]) if a.u == v else (a.poly[-2], a.slope_indices[-1])
+        x, y = frame.vectors[k]
+        along = (q[0] - p[0]) * x + (q[1] - p[1]) * y
+        used.add(k if along > 0 else k + frame.s)
     return used
 
 
-def _clearance(comp: _Composite, v: int, wedge: Wedge) -> float:
-    """Half the distance from v to the nearest foreign feature.
+def _glue(owner: _Block, c: int, taken: set[int], block, slopes: SlopeSet) -> _Block:
+    """Draw the child block (bg, verts, to_local) hung at cut vertex c and
+    fix its place; taken, the slots used at c, gains the child's.
 
-    The first segment of an edge leaving v is radial at v and occupies its
-    own angular slot, so only its far end constrains the clearance; every
-    other segment, and every vertex point but v's, constrains by true
-    point-segment distance.
+    The taken slots form one arc; the child takes the w = hi - lo + 1 free
+    slots after its clockwise end q - 1, (lo, hi) the slots its edges enter
+    its top at. With r = q - lo, L = _gluing_map(r) maps the child's frame
+    F_k = adj(L) D_{k+r} onto positive multiples of D_{k+r}, so its slope
+    indices advance by r and its wedge rays go onto the half-slot rays
+    D_{q-1} + D_q and D_{q+w-1} + D_{q+w} at c. It is shrunk by 2^-h, h >= 0
+    least with its radius ρ (largest distance from c) at most δ/4. δ is the
+    least of u, one column of the owner O (the first drawn block holding
+    c) under O's map (_column2), and c's distance to O's wedge rays, unless
+    c is O's top.
 
-    Only the features near v are measured. numpy gives every row of comp
-    the gap between v and the row's bounding box, a lower bound on the
-    row's distance. The scalar code measures v's own rows, the row of least
-    gap, and then every row whose gap is within a rounding margin of the
-    best distance so far; the rest are farther than that distance, so the
-    result is the float a scan of every feature gives.
+    Invariant: each glued subtree (the child and all blocks glued below
+    it) lies within δ/3 of c and strictly inside its own wedge at c. By
+    induction on its height: the child lies within ρ <= δ/4 of c, strictly
+    inside its wedge, where its top was lifted to. A grandchild glued at a
+    vertex x of the child has δ_x <= u_x, one column of the child, which is
+    at most ρ, as another vertex of the child lies a column from c (the
+    column lemma below). Its subtree lies within δ_x/3 <= ρ/3 of x, so
+    within δ/4 + δ/12 = δ/3 of c; and inside the child's wedge, as δ_x/3 is
+    below x's distance to its rays.
+
+    The column lemma: in a block drawing every feature not radial at a
+    vertex lies a column step or more from it, as row bands are a step
+    apart and vertical pieces sit on distinct columns; mapped, u or more.
+    So the subtree, within u/3 of c, misses the features of O not radial
+    at c and the subtrees at O's other vertices, within u/3 of those; O's
+    pieces radial at c and the earlier subtrees at c lie in other slots,
+    outside its open wedge; and, nearer c than O's wedge rays, it stays in
+    O's wedge.
     """
-    p = comp.points[v]
-    best = math.inf
-    if (p[0], p[1]) != tuple(wedge.apex):
-        for ang in (wedge.start, wedge.start + wedge.span):
-            best = min(best, _dist_point_ray(p, wedge.apex, ang))
-    own = [comp.point_row[v]]
-    for i in comp.at[v]:
-        a = comp.edges[i]
-        r = comp.first_row[i] + (0 if a.u == v else len(a.poly) - 2)
-        own.append(r)
-        best = min(best, _row_distance(comp, p, v, r))
-    rows = comp.rows
-    x0, y0, x1, y1 = rows.T
-    gx = np.maximum(np.maximum(np.minimum(x0, x1) - p[0], p[0] - np.maximum(x0, x1)), 0.0)
-    gy = np.maximum(np.maximum(np.minimum(y0, y1) - p[1], p[1] - np.maximum(y0, y1)), 0.0)
-    gap = np.hypot(gx, gy)
-    gap[own] = math.inf  # comp holds a vertex point besides v's, so one gap is finite
-    nearest = int(np.argmin(gap))
-    best = min(best, _row_distance(comp, p, v, nearest))
-    # Every coordinate, p's included, is at most big in magnitude, so each
-    # difference of two of them is off by at most 2u*big (u = 2^-53) and
-    # each is at most 2*big. The gap takes two such differences and a hypot,
-    # so it exceeds the bounding-box distance by at most about 9u*big. The
-    # scalar distance is off by at most a few such differences: its
-    # projection lands on a point of the segment, and its residual and
-    # hypot add about 17u*big. A margin of 2^12 ulps of big, at least
-    # 2^-41*big, covers the sum 2^7 times over, and floors at the smallest
-    # subnormal when coordinates underflow; so a row whose gap exceeds
-    # best + margin measures more than best in floats too.
-    big = float(np.abs(rows).max())
-    margin = 4096.0 * math.ulp(big)
-    for r in np.flatnonzero(gap <= best + margin).tolist():
-        best = min(best, _row_distance(comp, p, v, r))
-    return best / 2.0
+    bg, verts, to_local = block
+    s, m = slopes.s, 2 * slopes.s
+    ends = [k for k in taken if (k + 1) % m not in taken]
+    if len(ends) != 1:
+        raise GluingFailed(f"slots taken at cut vertex {c} are not one arc: {sorted(taken)}")
+    q = (ends[0] + 1) % m
+    t = to_local[c]
+    lo, hi = _fan_slots(bg.degree(t), s)
+    r = (q - lo) % m
+    L = _gluing_map(slopes, r)
+    adj = ((L[1][1], -L[0][1]), (-L[1][0], L[0][0]))
+    frame = _Frame(s, tuple(_apply(adj, slopes.vector(k + r)) for k in range(s)))
+    child = draw_biconnected_twobend(_embed_with_outer(bg, t), t, frame)
+    taken.update((q + i) % m for i in range(hi - lo + 1))
 
-
-def _row_distance(comp: _Composite, p, v: int, r: int) -> float:
-    """The distance from p, the point of v, to the feature of row r, in the
-    scalar arithmetic of a scan of every feature."""
-    i, j = comp.src[r]
-    if i < 0:
-        q = comp.points[j]
-        return math.hypot(q[0] - p[0], q[1] - p[1])
-    a = comp.edges[i]
-    q0, q1 = a.poly[j], a.poly[j + 1]
-    if a.u == v and j == 0:
-        far = q1
-    elif a.v == v and j == len(a.poly) - 2:
-        far = q0
-    else:
-        return _dist_point_segment(p, q0, q1)
-    return math.hypot(far[0] - p[0], far[1] - p[1])
-
-
-def _dist_point_segment(p, a, b) -> float:
-    ax, ay = a
-    dx, dy = b[0] - ax, b[1] - ay
-    L2 = dx * dx + dy * dy
-    if L2 == 0:
-        return math.hypot(p[0] - ax, p[1] - ay)
-    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / L2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(p[0] - ax - t * dx, p[1] - ay - t * dy)
-
-
-def _dist_point_ray(p, apex, angle: float) -> float:
-    dx, dy = math.sin(angle), math.cos(angle)
-    rx, ry = p[0] - apex[0], p[1] - apex[1]
-    t = max(0.0, rx * dx + ry * dy)
-    return math.hypot(rx - t * dx, ry - t * dy)
+    (px, py), (ax, ay) = owner.dr.points[owner.to_local[c]], owner.apex
+    v = _apply(owner.L, (px - ax, py - ay))
+    delta2 = _column2(owner.L, _step(owner.frame))
+    if v != (0, 0):
+        delta2 = min(delta2, *(_ray_dist2(v, w) for w in owner.rays))
+    assert delta2 > 0, f"cut vertex {c} lies on its owner's wedge"
+    ax, ay = child.points[t]
+    rho2 = max(
+        x * x + y * y
+        for arc in child.edges
+        for x, y in (_apply(L, (p[0] - ax, p[1] - ay)) for p in arc.poly)
+    )
+    # the least h >= 0 with 16 rho2 <= 4^h delta2
+    need, num = 16 * rho2 * delta2.denominator, delta2.numerator
+    h = max(0, (need.bit_length() - num.bit_length()) // 2 - 1)
+    while num << (2 * h) < need:
+        h += 1
+    return _Block(child, verts, to_local, frame, c, r, L, owner.depth + h, delta2)
 
 
 def _component_blocks(g: PlanarGraph, bct: BlockCutTree):
@@ -691,6 +701,41 @@ def _embed_with_outer(bg: PlanarGraph, want: int) -> Embedding:
     raise AssertionError("vertex missing from every face")  # pragma: no cover
 
 
+def _own(block: _Block, cuts: set[int], owner: dict, taken: dict, m: int) -> None:
+    """Make block the owner of its cut vertices that no earlier block holds,
+    each with the component slots its edges take there."""
+    new = {block.to_local[v]: v for v in block.verts if v in cuts and v not in owner}
+    at = defaultdict(list)
+    for a in block.dr.edges:
+        for end in (a.u, a.v):
+            if end in new:
+                at[end].append(a)
+    for lv, v in new.items():
+        owner[v] = block
+        used = _used_slots_at(block.dr.points, at[lv], lv, block.frame)
+        taken[v] = {(k + block.turn) % m for k in used}
+
+
+def _assemble(placed: list[_Block], s: int) -> _Composite:
+    """The component of the placed blocks, root first and every block after
+    its owner, written once in integers: at the scale of the deepest block,
+    with the root's top at the origin."""
+    top = max(b.depth for b in placed)
+    comp = _Composite(s)
+    for b in placed:
+        k = 1 << (top - b.depth)
+        ox, oy = comp.points[b.cut] if b.cut is not None else (0, 0)
+        ax, ay = b.apex
+        (l00, l01), (l10, l11) = b.L
+
+        def f(p):
+            x, y = p[0] - ax, p[1] - ay
+            return (ox + k * (l00 * x + l01 * y), oy + k * (l10 * x + l11 * y))
+
+        comp.add(b.dr, b.verts, f, b.turn)
+    return comp
+
+
 def _draw_component(
     vs: tuple[int, ...], blocks, cut_vertices: set[int], slopes: SlopeSet
 ) -> tuple[_Composite, dict]:
@@ -698,8 +743,8 @@ def _draw_component(
     graph ids, and its meta: the root block's, in graph ids, with blocks and
     cut_vertices when the component has more than one block."""
     comp = _Composite(slopes.s)
-    if len(vs) == 1:
-        comp.add(_ISOLATED, vs)
+    if len(vs) == 1:  # an isolated vertex
+        comp.points[vs[0]] = (0, 0)
         return comp, {}
     cap = 2 * slopes.s
     cuts = cut_vertices.intersection(vs)
@@ -714,7 +759,7 @@ def _draw_component(
     )
     last_err = None
     for cut_top, root_bi, _, t in tops:
-        bg, verts, _ = blocks[root_bi]
+        bg, verts, to_local = blocks[root_bi]
         try:
             rdr = draw_biconnected_twobend(_embed_with_outer(bg, t), t, slopes)
         except StOrderInfeasible as exc:
@@ -723,33 +768,36 @@ def _draw_component(
         break
     else:
         raise last_err or DegreeTooHigh("no block vertex admits a free slope on top")
-    comp.add(rdr, verts)
-    meta = {k: verts[x] if k in ("t", "v1", "v2") else x for k, x in rdr.meta.items()}
-    rw = meta.pop("wedge") if cut_top else meta["wedge"]
-    root_wedge = Wedge(tuple(rw["apex"]), rw["start"], rw["span"])
-    drawn_blocks = {root_bi}
-    drawn_vertices = set(verts)
+    placed = [_Block(rdr, verts, to_local, slopes)]
+    owner: dict[int, _Block] = {}
+    taken: dict[int, set[int]] = {}
+    _own(placed[0], cuts, owner, taken, cap)
+    drawn_blocks, drawn_vertices = {root_bi}, set(verts)
 
     progressed = True
     while len(drawn_blocks) < len(blocks):
         assert progressed, "block-cut tree traversal stalled"
         progressed = False
-        for bi, (bg, bverts, to_local) in enumerate(blocks):
+        for bi, block in enumerate(blocks):
             if bi in drawn_blocks:
                 continue
-            attach = [v for v in bverts if v in drawn_vertices]
+            attach = [v for v in block[1] if v in drawn_vertices]
             if not attach:
                 continue
             assert len(attach) == 1 and attach[0] in cuts
             c = attach[0]
-            child = draw_biconnected_twobend(
-                _embed_with_outer(bg, to_local[c]), to_local[c], slopes
-            )
-            _glue(comp, c, child, bverts, slopes, root_wedge)
+            placed.append(_glue(owner[c], c, taken[c], block, slopes))
+            _own(placed[-1], cuts, owner, taken, cap)
             drawn_blocks.add(bi)
-            drawn_vertices.update(bverts)
+            drawn_vertices.update(block[1])
             progressed = True
 
+    comp = _assemble(placed, slopes.s)
+    meta = {k: verts[x] if k in ("t", "v1", "v2") else x for k, x in rdr.meta.items()}
+    if cut_top:
+        del meta["wedge"]
+    else:
+        meta["wedge"] = {**meta["wedge"], "apex": list(comp.points[meta["t"]])}
     if len(blocks) > 1:
         meta["blocks"] = len(blocks)
         meta["cut_vertices"] = sorted(cuts)
@@ -758,64 +806,17 @@ def _draw_component(
 
 def _nonvertical_middle_edges(arcs) -> list[tuple[int, int]]:
     return sorted(
-        {tuple(sorted((a.u, a.v))) for a in arcs
-         if len(a.poly) == 4 and abs(a.poly[2][0] - a.poly[1][0]) > 1e-12}
+        {tuple(sorted((a.u, a.v)))
+         for a in arcs if len(a.poly) == 4 and a.poly[2][0] != a.poly[1][0]}
     )
-
-
-def _glue(comp: _Composite, c: int, child: Drawing, verts, slopes: SlopeSet, wedge: Wedge):
-    """Rotate, shrink and attach a child block drawing, whose local vertex i
-    is verts[i], at cut vertex c of comp.
-
-    The slots taken at c, read from the arcs at c, form one arc (each block
-    gives c contiguous slots and each child extends the arc), and the child
-    takes the free slots after its clockwise end. The shrink comes from the
-    clearance at c, which measures only the features near c; comp then
-    gains the child's points, arcs and rows in place, c keeping its point.
-    """
-    s = slopes.s
-    m = 2 * s
-    used = _used_slots_at(comp.points, comp.arcs_at(c), c, slopes)
-    ends = [k for k in used if (k + 1) % m not in used]
-    if len(ends) != 1:
-        raise GluingFailed(f"slots taken at cut vertex {c} are not one arc: {sorted(used)}")
-    q = (ends[0] + 1) % m
-    lo = child.meta["fan_slots"][0]
-
-    w = child.meta["wedge"]
-    apex = tuple(w["apex"])
-    rot_slots = (q - lo) % m
-    phi = rot_slots * math.pi / s
-    cs, sn = math.cos(phi), math.sin(phi)
-
-    rho = _clearance(comp, c, wedge)
-    radius = max(
-        math.hypot(p[0] - apex[0], p[1] - apex[1]) for a in child.edges for p in a.poly
-    )
-    # the least k >= 0 with radius * 2^-k <= rho, read off the binary exponents
-    (mr, er), (mp, ep) = math.frexp(radius), math.frexp(rho)
-    halvings = max(0, er - ep + (mr > mp))
-    scale = math.ldexp(1.0, -halvings)
-    dest = comp.points[c]
-
-    def move(p):
-        x, y = p[0] - apex[0], p[1] - apex[1]
-        return (dest[0] + scale * (x * cs + y * sn), dest[1] + scale * (-x * sn + y * cs))
-
-    try:
-        comp.add(child, verts, move, rot_slots)
-    except ValueError as exc:  # a shrunk piece rounds to a point at dest
-        raise GluingFailed(
-            f"child block at {c}, halved {halvings} times, is below float "
-            f"resolution at {dest}"
-        ) from exc
 
 
 # --- entry points ----------------------------------------------------------------
 
 
 def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
-    """Two-bend drawing of a planar graph on regular slopes.
+    """Two-bend drawing of a planar graph on the slopes of a SlopeSet, in
+    integers.
 
     Connected components are drawn independently and laid out side by side;
     within a component, biconnected blocks are glued at cut vertices. The
@@ -852,25 +853,23 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
         comp, meta = parts[0]
     else:
         comp, meta = _Composite(slopes.s), {}
-        x_off = 0.0
+        x_off = 0
         for part, _ in parts:
-            xs = [p[0] for p in part.points.values()] + [
-                p[0] for a in part.edges for p in a.poly
-            ]
+            xs = [p[0] for p in part.points.values()] + [p[0] for a in part.edges for p in a.poly]
             lo_x, hi_x = min(xs), max(xs)
             shift = x_off - lo_x
             comp.add(part, range(g.n), lambda p: (p[0] + shift, p[1]))
-            x_off += (hi_x - lo_x) + max(1.0, 0.05 * (hi_x - lo_x))
+            x_off += (hi_x - lo_x) + max(1, (hi_x - lo_x) // 20)
     meta.update(
         d=d,
         s=slopes.s,
         components=len(parts),
-        # a child glued within rho of its cut vertex, rho at most half that
-        # vertex's distance to the root wedge's rays, stays inside the wedge
+        # every glued subtree stays inside its owner's wedge (see _glue), so
+        # inside the root's
         wedge_contained="wedge" in meta,
         nonvertical_middle_edges=_nonvertical_middle_edges(comp.edges),
     )
-    return Drawing("twobend", comp.points, comp.edges, "float", meta)
+    return Drawing("twobend", comp.points, comp.edges, "int", meta)
 
 
 def draw_low_degree(g: PlanarGraph) -> Drawing:

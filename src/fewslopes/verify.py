@@ -16,7 +16,8 @@ count and the hub multiplicities of G_d all count those classes. It is
 exact for "int" and "rational" drawings, keyed by primitive integer
 directions cross-multiplied from the endpoints; for "float" ones it, like
 contiguity and wedge containment of every drawing, uses an
-angular/positional tolerance, because regular slopes k*pi/s are irrational.
+angular/positional tolerance, because a float file may hold rounded
+irrational directions such as the regular slopes k*pi/s.
 """
 
 from __future__ import annotations
@@ -499,13 +500,15 @@ def max_bends(dr: Drawing, tol: float = 1e-9) -> int:
 
 
 def _departures(dr: Drawing):
-    """(vertex, other, dx, dy) for the first segment of each arc end."""
+    """(vertex, other, dx, dy) for the first segment of each arc end: the
+    difference is taken exactly and then rounded, so its direction survives
+    coordinates too large or too fine for floats."""
     out = []
     for a in dr.edges:
         p0, p1 = a.poly[0], a.poly[1]
-        out.append((a.u, a.v, float(p1[0]) - float(p0[0]), float(p1[1]) - float(p0[1])))
+        out.append((a.u, a.v, _float(p1[0] - p0[0]), _float(p1[1] - p0[1])))
         q0, q1 = a.poly[-1], a.poly[-2]
-        out.append((a.v, a.u, float(q1[0]) - float(q0[0]), float(q1[1]) - float(q0[1])))
+        out.append((a.v, a.u, _float(q1[0] - q0[0]), _float(q1[1] - q0[1])))
     return out
 
 
@@ -519,7 +522,7 @@ def check_contiguous(dr: Drawing, slopes: SlopeSet, tol: float = 1e-6):
             ang = math.atan2(dx, dy) % (2 * math.pi)
             raise SlopeOffGrid(
                 f"segment leaving {v} toward {other} at angle {ang:.12f} "
-                f"matches no multiple of pi/{slopes.s}"
+                f"matches none of the {2 * slopes.s} directions of SlopeSet({slopes.s})"
             )
         slots[v].add(k)
     return {v: slopes.is_contiguous(ks) for v, ks in slots.items()}

@@ -25,6 +25,7 @@ from fewslopes.verify import (
     check_contiguous,
     check_gd_claims,
     check_noncrossing,
+    check_rotation,
     max_bends,
     slope_census,
     slope_classes,
@@ -711,6 +712,22 @@ class TestContiguity:
         assert set(result) == set(range(6))
         assert all(result.values())
 
+    def test_departures_subtract_exactly(self):
+        # at 2^60 both pieces read as straight up once each end is rounded
+        # to float; taken exactly they leave vertex 0 in slots 1 and 7 of
+        # SlopeSet(4), which are not one run
+        b = 2**60
+        dr = mk([(b, 0), (b + 1, 1), (b - 1, 1)], [(0, 1, [(b, 0), (b + 1, 1)]), (0, 2, [(b, 0), (b - 1, 1)])])
+        assert check_contiguous(dr, SlopeSet(4)) == {0: False, 1: True, 2: True}
+
+    def test_rotation_read_from_exact_departures(self):
+        # clockwise from up, vertex 0 sees 2, 1, 3; rounded, all three are up
+        b = 2**60
+        pts = [(b, 0), (b + 1, 1), (b, 1), (b - 1, 1)]
+        dr = mk(pts, [(0, v, [pts[0], pts[v]]) for v in (1, 2, 3)])
+        assert check_rotation(dr, [(2, 1, 3), (0,), (0,), (0,)]) == []
+        assert check_rotation(dr, [(1, 2, 3), (0,), (0,), (0,)]) == [0]
+
 
 class TestReport:
     def test_witness_presence_invariant(self):
@@ -729,7 +746,7 @@ class TestReport:
 
     def test_verify_drawing_integration(self):
         rep = verify_drawing(draw_twobend(gen_octahedron(), SlopeSet(3)))
-        assert rep.ok and not rep.exact
+        assert rep.ok and rep.exact
         assert rep.distinct_slopes <= 3 and rep.max_bends <= 2
         assert rep.wedge_ok and rep.contiguity_ok
         assert rep.tolerance == 1e-9
