@@ -6,7 +6,6 @@ and an independent drawing verifier.
 """
 
 from .errors import (
-    AmbiguousBucket,
     DegreeTooHigh,
     DegreeTooSmall,
     Disconnected,
@@ -33,7 +32,7 @@ from .circlepack import (
     pack_radii,
     ratio_check,
 )
-from .drawing import Drawing, EdgeArc, SlopeSet, Wedge
+from .drawing import Drawing, EdgeArc, SlopeSet
 from .families import gen_gd, gen_octahedron, gen_random_triangulation
 from .graphs import (
     BlockCutTree,

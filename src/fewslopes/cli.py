@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 from xml.sax.saxutils import quoteattr
@@ -181,8 +180,6 @@ def _report_obj(rep: VerifyReport) -> dict:
         if rep.contiguity_ok is None
         else {str(v): ok for v, ok in sorted(rep.contiguity_ok.items())},
         "wedge_ok": rep.wedge_ok,
-        "exact": rep.exact,
-        "tolerance": rep.tolerance,
         "ok": rep.ok,
     }
 
@@ -243,7 +240,7 @@ def _cmd_pack(args) -> int:
 def _cmd_verify(args) -> int:
     dr = drawing_from_obj(_read_obj(getattr(args, "in")))
     slopes = SlopeSet(args.slopes) if args.slopes is not None else None
-    rep = verify_drawing(dr, slopes, args.tol)
+    rep = verify_drawing(dr, slopes)
     _emit(_report_obj(rep), args.out)
     return 0 if rep.ok else 1
 
@@ -328,15 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a drawing, print a report")
     p.add_argument("--slopes", type=int, default=None)
-    p.add_argument(
-        "--tol", type=float, default=1e-9,
-        help="tolerance of the census, contiguity and wedge checks (crossings are "
-        "exact); finite and >= 0",
-    )
-    # "--tol -1e-9" must reach the range check in run(): the negative-number
-    # pattern of Python 3.10/3.11 argparse has no exponent, so it would take
-    # -1e-9 for an option
-    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     _add_io(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -353,8 +341,6 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "slopes", None) is not None and args.slopes < 1:
             parser.error("--slopes must be a positive integer")
-        if "tol" in vars(args) and not (math.isfinite(args.tol) and args.tol >= 0):
-            parser.error("--tol must be a finite number >= 0")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,4 +1,4 @@
-"""Shared geometric value types: drawings, slope sets, wedges.
+"""Shared geometric value types: drawings and slope sets.
 
 These are the primitive types every pipeline emits and the verifier consumes.
 Construction modules keep their own geometry helpers; nothing here performs
@@ -7,7 +7,6 @@ intersection tests or censuses (see verify).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -18,7 +17,18 @@ from typing import Union
 Coord = Union[int, float, Fraction]
 Point = tuple[Coord, Coord]
 
-_TWO_PI = 2.0 * math.pi
+
+def primitive_direction(p: Point, q: Point) -> tuple[int, int]:
+    """The direction of q - p as a primitive integer vector, (0, 0) if
+    p == q. Exact for int, Fraction and float coordinates: it
+    cross-multiplies their integer ratios, with no Fraction arithmetic."""
+    (px, bx), (py, by) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
+    (qx, cx), (qy, cy) = q[0].as_integer_ratio(), q[1].as_integer_ratio()
+    # dx = (qx*bx - px*cx) / (bx*cx), dy = (qy*by - py*cy) / (by*cy)
+    ix = (qx * bx - px * cx) * (by * cy)
+    iy = (qy * by - py * cy) * (bx * cx)
+    g = math.gcd(ix, iy) or 1
+    return (ix // g, iy // g)
 
 
 @dataclass(frozen=True)
@@ -55,9 +65,8 @@ class Drawing:
     coord_kind tags the arithmetic regime: "int" drawings hold ints (the
     straight-line and two-bend pipelines), "rational" ones Fractions
     (one-bend) and "float" ones finite floats (hand-made drawings). Each is
-    an exact rational value, so crossings are decided exactly for every
-    kind; only the slope checks of float drawings use a tolerance (see
-    verify).
+    an exact rational value, and verify checks every drawing as the exact
+    numbers it holds, whatever its kind.
     """
 
     method: str
@@ -121,25 +130,18 @@ class SlopeSet:
         x, y = self.vectors[k % self.s]
         return (x, y) if k < self.s else (-x, -y)
 
-    @functools.cached_property
-    def _angles(self) -> tuple[float, ...]:
-        return tuple(math.atan2(*self.vector(k)) % _TWO_PI for k in range(2 * self.s))
-
     def angle(self, k: int) -> float:
-        return self._angles[k % (2 * self.s)]
+        """The clockwise angle of directed slope k from straight up."""
+        return math.atan2(*self.vector(k)) % (2 * math.pi)
 
-    def directed_index(self, dx: float, dy: float, tol: float = 1e-9) -> int | None:
-        """Index of the directed slope nearest the vector (dx, dy), or None
-        if it is more than tol radians away or the vector is zero."""
-        if dx == 0 and dy == 0:
-            return None
-        theta = math.atan2(dx, dy) % _TWO_PI  # clockwise angle from +y
-        a = self._angles  # ascending from a[0] = 0
-        i = bisect.bisect(a, theta)
-        lo, hi = i - 1, i % len(a)
-        k = lo if theta - a[lo] <= (a[hi] - theta) % _TWO_PI else hi
-        off = abs(theta - a[k])
-        return k if min(off, _TWO_PI - off) <= tol else None
+    @functools.cached_property
+    def _index(self) -> dict[tuple[int, int], int]:
+        return {self.vector(k): k for k in range(2 * self.s)}
+
+    def directed_index(self, dx, dy) -> int | None:
+        """Index k of the directed slope whose vector(k) points exactly along
+        (dx, dy), ints, Fractions or floats, or None if none does."""
+        return self._index.get(primitive_direction((0, 0), (dx, dy)))
 
     def is_contiguous(self, indices) -> bool:
         """True iff the directed-slope index set forms one arc mod 2s."""
@@ -153,38 +155,3 @@ class SlopeSet:
                 gaps += 1
         return gaps <= 1
 
-
-@dataclass(frozen=True)
-class Wedge:
-    """Infinite closed cone at an apex, spanned clockwise from one ray to
-    another.
-
-    start/span are in radians, measured clockwise from the upward vertical.
-    A two-bend block's wedge at its top is bounded by half-slot rays
-    D_k + D_{k+1} of its SlopeSet (see twobend).
-    """
-
-    apex: tuple[float, float]
-    start: float
-    span: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.span <= _TWO_PI):
-            raise ValueError("wedge span out of range")
-
-    def contains(self, p: Point, tol: float = 1e-9) -> bool:
-        """Membership with slack: tol radians plus the angle a tol-sized
-        positional error subtends at the point's distance. Raises ValueError
-        unless tol >= 0."""
-        if not tol >= 0:
-            raise ValueError(f"wedge tolerance must be >= 0, got {tol}")
-        qx = float(p[0]) - self.apex[0]
-        qy = float(p[1]) - self.apex[1]
-        r = math.hypot(qx, qy)
-        scale = max(1.0, abs(self.apex[0]), abs(self.apex[1]))
-        if r <= tol * scale:
-            return True
-        theta = math.atan2(qx, qy) % _TWO_PI
-        delta = (theta - self.start) % _TWO_PI
-        slack = tol + tol * scale / r
-        return delta <= self.span + slack or delta >= _TWO_PI - slack

@@ -108,11 +108,6 @@ class DegreeTooSmall(FewslopesError):
 
 # --- verifier errors ----------------------------------------------------------
 
-class AmbiguousBucket(FewslopesError):
-    """Two empirical slope clusters are closer than 2*tol but farther
-    apart than tol; the census cannot bucket them decisively."""
-
-
 class SlopeOffGrid(FewslopesError):
-    """A segment's direction matches no slope-set direction within
-    tolerance."""
+    """A segment's exact direction is none of the 2s directed integer
+    vectors of a slope set."""

@@ -405,9 +405,9 @@ def _build_positions(route: _Route, frame):
 
 
 def _wedge_meta(apex, rays) -> dict:
-    """The wedge at apex between rays, in float radians clockwise from up."""
-    start, end = (math.atan2(*w) % (2 * math.pi) for w in rays)
-    return {"apex": list(apex), "start": start, "span": (end - start) % (2 * math.pi)}
+    """The wedge at apex as meta declares it: the open cone turning
+    clockwise from the first integer half-slot ray to the second."""
+    return {"apex": list(apex), "rays": [list(w) for w in rays]}
 
 
 def _draw_routed(e: Embedding, t: int, frame) -> Drawing:
@@ -466,8 +466,9 @@ def draw_biconnected_twobend(e: Embedding, t: int, slopes: SlopeSet) -> Drawing:
 
     Every segment direction belongs to the slope set, the directed slopes at
     each vertex form one contiguous arc, middle pieces are vertical except on
-    the bottom edge, and the whole drawing lies strictly inside the reported
-    wedge at t, between the half-slot rays around the slots its edges enter
+    the bottom edge, and the whole drawing lies strictly inside the wedge
+    meta declares at t: the cone turning clockwise from the first of two
+    integer half-slot rays to the second, around the slots its edges enter
     t at. slopes may also be the frame a glued child block is drawn on.
     """
     g = e.graph

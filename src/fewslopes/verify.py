@@ -11,17 +11,18 @@ scaled by the least common denominator of its own coordinates (float
 coordinates are binary rationals), with no denominator common to the whole
 drawing. Two segments that end at a vertex their edges share, matched by
 vertex id, need one orientation test. One slope classification
-(slope_classes) gives every segment its slope class; the census, the bend
-count and the hub multiplicities of G_d all count those classes. It is
-exact for "int" and "rational" drawings, keyed by primitive integer
-directions cross-multiplied from the endpoints; for "float" ones it, like
-contiguity and wedge containment of every drawing, uses an
-angular/positional tolerance, because a float file may hold rounded
-irrational directions such as the regular slopes k*pi/s.
+(slope_classes) gives every segment its slope class, keyed by its primitive
+integer direction; the census, the bend count and the hub multiplicities of
+G_d all count those classes. Contiguity, rotation and wedge containment
+read the same exact directions and side tests. No check has a tolerance: a
+drawing is checked as the exact numbers it holds, whatever its coord_kind,
+so a float file is checked as the binary rationals its floats are, and a
+direction rounded in its last bit is a slope of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -29,8 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .drawing import Drawing, SlopeSet, Wedge
-from .errors import AmbiguousBucket, SlopeOffGrid
+from .drawing import Drawing, SlopeSet, primitive_direction
+from .errors import SlopeOffGrid
 
 __all__ = [
     "CrossingWitness",
@@ -65,8 +66,6 @@ class VerifyReport:
     max_bends: int
     contiguity_ok: dict[int, bool] | None
     wedge_ok: bool | None
-    exact: bool
-    tolerance: float
 
     def __post_init__(self):
         if self.crossing_free == (self.crossing_witness is not None):
@@ -378,19 +377,10 @@ def check_noncrossing(dr: Drawing):
 
 def _dir_key(p, q):
     """The direction of q - p mod pi as a primitive integer vector (ix, iy)
-    with ix > 0, or ix == 0 and iy > 0. Exact for int, Fraction and float
-    coordinates: it cross-multiplies their integer ratios, with no Fraction
-    arithmetic."""
-    (px, bx), (py, by) = p[0].as_integer_ratio(), p[1].as_integer_ratio()
-    (qx, cx), (qy, cy) = q[0].as_integer_ratio(), q[1].as_integer_ratio()
-    # dx = (qx*bx - px*cx) / (bx*cx), dy = (qy*by - py*cy) / (by*cy)
-    ix = (qx * bx - px * cx) * (by * cy)
-    iy = (qy * by - py * cy) * (bx * cx)
-    g = math.gcd(ix, iy)
-    ix //= g
-    iy //= g
+    with ix > 0, or ix == 0 and iy > 0."""
+    ix, iy = primitive_direction(p, q)
     if ix < 0 or (ix == 0 and iy < 0):
-        ix, iy = -ix, -iy
+        return (-ix, -iy)
     return (ix, iy)
 
 
@@ -404,70 +394,25 @@ def _dir_angle(ix: int, iy: int) -> float:
     return math.atan2(ix, iy) % math.pi
 
 
-def slope_classes(dr: Drawing, tol: float = 1e-9):
+def slope_classes(dr: Drawing):
     """(angles, classes): the slope classes of every segment direction mod pi.
 
     angles holds one angle per class, ascending in [0, pi) and measured
     clockwise from the upward vertical; classes holds, per edge of dr.edges,
-    the class id (an index into angles) of each of its segments. Int and
-    rational drawings class directions exactly: a segment's class key is its
-    primitive integer direction, cross-multiplied from the integer ratios of
-    its two ends with no Fraction arithmetic, and each distinct key gets one
-    angle, so two keys whose angles round alike stay two classes. Float
-    drawings chain sorted angles whose gaps are at most tol into one class,
-    represented by the middle of its span, and raise AmbiguousBucket when two
-    classes are separated by more than tol but less than 2*tol. Raises
-    ValueError unless tol is finite and >= 0.
+    the class id (an index into angles) of each of its segments. A segment's
+    class key is its primitive integer direction (_dir_key), exact for int,
+    Fraction and float coordinates, and each distinct key gets one angle, so
+    two keys whose angles round alike stay two classes.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"slope tolerance must be finite and >= 0, got {tol}")
-    segs = [(p, q) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
-    if dr.coord_kind in ("int", "rational"):
-        labels = [_dir_key(p, q) for p, q in segs]
-        # one angle per key, keys in first-seen order (the sort's tie-break)
-        reps = {k: _dir_angle(*k) for k in dict.fromkeys(labels)}
-    else:
-        thetas = [
-            math.atan2(float(q[0]) - float(p[0]), float(q[1]) - float(p[1])) % math.pi
-            for p, q in segs
-        ]
-        labels, reps = _cluster(thetas, tol)
+    labels = [_dir_key(p, q) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
+    # one angle per key, keys in first-seen order (the sort's tie-break)
+    reps = {k: _dir_angle(*k) for k in dict.fromkeys(labels)}
     counts = Counter(labels)
     order = sorted(reps, key=lambda c: (reps[c], counts[c]))
     rank = {c: i for i, c in enumerate(order)}
     flat = iter(labels)
     classes = [tuple(rank[next(flat)] for _ in a.poly[1:]) for a in dr.edges]
     return tuple(reps[c] for c in order), classes
-
-
-def _cluster(thetas, tol):
-    """(labels, reps): labels[i] is the cluster of angle thetas[i] and
-    reps[c] the middle of cluster c's span."""
-    if not thetas:
-        return [], {}
-    m = len(thetas)
-    idx = sorted(range(m), key=thetas.__getitem__)
-    gaps = [(thetas[idx[(i + 1) % m]] - thetas[idx[i]]) % math.pi for i in range(m)]
-    if max(gaps) <= tol:  # the chain closes around the circle
-        return [0] * m, {0: thetas[idx[0]]}
-    cut = max(range(m), key=gaps.__getitem__)
-    labels, ends = [0] * m, []  # ends[c] = [first, last] angle of cluster c
-    for i in idx[cut + 1 :] + idx[: cut + 1]:
-        t = thetas[i]
-        if not ends or (t - ends[-1][1]) % math.pi > tol:
-            ends.append([t, t])
-        ends[-1][1] = t
-        labels[i] = len(ends) - 1
-    reps = {c: (lo + ((hi - lo) % math.pi) / 2) % math.pi for c, (lo, hi) in enumerate(ends)}
-    for c in range(len(ends)):
-        c2 = (c + 1) % len(ends)
-        gap = (ends[c2][0] - ends[c][1]) % math.pi
-        if gap < 2 * tol:
-            raise AmbiguousBucket(
-                f"slope clusters at {reps[c]:.12f} and {reps[c2]:.12f} separated "
-                f"by {gap:.3e} < 2*tol"
-            )
-    return labels, reps
 
 
 def _census(angles, classes):
@@ -479,64 +424,76 @@ def _bends(classes) -> int:
     return max((sum(a != b for a, b in zip(row, row[1:])) for row in classes), default=0)
 
 
-def slope_census(dr: Drawing, tol: float = 1e-9):
+def slope_census(dr: Drawing):
     """Count the segments of each slope class of slope_classes.
 
     Returns (census, distinct) where census is a tuple of (angle, count),
     one per class, with angles ascending in [0, pi) clockwise from the
-    upward vertical. Raises AmbiguousBucket as slope_classes does.
+    upward vertical.
     """
-    return _census(*slope_classes(dr, tol))
+    return _census(*slope_classes(dr))
 
 
-def max_bends(dr: Drawing, tol: float = 1e-9) -> int:
+def max_bends(dr: Drawing) -> int:
     """Largest bend count over edges: the number of slope-class changes
-    along an edge, so consecutive pieces of one class merge. Raises
-    AmbiguousBucket as slope_classes does."""
-    return _bends(slope_classes(dr, tol)[1])
+    along an edge, so consecutive pieces of one class merge."""
+    return _bends(slope_classes(dr)[1])
 
 
 # --- per-vertex structure ---------------------------------------------------------
 
 
 def _departures(dr: Drawing):
-    """(vertex, other, dx, dy) for the first segment of each arc end: the
-    difference is taken exactly and then rounded, so its direction survives
-    coordinates too large or too fine for floats."""
+    """(vertex, other, direction) for the first segment of each arc end, the
+    direction the exact primitive integer vector it leaves vertex along."""
     out = []
     for a in dr.edges:
-        p0, p1 = a.poly[0], a.poly[1]
-        out.append((a.u, a.v, _float(p1[0] - p0[0]), _float(p1[1] - p0[1])))
-        q0, q1 = a.poly[-1], a.poly[-2]
-        out.append((a.v, a.u, _float(q1[0] - q0[0]), _float(q1[1] - q0[1])))
+        out.append((a.u, a.v, primitive_direction(a.poly[0], a.poly[1])))
+        out.append((a.v, a.u, primitive_direction(a.poly[-1], a.poly[-2])))
     return out
 
 
-def check_contiguous(dr: Drawing, slopes: SlopeSet, tol: float = 1e-6):
+def check_contiguous(dr: Drawing, slopes: SlopeSet):
     """Per-vertex: do the directed slots used by departing segments form one
-    circular run? Raises SlopeOffGrid for a direction matching no slot."""
+    circular run? Raises SlopeOffGrid for a direction that is none of the
+    set's 2s vectors."""
     slots: dict[int, set[int]] = {v: set() for v in dr.points}
-    for v, other, dx, dy in _departures(dr):
-        k = slopes.directed_index(dx, dy, tol)
+    for v, other, d in _departures(dr):
+        k = slopes.directed_index(*d)
         if k is None:
-            ang = math.atan2(dx, dy) % (2 * math.pi)
+            vectors = [slopes.vector(j) for j in range(2 * slopes.s)]
             raise SlopeOffGrid(
-                f"segment leaving {v} toward {other} at angle {ang:.12f} "
-                f"matches none of the {2 * slopes.s} directions of SlopeSet({slopes.s})"
+                f"segment leaving {v} toward {other} along {d} is none of the "
+                f"{2 * slopes.s} directions {vectors} of SlopeSet({slopes.s})"
             )
         slots[v].add(k)
     return {v: slopes.is_contiguous(ks) for v, ks in slots.items()}
 
 
+def _turn(a, b):
+    """Positive iff b is clockwise of a by less than pi, zero iff parallel."""
+    return a[1] * b[0] - a[0] * b[1]
+
+
+def _clockwise(a, b) -> int:
+    """Compares two nonzero directions by their clockwise angle from up:
+    first by half-plane, [0, pi) before [pi, 2pi), then by _turn."""
+    ha = a[0] < 0 or (a[0] == 0 and a[1] < 0)
+    hb = b[0] < 0 or (b[0] == 0 and b[1] < 0)
+    return ha - hb or -_turn(a, b)
+
+
 def check_rotation(dr: Drawing, rotation) -> list[int]:
     """Vertices whose drawn neighbor order (clockwise) disagrees with the
-    given rotation system. Uses first-segment departure angles."""
-    by_vertex: dict[int, list[tuple[float, int]]] = {v: [] for v in dr.points}
-    for v, other, dx, dy in _departures(dr):
-        by_vertex[v].append((math.atan2(dx, dy) % (2 * math.pi), other))
+    given rotation system, read from the exact first-segment directions;
+    neighbors leaving along one direction are ordered by id."""
+    by_vertex: dict[int, list[tuple[tuple[int, int], int]]] = {v: [] for v in dr.points}
+    for v, other, d in _departures(dr):
+        by_vertex[v].append((d, other))
+    order = functools.cmp_to_key(lambda a, b: _clockwise(a[0], b[0]) or a[1] - b[1])
     bad = []
     for v, want in enumerate(rotation):
-        got = [o for _, o in sorted(by_vertex.get(v, []))]
+        got = [o for _, o in sorted(by_vertex.get(v, []), key=order)]
         if len(got) != len(want) or len(got) < 2:
             if tuple(got) != tuple(want):
                 bad.append(v)
@@ -547,19 +504,64 @@ def check_rotation(dr: Drawing, rotation) -> list[int]:
     return bad
 
 
-def check_wedge(dr: Drawing, tol: float = 1e-9) -> bool | None:
-    """Recompute wedge containment from drawing meta; None if no wedge."""
+def _is_pair(x, ok) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(ok, x))
+
+
+def _exact(c):
+    return c if type(c) is int else Fraction(c)
+
+
+def _wedge_fields(w):
+    """(apex, rays) of a meta wedge {"apex": [x, y], "rays": [[ax, ay],
+    [bx, by]]}, the apex in exact numbers; raises ValueError naming the
+    field that is missing or malformed."""
+    apex = w.get("apex") if isinstance(w, dict) else None
+    if not _is_pair(apex, lambda c: type(c) in (int, float, Fraction)):
+        raise ValueError(f"meta wedge field 'apex' must be a pair of numbers, got {apex!r}")
+    rays = w.get("rays")
+    if not _is_pair(rays, lambda r: _is_pair(r, lambda c: type(c) is int) and any(r)):
+        raise ValueError(
+            f"meta wedge field 'rays' must be two nonzero integer pairs, got {rays!r}"
+        )
+    return tuple(map(_exact, apex)), tuple(map(tuple, rays))
+
+
+def _strictly_inside(v, a, b) -> bool:
+    """Whether v points strictly inside the cone turning clockwise from ray
+    a to ray b."""
+    if _turn(a, b) > 0:
+        return _turn(a, v) > 0 and _turn(v, b) > 0
+    return _turn(a, v) > 0 or _turn(v, b) > 0
+
+
+def _meets_ray(p, q, w) -> bool:
+    """Whether the segment pq, both ends off the line of w, crosses that
+    line on the ray from the origin along w: at x with dot(x, w) >= 0, where
+    dot(x, w) (cp - cq) = cp dot(q, w) - cq dot(p, w)."""
+    cp, cq = _turn(w, p), _turn(w, q)
+    return cp * cq < 0 and (
+        cp * (q[0] * w[0] + q[1] * w[1]) - cq * (p[0] * w[0] + p[1] * w[1])
+    ) * (cp - cq) >= 0
+
+
+def check_wedge(dr: Drawing) -> bool | None:
+    """Whether the drawing lies strictly inside the wedge of its meta, None
+    if it declares none: every polyline point but the apex points strictly
+    inside the cone turning clockwise from the first integer ray to the
+    second, and, where that cone is wider than pi, no segment meets a ray.
+    Decided exactly; raises ValueError for a malformed wedge."""
     w = dr.meta.get("wedge")
     if w is None:
         return None
-    wedge = Wedge(tuple(w["apex"]), w["start"], w["span"])
-    apex = (float(w["apex"][0]), float(w["apex"][1]))
-    for a in dr.edges:
-        for p in a.poly:
-            fp = (float(p[0]), float(p[1]))
-            if fp != apex and not wedge.contains(fp, tol):
-                return False
-    return True
+    (ax, ay), (r1, r2) = _wedge_fields(w)
+    rel = [[(_exact(x) - ax, _exact(y) - ay) for x, y in a.poly] for a in dr.edges]
+    if not all(_strictly_inside(p, r1, r2) for poly in rel for p in poly if any(p)):
+        return False
+    return _turn(r1, r2) > 0 or not any(
+        _meets_ray(p, q, r) for poly in rel for p, q in zip(poly, poly[1:])
+        if any(p) and any(q) for r in (r1, r2)
+    )
 
 
 # --- lower-bound family consistency ------------------------------------------------
@@ -575,16 +577,16 @@ class GdReport:
     hub_multiplicity_ok: bool | None
 
 
-def check_gd_claims(dr: Drawing, d: int, tol: float = 1e-9) -> GdReport:
+def check_gd_claims(dr: Drawing, d: int) -> GdReport:
     """Consistency checks for drawings of the degree-d lower-bound family.
 
     Straight-line drawings need at least 3d-6 distinct slopes; one-bend
     drawings at least ceil(3(d-1)/4). For one-bend drawings the end segments
     at the three degree-d hubs a, b, c (vertices 0, 1, 2) must not repeat any
     slope class more than 4 times; hub_multiplicity counts them per class
-    angle. Slopes are the classes of slope_classes at tol.
+    angle. Slopes are the classes of slope_classes.
     """
-    angles, classes = slope_classes(dr, tol)
+    angles, classes = slope_classes(dr)
     bends = _bends(classes)
     required = 3 * d - 6 if bends == 0 else -(-3 * (d - 1) // 4)
     ok = len(angles) >= required
@@ -605,19 +607,17 @@ def check_gd_claims(dr: Drawing, d: int, tol: float = 1e-9) -> GdReport:
 # --- aggregate --------------------------------------------------------------------
 
 
-def verify_drawing(
-    dr: Drawing, slopes: SlopeSet | None = None, tol: float = 1e-9
-) -> VerifyReport:
+def verify_drawing(dr: Drawing, slopes: SlopeSet | None = None) -> VerifyReport:
     crossing_free, witness = check_noncrossing(dr)
-    angles, classes = slope_classes(dr, tol)
+    angles, classes = slope_classes(dr)
     census, distinct = _census(angles, classes)
     bends = _bends(classes)
     if slopes is None and dr.method == "twobend" and "s" in dr.meta:
         slopes = SlopeSet(dr.meta["s"])
     contiguity = None
     if slopes is not None:
-        contiguity = check_contiguous(dr, slopes, max(tol, 1e-9))
-    wedge_ok = check_wedge(dr, tol)
+        contiguity = check_contiguous(dr, slopes)
+    wedge_ok = check_wedge(dr)
     return VerifyReport(
         crossing_free=crossing_free,
         crossing_witness=witness,
@@ -626,6 +626,4 @@ def verify_drawing(
         max_bends=bends,
         contiguity_ok=contiguity,
         wedge_ok=wedge_ok,
-        exact=dr.coord_kind in ("int", "rational"),
-        tolerance=tol,
     )

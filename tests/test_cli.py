@@ -37,11 +37,12 @@ CROSSING = {
     ],
 }
 
-# two directions 1.5e-3 rad apart: distinct at tol 1e-9, ambiguous at 1e-3
-NEAR_SLOPES = {
+# the float 1.1 minus 1 is not 0.1: two directions, apart in their low bits
+ULP_SLOPES = {
     "format": 2,
     "method": "custom",
-    "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0015]],
+    "coord_kind": "float",
+    "points": [[0.0, 0.0], [1.0, 0.1], [0.0, 1.0], [1.0, 1.1]],
     "edges": [
         {"u": 0, "v": 1, "bends": []},
         {"u": 2, "v": 3, "bends": []},
@@ -361,21 +362,21 @@ class TestSvg:
         assert len(strokes) == 3
 
     def test_float_colors_follow_slope_classes(self):
-        # one class chains 11 directions 0.9e-9 rad apart, wider than the
-        # 1e-9 tolerance; its last one lies nearer the next class's middle
-        # than its own, and shares an edge with the class's first one
-        tol = 1e-9
-        angs = [0.5 + 0.9 * j * tol for j in range(11)] + [0.5 + 11.5 * tol]
-        runs = [(angs[0], angs[10])] + [(a,) for a in angs[1:10]] + [(angs[11],)]
+        # the first three edges run along one exact direction, (1, 0.1) and
+        # its binary multiples, the first one in two collinear pieces; the
+        # last one, from 1.0 to 1.1, is off it in its low bits
+        polys = [
+            ((0.0, 0.0), (0.5, 0.05), (1.0, 0.1)),
+            ((3.0, 0.0), (5.0, 0.2)),
+            ((6.0, 0.0), (6.25, 0.025)),
+            ((0.0, 1.0), (1.0, 1.1)),
+        ]
         pts, arcs = {}, []
-        for i, run_angs in enumerate(runs):
-            poly = [(3.0 * i, 0.0)]
-            for a in run_angs:
-                poly.append((poly[-1][0] + math.sin(a), poly[-1][1] + math.cos(a)))
+        for i, poly in enumerate(polys):
             pts[2 * i], pts[2 * i + 1] = poly[0], poly[-1]
-            arcs.append(EdgeArc(2 * i, 2 * i + 1, tuple(poly)))
+            arcs.append(EdgeArc(2 * i, 2 * i + 1, poly))
         dr = Drawing("custom", pts, arcs, "float")
-        rep = verify_drawing(dr, tol=tol)
+        rep = verify_drawing(dr)
         assert rep.distinct_slopes == 2 and rep.max_bends == 0
         _, paths, _ = svg_parts(render_svg(dr))
         assert len(paths) == len(arcs)  # no edge changes class, so none is split
@@ -412,23 +413,42 @@ class TestSvg:
 
 
 class TestToleranceEnv:
-    def test_flag_overrides_env(self, tmp_path):
-        # the default tolerance is 1e-9, and --tol alone changes it
-        dp = put(tmp_path, "d.json", NEAR_SLOPES)
-        assert run(["verify", "--in", dp, "--out", str(tmp_path / "a.json")]) == 0
-        rc = run(["verify", "--in", dp, "--tol", "1e-9", "--out", str(tmp_path / "c.json")])
-        assert rc == 0
-        assert run(["verify", "--in", dp, "--tol", "1e-3", "--out", str(tmp_path / "b.json")]) == 1
+    """verify checks exactly and has no --tol: any value is a usage error."""
+
+    def test_tol_is_usage_error(self, tmp_path, capsys):
+        dp = put(tmp_path, "d.json", ULP_SLOPES)
+        assert run(["verify", "--in", dp, "--tol", "1e-9"]) == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["-1e-9", "-0.2", "nan", "inf"])
     def test_negative_or_non_finite_tol_is_usage_error(self, tmp_path, capsys, tol):
-        gp = put(tmp_path, "g.json", graph_to_obj(gen_octahedron()))
-        dp = str(tmp_path / "d.json")
-        assert run(["draw", "--method", "twobend", "--in", gp, "--out", dp]) == 0
+        dp = put(tmp_path, "d.json", ULP_SLOPES)
         assert run(["verify", "--in", dp, f"--tol={tol}"]) == 2
-        assert "--tol must be" in capsys.readouterr().err
+        assert f"unrecognized arguments: --tol={tol}" in capsys.readouterr().err
         assert run(["verify", "--in", dp, "--tol", tol]) == 2
-        assert "--tol must be" in capsys.readouterr().err
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+class TestExactVerify:
+    def test_float_file_is_checked_as_its_numbers(self, tmp_path):
+        dp = put(tmp_path, "d.json", ULP_SLOPES)
+        rp = str(tmp_path / "r.json")
+        assert run(["verify", "--in", dp, "--out", rp]) == 0
+        rep = get(rp)
+        assert rep["distinct_slopes"] == 2 and rep["ok"] is True
+        assert "exact" not in rep and "tolerance" not in rep
+
+    def test_angle_wedge_is_one_value_error(self, tmp_path, capsys):
+        # a wedge of float start and span angles declares no integer rays
+        wedge = {"apex": [0, 0], "start": 2.5, "span": 1.5}
+        obj = {**ULP_SLOPES, "meta": {"wedge": wedge}}
+        assert run(["verify", "--in", put(tmp_path, "d.json", obj)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ValueError: meta wedge field 'rays' must be two nonzero "
+            "integer pairs, got None\n"
+        )
 
 
 class TestDeterminism:

@@ -133,7 +133,10 @@ class TestSlopeChoice:
         sl = SlopeSet(s)
         for k in range(2 * s):
             assert sl.angle(k) == pytest.approx(k * math.pi / s, abs=1e-15)
-            assert sl.directed_index(math.sin(k * math.pi / s), math.cos(k * math.pi / s)) == k
+            # the float (sin, cos) of k*pi/s is off the exact set; a multiple
+            # of the vector is on it
+            x, y = sl.vector(k)
+            assert sl.directed_index(0.5 * x, 0.5 * y) == k
 
     @pytest.mark.parametrize("s", range(1, 9))
     def test_vectors_are_primitive_and_clockwise(self, s):
@@ -378,7 +381,7 @@ class TestGluing:
         dr = draw_twobend(k4_chain(10))
         rep = verify_drawing(dr)
         assert dr.meta["s"] == 3 and dr.coord_kind == "int"
-        assert rep.ok and rep.exact and rep.distinct_slopes <= 3
+        assert rep.ok and rep.distinct_slopes <= 3
 
     @pytest.mark.parametrize(
         "g", [k4_chain(3), glued_blocks(8, 4), multi_block_graph()],
@@ -389,7 +392,7 @@ class TestGluing:
         sl = SlopeSet(dr.meta["s"])
         for a in dr.edges:
             for (p, q), k in zip(a.segments, a.slope_indices):
-                kd = sl.directed_index(q[0] - p[0], q[1] - p[1], 1e-6)
+                kd = sl.directed_index(q[0] - p[0], q[1] - p[1])
                 assert kd is not None and kd % sl.s == k
 
     def test_used_slots_read_from_stored_index(self):
@@ -804,29 +807,31 @@ def _bench_twobend(n: int):
 # as an int. Until then the digests pinned the float drawings, which the
 # lowpoint st-order, the spliced pending list, drawing format 2, the
 # face-local cut test and the linked column lists each kept byte for byte.
+# Re-taken once when meta's wedge turned from float start and span angles
+# into the two integer rays; nothing else in the bytes changed.
 # two_k4_and_isolated covers two one-block components on renamed vertex ids
 # and an isolated vertex 0.
 PINNED_BYTES = {
     "octahedron": (lambda: draw_twobend(gen_octahedron(), SlopeSet(3)),
-        "cbe607c339b418aa2274b9f1319e9119fabb26a147f72d723242e6a30ea920b1",
+        "cc25cb0129bb927e6ef28ccd98de121432b6f7f03c72b5c9efe7aa530b9cd59d",
     ),
     "k4_chain_3": (lambda: draw_twobend(k4_chain(3)),
-        "a33e58df7f12279c9862b884110725bd16af8d34b8b6095618479a89cea59ce2",
+        "064452474c925cd929b6b95b8d8c2f67172efa18c90d24a6bf4cf5ef1863e664",
     ),
     "octahedron_pair": (lambda: draw_twobend(octahedron_pair()),
         "7436cd798f4ec97af8dd20681ba9f9db4b1f4399a2596c3d57ecb81dbe23e895",
     ),
     "multi_block": (lambda: draw_twobend(multi_block_graph()),
-        "460629d4bb0c55a0d8db3150dec8e75242c2dc3b27a5e8192c7b7073b2f532c8",
+        "5cccfc81fae457320b87bd303337da940451f216ca1e175055540f358d4b6930",
     ),
     "glued_blocks_8_4": (lambda: draw_twobend(glued_blocks(8, 4)),
-        "93dc854036793681313399174fc6a9e27bf746d45775d605b46d276590866ac7",
+        "816aaafa1fc4d575c9a068680117dcfe05ea43caf09ec4c3bf61e7c681340b68",
     ),
     "bounded_stack_60_3_8": (lambda: draw_twobend(bounded_stack(60, 3, 8)),
-        "746fd6250699e8d280f01016fba461e9038452644017b7aec9dea483e109b152",
+        "a403ec841fade2d232cb0f1b1b380698848bfe0559a17d8bc146ffc9d7b5e182",
     ),
     "capped_planar_250_0_8": (lambda: draw_twobend(capped_planar(250, 0, 8)),
-        "ec72a371e3daa37bfbca7b167e31daa637cad1652b1f7439dfc0e2c110a13a78",
+        "f747e634df6f07091202caf051821c0a3322fc2b4723a2152395f91e966264ee",
     ),
     "two_k4_and_isolated": (
         lambda: draw_twobend(PlanarGraph(9, tuple(k4([1, 2, 3, 4]) + k4([5, 6, 7, 8])))),
@@ -836,22 +841,22 @@ PINNED_BYTES = {
         "cde22cfb4a87e0f44d1b4c5ae8fb024be6c498edbd9b3ef9c2179eac2248b676",
     ),
     "twobend_blocks_225": (lambda: _bench_twobend(225),
-        "5b6c75779079a0b573d68396a53934375dba7379c70b2c8fcb59cb3d2cb640db",
+        "56753f552c13debb5c6ec51f5a5f9b6017116a1457aafb17c28265a378f36149",
     ),
     "twobend_blocks_300": (lambda: _bench_twobend(300),
-        "8ecf2e9cb1a2f9e565c7a8eb1c0ff3e3f6460e2e48796b235a3dd1801d5e57d2",
+        "87f71bdd632041aba057eb17a3c584b510ef63778986b425e9da6c1acac508dc",
     ),
     "twobend_blocks_375": (lambda: _bench_twobend(375),
         "5589abae38fbc12d30c072d74f38c0cf4f67e77558e9039a8f6396efe668d823",
     ),
     "twobend_blocks_450": (lambda: _bench_twobend(450),
-        "3179f43a88d9f0c787015f4bb45b4c49cc909c4cb3389bfc1f753d41f550e79d",
+        "5fc1a688a2e1d8cd93651052a3782cda29d22ab50bb42d413c7efe432afdfda2",
     ),
     "twobend_blocks_525": (lambda: _bench_twobend(525),
-        "72d3dd637653d62b2f6db00619ad50fdece375e85fccb106853791287cc50f2e",
+        "6df250f5bb735845669a2007fd57da8d0aed5ab2a3be1b05aa69267fe7954e7e",
     ),
     "twobend_blocks_600": (lambda: _bench_twobend(600),
-        "00fca8aba5e510b37db36dbae080b70049dc6185de92d58dfd6c9c5a4dfba5eb",
+        "ef4d700a1bb56761d058e8c00e1b881e0d35e0b24b398ccab0ba072c5b5b021e",
     ),
 }
 

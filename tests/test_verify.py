@@ -11,8 +11,8 @@ import pytest
 
 from conftest import bench_instances, capped_planar, hausdorff_within
 from fewslopes import verify
-from fewslopes.drawing import Drawing, EdgeArc, SlopeSet, Wedge
-from fewslopes.errors import AmbiguousBucket, SlopeOffGrid
+from fewslopes.drawing import Drawing, EdgeArc, SlopeSet
+from fewslopes.errors import SlopeOffGrid
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
 from fewslopes.onebend import draw_onebend
 from fewslopes.straightline import draw_straight
@@ -26,6 +26,7 @@ from fewslopes.verify import (
     check_gd_claims,
     check_noncrossing,
     check_rotation,
+    check_wedge,
     max_bends,
     slope_census,
     slope_classes,
@@ -135,15 +136,14 @@ class TestNoncrossing:
         ok, _ = check_noncrossing(dr)
         assert not ok
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
-    def test_float_parallel_near_miss_clear_at_any_tol(self, tol):
+    def test_float_parallel_near_miss_clear(self):
         dr = mk(
             [(0.0, 0.0), (1.0, 0.0), (0.0, 1e-6), (1.0, 1e-6)],
             [(0, 1, [(0.0, 0.0), (1.0, 0.0)]), (2, 3, [(0.0, 1e-6), (1.0, 1e-6)])],
             kind="float",
         )
         assert check_noncrossing(dr) == (True, None)
-        assert verify_drawing(dr, tol=tol).crossing_free
+        assert verify_drawing(dr).crossing_free
 
     def test_float_t_junction_flagged_exactly(self):
         # (0.5, 0.25) lies exactly on the first segment, away from its ends
@@ -566,25 +566,29 @@ class TestSlopeCensus:
         _, distinct = slope_census(dr)
         assert distinct == 2
 
-    def test_sub_tolerance_angles_merge(self):
+    def test_float_directions_one_ulp_apart_are_two_slopes(self):
+        # the float 1.1 minus 1 is 0.1 + 3 * 2^-55 exactly, as 1.1 is
+        # rounded in a bit 0.1 keeps: the second edge's direction is off the
+        # first's, and a float file is checked as its exact numbers
         dr = mk(
-            [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0 + 5e-10)],
-            [(0, 1, [(0.0, 0.0), (1.0, 0.0)]),
-             (2, 3, [(0.0, 1.0), (1.0, 1.0 + 5e-10)])],
+            [(0.0, 0.0), (1.0, 0.1), (0.0, 1.0), (1.0, 1.1)],
+            [(0, 1, [(0.0, 0.0), (1.0, 0.1)]), (2, 3, [(0.0, 1.0), (1.0, 1.1)])],
             kind="float",
         )
-        _, distinct = slope_census(dr, tol=1e-9)
-        assert distinct == 1
+        assert 1.1 - 1.0 != 0.1
+        _, distinct = slope_census(dr)
+        assert distinct == 2
+        assert verify_drawing(dr).distinct_slopes == 2
 
-    def test_ambiguous_gap_raises(self):
+    def test_float_directions_equal_in_binary_are_one_slope(self):
+        # 0.2 is twice 0.1 exactly, so (2, 0.2) points along (1, 0.1)
         dr = mk(
-            [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0 + 1.5e-9)],
-            [(0, 1, [(0.0, 0.0), (1.0, 0.0)]),
-             (2, 3, [(0.0, 1.0), (1.0, 1.0 + 1.5e-9)])],
+            [(0.0, 0.0), (1.0, 0.1), (3.0, 0.0), (5.0, 0.2)],
+            [(0, 1, [(0.0, 0.0), (1.0, 0.1)]), (2, 3, [(3.0, 0.0), (5.0, 0.2)])],
             kind="float",
         )
-        with pytest.raises(AmbiguousBucket):
-            slope_census(dr, tol=1e-9)
+        _, distinct = slope_census(dr)
+        assert distinct == 1
 
     def test_exact_rational_census_tolerance_free(self):
         third = Fraction(1, 3)
@@ -720,6 +724,15 @@ class TestContiguity:
         dr = mk([(b, 0), (b + 1, 1), (b - 1, 1)], [(0, 1, [(b, 0), (b + 1, 1)]), (0, 2, [(b, 0), (b - 1, 1)])])
         assert check_contiguous(dr, SlopeSet(4)) == {0: False, 1: True, 2: True}
 
+    def test_rotation_orders_directions_closer_than_float_angles(self):
+        # (2^54, 1) and (2^54, 2) have one float angle; clockwise from up,
+        # vertex 0 sees 2 before 1, and 3 straight down
+        b = 2**54
+        pts = [(0, 0), (b, 1), (b, 2), (0, -1)]
+        dr = mk(pts, [(0, v, [pts[0], pts[v]]) for v in (1, 2, 3)])
+        assert check_rotation(dr, [(2, 1, 3), (0,), (0,), (0,)]) == []
+        assert check_rotation(dr, [(1, 2, 3), (0,), (0,), (0,)]) == [0]
+
     def test_rotation_read_from_exact_departures(self):
         # clockwise from up, vertex 0 sees 2, 1, 3; rounded, all three are up
         b = 2**60
@@ -740,28 +753,95 @@ class TestReport:
                 max_bends=0,
                 contiguity_ok=None,
                 wedge_ok=None,
-                exact=True,
-                tolerance=1e-9,
             )
 
     def test_verify_drawing_integration(self):
         rep = verify_drawing(draw_twobend(gen_octahedron(), SlopeSet(3)))
-        assert rep.ok and rep.exact
+        assert rep.ok
         assert rep.distinct_slopes <= 3 and rep.max_bends <= 2
         assert rep.wedge_ok and rep.contiguity_ok
-        assert rep.tolerance == 1e-9
 
     def test_exact_regime_recorded(self):
+        # every kind is checked exactly, so the report names no regime
         rep = verify_drawing(draw_straight(gen_octahedron()))
-        assert rep.exact and rep.ok
+        assert rep.ok
+        assert not hasattr(rep, "exact") and not hasattr(rep, "tolerance")
 
-    @pytest.mark.parametrize("tol", [-1e-9, math.nan])
-    def test_negative_or_nan_tolerance_rejected(self, tol):
-        dr = draw_twobend(gen_octahedron())
-        with pytest.raises(ValueError, match="tolerance"):
-            verify_drawing(dr, tol=tol)
-        with pytest.raises(ValueError, match="tolerance"):
-            Wedge(**dr.meta["wedge"]).contains(dr.points[0], tol)
+
+def wedge_drawing(points, wedge):
+    """Edges from the apex, vertex 0, to every other point, with wedge as
+    meta."""
+    pts = {i: p for i, p in enumerate(points)}
+    arcs = tuple(EdgeArc(0, v, (points[0], points[v])) for v in range(1, len(points)))
+    return Drawing("custom", pts, arcs, "int", {"wedge": wedge})
+
+
+class TestWedge:
+    # the cone turning clockwise from down-right (1, -1) to down-left (-1, -1)
+    RAYS = [[1, -1], [-1, -1]]
+
+    def test_strictly_inside(self):
+        dr = wedge_drawing([(0, 0), (0, -5), (2, -3)], {"apex": [0, 0], "rays": self.RAYS})
+        assert check_wedge(dr) is True
+
+    def test_point_on_a_ray_is_outside(self):
+        dr = wedge_drawing([(0, 0), (0, -5), (3, -3)], {"apex": [0, 0], "rays": self.RAYS})
+        assert check_wedge(dr) is False
+        assert verify_drawing(dr).wedge_ok is False
+
+    def test_float_point_one_ulp_inside(self):
+        x = 1.0 - 2**-53  # (x, -1) lies just inside the ray along (1, -1)
+        pts = {0: (0.0, 0.0), 1: (x, -1.0)}
+        dr = Drawing(
+            "custom", pts, (EdgeArc(0, 1, (pts[0], pts[1])),), "float",
+            {"wedge": {"apex": [0.0, 0.0], "rays": self.RAYS}},
+        )
+        assert check_wedge(dr) is True
+
+    def test_reflex_wedge_checks_segments(self):
+        # the cone clockwise from (1, 1) to (-1, 1) holds all but the upward
+        # quarter; the segment from (3, 1) to (-3, 1) has both ends inside
+        # it and passes through that quarter, the bent one passes below
+        rays = [[1, 1], [-1, 1]]
+        pts = {0: (0, 0), 1: (3, 1), 2: (-3, 1), 3: (0, -2)}
+        arcs = (EdgeArc(0, 3, (pts[0], pts[3])), EdgeArc(1, 2, (pts[1], pts[2])))
+        dr = Drawing("custom", pts, arcs, "int", {"wedge": {"apex": [0, 0], "rays": rays}})
+        assert check_wedge(dr) is False
+        arcs = (arcs[0], EdgeArc(1, 2, (pts[1], (0, -1), pts[2])))
+        dr = Drawing("custom", pts, arcs, "int", {"wedge": {"apex": [0, 0], "rays": rays}})
+        assert check_wedge(dr) is True
+
+    @pytest.mark.parametrize(
+        "wedge",
+        [
+            {"apex": [0, 0], "start": 2.5, "span": 1.5},
+            {"apex": [0, 0], "rays": [[-1, -1]]},
+            {"apex": [0, 0], "rays": [[-1, -1], [1.0, -1]]},
+            {"apex": [0, 0], "rays": [[-1, -1], [1, -1, 0]]},
+            {"apex": [0, 0], "rays": [[-1, -1], [0, 0]]},
+            {"apex": [0, 0], "rays": [[-1, -1], [True, -1]]},
+        ],
+        ids=["start-span", "one-ray", "float-ray", "triple", "zero-ray", "bool-ray"],
+    )
+    def test_malformed_rays_raise(self, wedge):
+        dr = wedge_drawing([(0, 0), (0, -5)], wedge)
+        with pytest.raises(ValueError, match="'rays'"):
+            check_wedge(dr)
+        with pytest.raises(ValueError, match="'rays'"):
+            verify_drawing(dr)
+
+    @pytest.mark.parametrize("apex", [None, [0], ["0", "0"]])
+    def test_malformed_apex_raises(self, apex):
+        dr = wedge_drawing([(0, 0), (0, -5)], {"apex": apex, "rays": self.RAYS})
+        with pytest.raises(ValueError, match="'apex'"):
+            check_wedge(dr)
+
+    def test_twobend_declares_integer_rays(self):
+        dr = draw_twobend(gen_octahedron(), SlopeSet(3))
+        w = dr.meta["wedge"]
+        assert set(w) == {"apex", "rays"}
+        assert all(type(c) is int for r in w["rays"] for c in r)
+        assert check_wedge(dr) is True
 
 
 class TestHausdorff:
@@ -800,25 +880,25 @@ class TestGdClaims:
         assert sum(rep.hub_multiplicity.values()) == 3 * d
 
     def test_float_hub_class_counted_once(self):
-        # five hub end segments 1e-10 rad apart form one class at tol 1e-9,
-        # though angle / tol rounds two of them down and three up
-        tol = 1e-9
-        boundary = 0.5 + 0.5 * tol  # (k + 1/2) * tol for k = 5e8
+        # five hub end segments along one exact float direction, up or down
+        # from hubs at different points, form one class; a sixth, off it by
+        # about 1e-12 rad, is a class of its own
         pts = [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)]  # hubs 0, 1, 2
         polys = []
-        for i, (hub, off) in enumerate(zip((0, 0, 1, 1, 2), (-1.5, -0.5, 0.5, 1.5, 2.5))):
-            ang = boundary + off * 0.1 * tol
+        steps = [(0.375, 0.125)] * 5 + [(0.375, 0.125 + 2**-40)]
+        for i, (hub, (sx, sy)) in enumerate(zip((0, 0, 1, 1, 2, 2), steps)):
             sign = 1.0 if i % 2 == 0 else -1.0  # up or down: one slope
             hx, hy = pts[hub]
-            bend = (hx + sign * math.sin(ang), hy + sign * math.cos(ang))
+            bend = (hx + sign * sx, hy + sign * sy)
             end = (bend[0] + 1.0, bend[1])
             pts.append(end)
             polys.append((hub, 3 + i, [(hx, hy), bend, end]))
         dr = mk(pts, polys, kind="float")
-        census, distinct = slope_census(dr, tol)
-        assert distinct == 2 and census[0][1] == 5
-        rep = check_gd_claims(dr, 5, tol)
-        assert rep.hub_multiplicity == {census[0][0]: 5}
+        census, distinct = slope_census(dr)
+        # clockwise from up: the sixth, then the five, then the horizontals
+        assert distinct == 3 and [c for _, c in census] == [1, 5, 6]
+        rep = check_gd_claims(dr, 5)
+        assert rep.hub_multiplicity == {census[0][0]: 1, census[1][0]: 5}
         assert rep.hub_multiplicity_ok is False
 
     def test_required_counts_match_examples(self):
