@@ -136,10 +136,13 @@ class TestNoncrossing:
         ok, _ = check_noncrossing(dr)
         assert not ok
 
-    def test_float_parallel_near_miss_clear(self):
+    # the gap sizes are the two tolerances the verifier once took: crossings
+    # are exact, so parallel segments that far apart are clear either way
+    @pytest.mark.parametrize("gap", [1e-9, 1e-3])
+    def test_float_parallel_near_miss_clear_at_any_tol(self, gap):
         dr = mk(
-            [(0.0, 0.0), (1.0, 0.0), (0.0, 1e-6), (1.0, 1e-6)],
-            [(0, 1, [(0.0, 0.0), (1.0, 0.0)]), (2, 3, [(0.0, 1e-6), (1.0, 1e-6)])],
+            [(0.0, 0.0), (1.0, 0.0), (0.0, gap), (1.0, gap)],
+            [(0, 1, [(0.0, 0.0), (1.0, 0.0)]), (2, 3, [(0.0, gap), (1.0, gap)])],
             kind="float",
         )
         assert check_noncrossing(dr) == (True, None)
