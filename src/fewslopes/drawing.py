@@ -35,14 +35,13 @@ def primitive_direction(p: Point, q: Point) -> tuple[int, int]:
 class EdgeArc:
     """One drawn edge: a polyline from the point of u to the point of v.
 
-    poly has 2..4 points (1..3 segments). slope_indices, when present, give
-    the undirected SlopeSet index of each segment (two-bend pipeline).
+    poly has 2..4 points (1..3 segments); each segment's slope is read from
+    its exact direction (see verify.slope_classes).
     """
 
     u: int
     v: int
     poly: tuple[Point, ...]
-    slope_indices: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if len(self.poly) < 2:
@@ -50,8 +49,6 @@ class EdgeArc:
         for p, q in zip(self.poly, self.poly[1:]):
             if p == q:
                 raise ValueError(f"degenerate polyline piece at {p} on edge ({self.u},{self.v})")
-        if self.slope_indices is not None and len(self.slope_indices) != len(self.poly) - 1:
-            raise ValueError("slope_indices length must match segment count")
 
     @property
     def segments(self) -> list[tuple[Point, Point]]:

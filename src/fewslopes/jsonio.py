@@ -4,15 +4,16 @@ All emitters produce canonical bytes: sorted keys, no whitespace.
 parse(emit(x)) round-trips every object.
 
 A drawing is written in format 2: {"format": 2, "method", "coord_kind",
-"points", "edges", "meta"}, each edge {"u", "v", "bends"} plus an optional
-"slope_indices", an array of JSON integers. bends are the interior points
-of its polyline, which the parser builds as (points[u], *bends, points[v]).
-Coordinates must match coord_kind: JSON integers in an "int" drawing, JSON
-numbers in a "float" one, and "num/den" strings or plain integers in a
-"rational" one. A malformed drawing, or one in format 1 (edges with
-"poly"), raises ValueError naming the field or coordinate. A graph is
-{"n", "edges"} plus optional "labels", an array of strings; a malformed one
-raises ValueError naming the field.
+"points", "edges", "meta"}, each edge {"u", "v", "bends"}. bends are the
+interior points of its polyline, which the parser builds as (points[u],
+*bends, points[v]); any other edge key, such as the "slope_indices" that
+older two-bend files carry, is ignored. Coordinates must match coord_kind:
+JSON integers in an "int" drawing, JSON numbers in a "float" one, and
+"num/den" strings or plain integers in a "rational" one. A malformed
+drawing, or one in format 1 (edges with "poly"), raises ValueError naming
+the field or coordinate; so does writing a coordinate that coord_kind cannot
+hold exactly. A graph is {"n", "edges"} plus optional "labels", an array of
+strings; a malformed one raises ValueError naming the field.
 """
 
 from __future__ import annotations
@@ -45,9 +46,25 @@ def _rational_to_obj(x) -> str:
     return f"{x.numerator}/{x.denominator}"  # an int is n/1
 
 
-# writers and readers of one coordinate per coord_kind; the readers test
-# type(o), not isinstance, because a JSON true or false is no coordinate
-_NUM_TO_OBJ = {"int": int, "rational": _rational_to_obj, "float": float}
+def _int_to_obj(x) -> int:
+    if type(x) is not int:
+        raise ValueError(f"coordinate {x!r} is not an int, in an int drawing")
+    return x
+
+
+def _float_to_obj(x) -> float:
+    try:
+        f = float(x)
+    except OverflowError:  # beyond the float range
+        f = None
+    if f != x:
+        raise ValueError(f"coordinate {x!r} is not exactly a float, in a float drawing")
+    return f
+
+
+# writers and readers of one coordinate per coord_kind: a writer keeps its
+# value, a reader tests type(o), not isinstance, as JSON true is no number
+_NUM_TO_OBJ = {"int": _int_to_obj, "rational": _rational_to_obj, "float": _float_to_obj}
 
 
 def _int_from_obj(o):
@@ -100,14 +117,6 @@ def _field(obj: dict, key: str, typ: type, where: str):
     return x
 
 
-def _array_of(obj: dict, key: str, typ: type, where: str) -> tuple:
-    xs = tuple(_field(obj, key, list, where))
-    for x in xs:
-        if type(x) is not typ:
-            raise ValueError(f"{where} field {key!r} holds {x!r}, not {_JSON_TYPE[typ]}")
-    return xs
-
-
 # --- graphs -----------------------------------------------------------------------
 
 
@@ -126,7 +135,12 @@ def graph_from_obj(obj) -> PlanarGraph:
     for i, e in enumerate(edges):
         if type(e) is not list or len(e) != 2 or any(type(x) is not int for x in e):
             raise ValueError(f"edge {i} is not a pair of integers: {e!r}")
-    labels = _array_of(obj, "labels", str, "graph") if "labels" in obj else None
+    labels = None
+    if "labels" in obj:
+        labels = tuple(_field(obj, "labels", list, "graph"))
+        for x in labels:
+            if type(x) is not str:
+                raise ValueError(f"graph field 'labels' holds {x!r}, not a string")
     return PlanarGraph(n, tuple((u, v) for u, v in edges), labels=labels)
 
 
@@ -160,12 +174,10 @@ def drawing_to_obj(dr: Drawing) -> dict:
     n = len(dr.points)
     if sorted(dr.points) != list(range(n)):
         raise ValueError("drawing points must cover vertex ids 0..n-1")
-    edges = []
-    for a in dr.edges:
-        eo = {"u": a.u, "v": a.v, "bends": [[num(x), num(y)] for x, y in a.poly[1:-1]]}
-        if a.slope_indices is not None:
-            eo["slope_indices"] = list(a.slope_indices)
-        edges.append(eo)
+    edges = [
+        {"u": a.u, "v": a.v, "bends": [[num(x), num(y)] for x, y in a.poly[1:-1]]}
+        for a in dr.edges
+    ]
     return {
         "format": 2,
         "method": dr.method,
@@ -201,8 +213,7 @@ def drawing_from_obj(obj) -> Drawing:
         if "poly" in eo:
             raise ValueError(f"{where} has a 'poly' field: a format 1 drawing, not read")
         u, v = _field(eo, "u", int, where), _field(eo, "v", int, where)
-        si = _array_of(eo, "slope_indices", int, where) if "slope_indices" in eo else None
-        edges.append((u, v, _field(eo, "bends", list, where), si))
+        edges.append((u, v, _field(eo, "bends", list, where)))
     # coord_kind and meta are our extensions; hand-written files may omit them
     kind = obj.get("coord_kind") or _infer_kind(raw_points, [p for e in edges for p in e[2]])
     if type(kind) is not str or kind not in _NUM_FROM_OBJ:
@@ -210,12 +221,12 @@ def drawing_from_obj(obj) -> Drawing:
     num = _NUM_FROM_OBJ[kind]
     points = {v: _point_from_obj(p, num) for v, p in enumerate(raw_points)}
     arcs = []
-    for u, v, bends, si in edges:
+    for u, v, bends in edges:
         try:
             poly = (points[u], *[_point_from_obj(p, num) for p in bends], points[v])
         except KeyError as exc:
             raise ValueError(f"edge endpoint {exc.args[0]} has no vertex point") from None
-        arcs.append(EdgeArc(u, v, poly, si))
+        arcs.append(EdgeArc(u, v, poly))
     meta = dict(_field(obj, "meta", dict, "drawing")) if "meta" in obj else {}
     return Drawing(method, points, tuple(arcs), kind, meta)
 

@@ -349,7 +349,7 @@ def _rise(frame, k: int, dx: int) -> int:
 
 
 def _polylines(route: _Route, frame, pts: dict[int, tuple[int, int]]):
-    """(u, v, poly, slope indices) of every routed edge, for the points pts."""
+    """(u, v, poly) of every routed edge, for the points pts."""
     s, step = frame.s, _step(frame)
     lines = []
     for ep in route.episodes:
@@ -358,29 +358,26 @@ def _polylines(route: _Route, frame, pts: dict[int, tuple[int, int]]):
         vx, vy = pts[v]
         cx = step * ep.column.x
         if ep.dip:
-            # the dip: straight down, one piece of slope index s-1, straight up
+            # the dip: straight down, one piece along F_{s-1}, straight up
             drop = uy - abs(vy - uy) - step
             assert cx > ux
             poly = ((ux, uy), (ux, drop), (cx, drop + _rise(frame, s - 1, cx - ux)), (vx, vy))
-            lines.append((u, v, poly, (0, (s - 1) % s, 0)))
+            lines.append((u, v, poly))
             continue
-        poly, ks = [(ux, uy)], []
+        poly = [(ux, uy)]
         if ep.k_u != 0:
             assert (cx > ux) == (ep.k_u < s) and cx != ux
             poly.append((cx, uy + _rise(frame, ep.k_u, cx - ux)))
-            ks.append(ep.k_u % s)
         # the vertical middle piece, up to the bend below v or to v itself
         top = (cx, vy + _rise(frame, ep.k_v, cx - vx)) if ep.k_v != s else (vx, vy)
         assert poly[-1][0] == top[0] == cx and poly[-1][1] < top[1], (
             f"middle piece of ({u},{v}) collapsed"
         )
         poly.append(top)
-        ks.append(0)
         if ep.k_v != s:
             assert (cx > vx) == (ep.k_v < s) and cx != vx
             poly.append((vx, vy))
-            ks.append(ep.k_v % s)
-        lines.append((u, v, tuple(poly), tuple(ks)))
+        lines.append((u, v, tuple(poly)))
     return lines
 
 
@@ -455,7 +452,7 @@ def _draw_k2(t_first: bool, frame) -> Drawing:
     top, bot = (0, 1) if t_first else (1, 0)
     s, low = frame.s, (0, -_step(frame))
     pts = {top: (0, 0), bot: low}
-    arc = EdgeArc(bot, top, (low, (0, 0)), (0,))
+    arc = EdgeArc(bot, top, (low, (0, 0)))
     wedge = _wedge_meta((0, 0), _rays(frame, (s, s)))
     meta = {"s": s, "t": top, "wedge": wedge, "fan_slots": [s, s]}
     return Drawing("twobend", pts, [arc], "int", meta)
@@ -498,26 +495,19 @@ class _Composite:
     points and edges are named as a Drawing's, so that one composite can be
     added to another."""
 
-    def __init__(self, s: int):
-        self.s = s
+    def __init__(self):
         self.points: dict[int, tuple[int, int]] = {}
         self.edges: list[EdgeArc] = []
 
-    def add(self, dr, verts, f, turn: int = 0) -> None:
-        """Add the points and edges of dr, with vertex i renamed to verts[i],
-        every point mapped through f and every slope index advanced by turn
-        mod s. A vertex already drawn keeps its point."""
+    def add(self, dr, verts, f) -> None:
+        """Add the points and edges of dr, with vertex i renamed to verts[i]
+        and every point mapped through f. A vertex already drawn keeps its
+        point."""
         for v, p in dr.points.items():
             if verts[v] not in self.points:
                 self.points[verts[v]] = f(p)
         self.edges.extend(
-            EdgeArc(
-                verts[a.u],
-                verts[a.v],
-                tuple(f(p) for p in a.poly),
-                tuple((k + turn) % self.s for k in a.slope_indices),
-            )
-            for a in dr.edges
+            EdgeArc(verts[a.u], verts[a.v], tuple(f(p) for p in a.poly)) for a in dr.edges
         )
 
 
@@ -592,17 +582,17 @@ class _Block:
 
 
 def _used_slots_at(pts, arcs, v: int, frame) -> set[int]:
-    """Directed slots taken at v, read from the stored slope indices: an end
-    segment of undirected index k takes slot k, or k + s when it points
-    against F_k, which one integer dot product decides. Every arc in arcs
-    ends at v."""
+    """Directed slots taken at v, read from the exact integer direction d of
+    each end segment: slot k if d is parallel to F_k (a glued frame may hold
+    a non-primitive F_k such as (0, 2)) and points along it, else k + s, as
+    one dot product decides. Every arc in arcs ends at v."""
     used = set()
-    p = pts[v]
+    px, py = pts[v]
     for a in arcs:
-        q, k = (a.poly[1], a.slope_indices[0]) if a.u == v else (a.poly[-2], a.slope_indices[-1])
-        x, y = frame.vectors[k]
-        along = (q[0] - p[0]) * x + (q[1] - p[1]) * y
-        used.add(k if along > 0 else k + frame.s)
+        qx, qy = a.poly[1] if a.u == v else a.poly[-2]
+        d = (qx - px, qy - py)
+        k, (x, y) = next((k, f) for k, f in enumerate(frame.vectors) if _cw(f, d) == 0)
+        used.add(k if d[0] * x + d[1] * y > 0 else k + frame.s)
     return used
 
 
@@ -613,8 +603,8 @@ def _glue(owner: _Block, c: int, taken: set[int], block, slopes: SlopeSet) -> _B
     The taken slots form one arc; the child takes the w = hi - lo + 1 free
     slots after its clockwise end q - 1, (lo, hi) the slots its edges enter
     its top at. With r = q - lo, L = _gluing_map(r) maps the child's frame
-    F_k = adj(L) D_{k+r} onto positive multiples of D_{k+r}, so its slope
-    indices advance by r and its wedge rays go onto the half-slot rays
+    F_k = adj(L) D_{k+r} onto positive multiples of D_{k+r}, so its slots
+    advance by r and its wedge rays go onto the half-slot rays
     D_{q-1} + D_q and D_{q+w-1} + D_{q+w} at c. It is shrunk by 2^-h, h >= 0
     least with its radius ρ (largest distance from c) at most δ/4. δ is the
     least of u, one column of the owner O (the first drawn block holding
@@ -717,12 +707,12 @@ def _own(block: _Block, cuts: set[int], owner: dict, taken: dict, m: int) -> Non
         taken[v] = {(k + block.turn) % m for k in used}
 
 
-def _assemble(placed: list[_Block], s: int) -> _Composite:
+def _assemble(placed: list[_Block]) -> _Composite:
     """The component of the placed blocks, root first and every block after
     its owner, written once in integers: at the scale of the deepest block,
     with the root's top at the origin."""
     top = max(b.depth for b in placed)
-    comp = _Composite(s)
+    comp = _Composite()
     for b in placed:
         k = 1 << (top - b.depth)
         ox, oy = comp.points[b.cut] if b.cut is not None else (0, 0)
@@ -733,7 +723,7 @@ def _assemble(placed: list[_Block], s: int) -> _Composite:
             x, y = p[0] - ax, p[1] - ay
             return (ox + k * (l00 * x + l01 * y), oy + k * (l10 * x + l11 * y))
 
-        comp.add(b.dr, b.verts, f, b.turn)
+        comp.add(b.dr, b.verts, f)
     return comp
 
 
@@ -743,7 +733,7 @@ def _draw_component(
     """The component on vertices vs with the given blocks, assembled in
     graph ids, and its meta: the root block's, in graph ids, with blocks and
     cut_vertices when the component has more than one block."""
-    comp = _Composite(slopes.s)
+    comp = _Composite()
     if len(vs) == 1:  # an isolated vertex
         comp.points[vs[0]] = (0, 0)
         return comp, {}
@@ -793,7 +783,7 @@ def _draw_component(
             drawn_vertices.update(block[1])
             progressed = True
 
-    comp = _assemble(placed, slopes.s)
+    comp = _assemble(placed)
     meta = {k: verts[x] if k in ("t", "v1", "v2") else x for k, x in rdr.meta.items()}
     if cut_top:
         del meta["wedge"]
@@ -853,7 +843,7 @@ def draw_twobend(g: PlanarGraph, slopes: SlopeSet | None = None) -> Drawing:
     if len(parts) == 1:
         comp, meta = parts[0]
     else:
-        comp, meta = _Composite(slopes.s), {}
+        comp, meta = _Composite(), {}
         x_off = 0
         for part, _ in parts:
             xs = [p[0] for p in part.points.values()] + [p[0] for a in part.edges for p in a.poly]

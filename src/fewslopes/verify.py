@@ -573,7 +573,7 @@ class GdReport:
     distinct: int
     required: int
     lower_bound_ok: bool
-    hub_multiplicity: dict[float, int] | None
+    hub_multiplicity: dict[int, int] | None
     hub_multiplicity_ok: bool | None
 
 
@@ -583,8 +583,8 @@ def check_gd_claims(dr: Drawing, d: int) -> GdReport:
     Straight-line drawings need at least 3d-6 distinct slopes; one-bend
     drawings at least ceil(3(d-1)/4). For one-bend drawings the end segments
     at the three degree-d hubs a, b, c (vertices 0, 1, 2) must not repeat any
-    slope class more than 4 times; hub_multiplicity counts them per class
-    angle. Slopes are the classes of slope_classes.
+    slope class more than 4 times; hub_multiplicity counts them per class,
+    keyed by its id in slope_classes, whose classes are the slopes.
     """
     angles, classes = slope_classes(dr)
     bends = _bends(classes)
@@ -595,8 +595,7 @@ def check_gd_claims(dr: Drawing, d: int) -> GdReport:
     hub_ok = None
     if bends == 1:
         hub_mult = dict(Counter(
-            angles[c]
-            for a, row in zip(dr.edges, classes)
+            c for a, row in zip(dr.edges, classes)
             for end, c in ((a.u, row[0]), (a.v, row[-1]))
             if end in (0, 1, 2)
         ))

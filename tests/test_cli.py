@@ -257,15 +257,6 @@ MALFORMED_DRAWINGS = {
     "format-3": (_malformed(format=3), "drawing format 3 is not 2"),
     "format-string": (_malformed(format="2"), "drawing format '2' is not 2"),
     "meta-not-an-object": (_malformed(meta=[1]), "field 'meta' is not an object"),
-    "slope-indices-not-a-list": (
-        _malformed_edge(slope_indices=3), "edge 0 field 'slope_indices' is not an array",
-    ),
-    "slope-index-a-string": (
-        _malformed_edge(slope_indices=["x", 0]), "edge 0 field 'slope_indices' holds 'x', not an integer",
-    ),
-    "slope-index-true": (
-        _malformed_edge(slope_indices=[0, True]), "edge 0 field 'slope_indices' holds True, not an integer",
-    ),
 }
 
 

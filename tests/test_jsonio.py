@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fewslopes.drawing import Drawing, EdgeArc
+from fewslopes.drawing import Drawing, EdgeArc, SlopeSet
 from fewslopes.families import gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.circlepack import layout_centers, pack_radii
@@ -113,7 +113,7 @@ class TestDrawingRoundTrip:
         assert back.points == dr.points
         assert len(back.edges) == len(dr.edges)
         for a, b in zip(back.edges, dr.edges):
-            assert (a.u, a.v, a.poly, a.slope_indices) == (b.u, b.v, b.poly, b.slope_indices)
+            assert (a.u, a.v, a.poly) == (b.u, b.v, b.poly)
         assert canon(drawing_to_obj(back)) == s1
 
     def test_int_coordinates(self):
@@ -126,17 +126,28 @@ class TestDrawingRoundTrip:
         dr = Drawing(
             "custom",
             {0: (0.0, 0.5), 1: (1.25, -3.0)},
-            (EdgeArc(0, 1, ((0.0, 0.5), (1.25, -3.0)), None),),
+            (EdgeArc(0, 1, ((0.0, 0.5), (1.25, -3.0))),),
             "float",
             {},
         )
         self.check(dr)
 
     def test_twobend_with_slope_indices(self):
+        # no edge is written with slope_indices; a file from before, whose
+        # two-bend edges carry them, parses, verifies and re-emits without them
         dr = draw_twobend(gen_random_triangulation(18, seed=2))
         obj = drawing_to_obj(dr)
-        assert any("slope_indices" in eo for eo in obj["edges"])
+        assert not any("slope_indices" in eo for eo in obj["edges"])
         self.check(dr)
+        old = json.loads(canon(obj))
+        sl = SlopeSet(dr.meta["s"])
+        for eo, a in zip(old["edges"], dr.edges, strict=True):
+            eo["slope_indices"] = [
+                sl.directed_index(q[0] - p[0], q[1] - p[1]) % sl.s for p, q in a.segments
+            ]
+        back = drawing_from_obj(old)
+        assert verify_drawing(back).ok
+        assert canon(drawing_to_obj(back)) == canon(obj)
 
     def test_points_must_cover_vertices(self):
         dr = Drawing("custom", {0: (0, 0), 2: (1, 1)}, (), "int", {})
@@ -161,7 +172,7 @@ class TestFormat2:
         assert set(obj) == {"format", "method", "coord_kind", "points", "edges", "meta"}
         assert obj["format"] == 2
         for eo, arc in zip(obj["edges"], dr.edges, strict=True):
-            assert set(eo) - {"slope_indices"} == {"u", "v", "bends"}
+            assert set(eo) == {"u", "v", "bends"}
             assert len(eo["bends"]) == len(arc.poly) - 2
         want = {"int": int, "rational": str, "float": float}[dr.coord_kind]
         coords = [c for p in obj["points"] for c in p]
@@ -195,7 +206,7 @@ class TestRationalEncoding:
         dr = Drawing(
             "custom",
             {0: (Fraction(1, 3), Fraction(0)), 1: (Fraction(2), Fraction(-5, 4))},
-            (EdgeArc(0, 1, ((Fraction(1, 3), Fraction(0)), (Fraction(2), Fraction(-5, 4))), None),),
+            (EdgeArc(0, 1, ((Fraction(1, 3), Fraction(0)), (Fraction(2), Fraction(-5, 4)))),),
             "rational",
             {},
         )
@@ -228,7 +239,7 @@ class TestRationalEncoding:
         far = Fraction(2**1100, 3)
         ends = ((Fraction(0), Fraction(0)), (far, Fraction(1)))
         dr = Drawing(
-            "custom", dict(enumerate(ends)), (EdgeArc(0, 1, ends, None),), "rational",
+            "custom", dict(enumerate(ends)), (EdgeArc(0, 1, ends),), "rational",
             {"far": -far},
         )
         text = canon(drawing_to_obj(dr))
@@ -239,6 +250,41 @@ class TestRationalEncoding:
         assert back.points[1][0] == far
         assert canon(drawing_to_obj(back)) == text
         assert verify_drawing(back).ok
+
+
+def one_edge_drawing(kind: str, x) -> Drawing:
+    """A drawing of kind whose one edge runs from (0, 0) to (x, 1)."""
+    ends = ((0, 0), (x, 1))
+    return Drawing("custom", dict(enumerate(ends)), (EdgeArc(0, 1, ends),), kind, {})
+
+
+class TestWriterKeepsCoordinates:
+    @pytest.mark.parametrize(
+        "x",
+        [Fraction(1, 2), 0.5, Fraction(2), 2.0, True],
+        ids=["half", "float-half", "fraction-2", "float-2", "true"],
+    )
+    def test_int_drawing_refuses_a_non_int(self, x):
+        # int(x) would write 0 for a half
+        with pytest.raises(ValueError, match=re.escape(f"coordinate {x!r} is not an int")):
+            drawing_to_obj(one_edge_drawing("int", x))
+
+    @pytest.mark.parametrize(
+        "x", [2**60 + 1, Fraction(1, 3), 2**1100], ids=["2**60+1", "third", "beyond-range"]
+    )
+    def test_float_drawing_refuses_an_inexact_float(self, x):
+        # float(2**60 + 1) is 2**60: written so, it would be another drawing
+        match = re.escape(f"coordinate {x!r} is not exactly a float")
+        with pytest.raises(ValueError, match=match):
+            drawing_to_obj(one_edge_drawing("float", x))
+
+    @pytest.mark.parametrize(
+        "x", [2**60, Fraction(1, 2), np.float64(0.1)], ids=["2**60", "half", "float64"]
+    )
+    def test_float_drawing_writes_an_exact_value(self, x):
+        obj = drawing_to_obj(one_edge_drawing("float", x))
+        assert obj["points"][1] == [float(x), 1.0] and type(obj["points"][1][0]) is float
+        assert float(x) == x
 
 
 class TestHandWrittenLeniency:

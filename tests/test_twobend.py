@@ -38,6 +38,7 @@ from fewslopes.twobend import (
     regular_slopes,
 )
 from fewslopes.verify import (
+    check_contiguous,
     check_noncrossing,
     check_rotation,
     check_wedge,
@@ -160,8 +161,11 @@ class TestTriangleBlock:
         assert "fan_slots" in dr.meta and "wedge" in dr.meta
 
 
-# st_order takes the smallest outer neighbour of v1 that is not a cut vertex
-# of G - v1 as v2; on this block with t = 2, no v1 on either face at 2 has one
+# no order fits _route on this face: v1 v2 must be an outer edge avoiding
+# t = 2 that is no separation pair, and both such edges, (0, 3) and (3, 1),
+# are one, cutting off 5 and 4, whose last vertex has no later neighbour. So
+# no numbering algorithm can pass this; another face at t can (6 of the 10
+# over the block's planar rotation systems admit an order and draw)
 @pytest.mark.xfail(strict=True, raises=StOrderInfeasible)
 def test_block_without_greedy_st_order_draws():
     g = PlanarGraph(
@@ -388,23 +392,36 @@ class TestGluing:
         ids=["k4_chain", "glued_blocks", "multi_block"],
     )
     def test_slope_indices_follow_gluing_rotation(self, g):
+        # every segment of every glued block, mapped by its gluing rotation,
+        # has a slope index: its exact direction is one of the SlopeSet's
+        # vectors, and the directed slots at each vertex form one arc
         dr = draw_twobend(g)
         sl = SlopeSet(dr.meta["s"])
         for a in dr.edges:
-            for (p, q), k in zip(a.segments, a.slope_indices):
-                kd = sl.directed_index(q[0] - p[0], q[1] - p[1])
-                assert kd is not None and kd % sl.s == k
+            for p, q in a.segments:
+                assert sl.directed_index(q[0] - p[0], q[1] - p[1]) is not None
+        assert all(check_contiguous(dr, sl).values())
 
-    def test_used_slots_read_from_stored_index(self):
+    def test_used_slots_read_from_exact_direction(self):
         # at 2^60 a unit segment has no float direction; its slot comes from
-        # the stored index and one integer dot product with D_1 = (1, 1)
+        # its integer direction, parallel to D_1 = (1, 1), and one dot product
         sl = SlopeSet(3)
         p = (2**60, 2**60)
         q = (p[0] + 1, p[1] + 1)
         assert float(q[0]) - float(p[0]) == 0.0
-        pts, arcs = {0: p, 1: q}, [EdgeArc(0, 1, (p, q), (1,))]
+        pts, arcs = {0: p, 1: q}, [EdgeArc(0, 1, (p, q))]
         assert _used_slots_at(pts, arcs, 0, sl) == {1}
         assert _used_slots_at(pts, arcs, 1, sl) == {4}
+        # the s = 4 frame turned by one slot holds the non-primitive (0, 2)
+        # and (2, 0); an end segment along a multiple of either finds it
+        frame = twobend._Frame(4, ((0, 2), (1, 1), (2, 0), (1, -1)))
+        assert frame.vectors == tuple(
+            twobend._apply(((1, -1), (1, 1)), SlopeSet(4).vector(k + 1)) for k in range(4)
+        )
+        pts = {0: (0, 0), 1: (0, -6), 2: (6, 0), 3: (-3, 3), 4: (-4, 0)}
+        arcs = [EdgeArc(0, w, (pts[0], pts[w])) for w in (1, 2, 3, 4)]
+        assert _used_slots_at(pts, arcs, 0, frame) == {4, 2, 7, 6}
+        assert _used_slots_at(pts, arcs[:1], 1, frame) == {0}
 
 
 class TestLowDegree:
@@ -665,8 +682,8 @@ def glued_subtrees(monkeypatch, gs):
     out = []
     real = twobend._assemble
 
-    def spy(placed, s):
-        comp = real(placed, s)
+    def spy(placed):
+        comp = real(placed)
         top = max(b.depth for b in placed)
         owner, parent, first = {}, {}, {}
         edges = iter(comp.edges)
@@ -808,55 +825,56 @@ def _bench_twobend(n: int):
 # lowpoint st-order, the spliced pending list, drawing format 2, the
 # face-local cut test and the linked column lists each kept byte for byte.
 # Re-taken once when meta's wedge turned from float start and span angles
-# into the two integer rays; nothing else in the bytes changed.
+# into the two integer rays, and once when edges stopped carrying
+# slope_indices; nothing else in the bytes changed either time.
 # two_k4_and_isolated covers two one-block components on renamed vertex ids
 # and an isolated vertex 0.
 PINNED_BYTES = {
     "octahedron": (lambda: draw_twobend(gen_octahedron(), SlopeSet(3)),
-        "cc25cb0129bb927e6ef28ccd98de121432b6f7f03c72b5c9efe7aa530b9cd59d",
+        "d1ff7da54d99abe8f463513928ccf75f72e304bbf6df4ce937e0d6e349c3c97c",
     ),
     "k4_chain_3": (lambda: draw_twobend(k4_chain(3)),
-        "064452474c925cd929b6b95b8d8c2f67172efa18c90d24a6bf4cf5ef1863e664",
+        "bf857a650ff24d8dcde30098c42379e826179e65ccccf76af14bb662b90775ab",
     ),
     "octahedron_pair": (lambda: draw_twobend(octahedron_pair()),
-        "7436cd798f4ec97af8dd20681ba9f9db4b1f4399a2596c3d57ecb81dbe23e895",
+        "6bc477453d97fb4ae9a61e6497d2d7c5e0d000bcafbd0460b9de28e41546df77",
     ),
     "multi_block": (lambda: draw_twobend(multi_block_graph()),
-        "5cccfc81fae457320b87bd303337da940451f216ca1e175055540f358d4b6930",
+        "d4e6c2411cb253ec166f9b1fc9463539d65dcd17d6a7e400ab39776e19eb561a",
     ),
     "glued_blocks_8_4": (lambda: draw_twobend(glued_blocks(8, 4)),
-        "816aaafa1fc4d575c9a068680117dcfe05ea43caf09ec4c3bf61e7c681340b68",
+        "b2334b1f31643c78297201a796580e6e8e405029f8d35e2785df648cf69c2288",
     ),
     "bounded_stack_60_3_8": (lambda: draw_twobend(bounded_stack(60, 3, 8)),
-        "a403ec841fade2d232cb0f1b1b380698848bfe0559a17d8bc146ffc9d7b5e182",
+        "d364ff29ba6943a91c83b076e7ab468a9f3d01b2081eb749e53b5172960bacb0",
     ),
     "capped_planar_250_0_8": (lambda: draw_twobend(capped_planar(250, 0, 8)),
-        "f747e634df6f07091202caf051821c0a3322fc2b4723a2152395f91e966264ee",
+        "69815ddf94d80c9698ccf275320a6788ea0317293bf699b0b436558cc02f0ba4",
     ),
     "two_k4_and_isolated": (
         lambda: draw_twobend(PlanarGraph(9, tuple(k4([1, 2, 3, 4]) + k4([5, 6, 7, 8])))),
-        "ecb9f192f39cd613d909bd310f2ef3d70888f7bf8f518a3919f5af2edc143b0d",
+        "9f962b296691950e2a470dfec6abb654464c05736ed4b6d74b0fa261e3f33f62",
     ),
     "twobend_blocks_150": (lambda: _bench_twobend(150),
-        "cde22cfb4a87e0f44d1b4c5ae8fb024be6c498edbd9b3ef9c2179eac2248b676",
+        "ce2317568980bea17d73b5765d0172b9bc1d756846e541acaec0ed975f8afca7",
     ),
     "twobend_blocks_225": (lambda: _bench_twobend(225),
-        "56753f552c13debb5c6ec51f5a5f9b6017116a1457aafb17c28265a378f36149",
+        "adaa1201e72805f98914b7cecd9fdcb8e60ca11ed64c503d8c069dd6ca16eb10",
     ),
     "twobend_blocks_300": (lambda: _bench_twobend(300),
-        "87f71bdd632041aba057eb17a3c584b510ef63778986b425e9da6c1acac508dc",
+        "efc3d4081ecd7ea37d6fcfb05a582a8bad1afc543ffcc1018196d740c0c50a9e",
     ),
     "twobend_blocks_375": (lambda: _bench_twobend(375),
-        "5589abae38fbc12d30c072d74f38c0cf4f67e77558e9039a8f6396efe668d823",
+        "2385bcd98ed6f8ef3c3137e522acf23791b391da5ad334df2e2e2a59d8060f88",
     ),
     "twobend_blocks_450": (lambda: _bench_twobend(450),
-        "5fc1a688a2e1d8cd93651052a3782cda29d22ab50bb42d413c7efe432afdfda2",
+        "6b20edccbbe9403f4b01c33bd5f127f45d46af83658008134655993531a48916",
     ),
     "twobend_blocks_525": (lambda: _bench_twobend(525),
-        "6df250f5bb735845669a2007fd57da8d0aed5ab2a3be1b05aa69267fe7954e7e",
+        "b00594b2291a1da2a27c61fcb6e7731c1e2158c232c693ba6ce2f153aa534636",
     ),
     "twobend_blocks_600": (lambda: _bench_twobend(600),
-        "ef4d700a1bb56761d058e8c00e1b881e0d35e0b24b398ccab0ba072c5b5b021e",
+        "142312249a9212e382fe3ec8a8bebfd0c3e31d556d2fbcbf8d2ec9f723bde048",
     ),
 }
 

@@ -882,13 +882,12 @@ class TestGdClaims:
         assert rep.hub_multiplicity_ok
         assert sum(rep.hub_multiplicity.values()) == 3 * d
 
-    def test_float_hub_class_counted_once(self):
-        # five hub end segments along one exact float direction, up or down
-        # from hubs at different points, form one class; a sixth, off it by
-        # about 1e-12 rad, is a class of its own
+    @staticmethod
+    def hub_drawing(steps):
+        """Hub end segments along steps, one per edge, up or down from hubs
+        0, 0, 1, 1, 2, 2 in turn, each edge ending in a horizontal piece."""
         pts = [(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)]  # hubs 0, 1, 2
         polys = []
-        steps = [(0.375, 0.125)] * 5 + [(0.375, 0.125 + 2**-40)]
         for i, (hub, (sx, sy)) in enumerate(zip((0, 0, 1, 1, 2, 2), steps)):
             sign = 1.0 if i % 2 == 0 else -1.0  # up or down: one slope
             hx, hy = pts[hub]
@@ -896,13 +895,31 @@ class TestGdClaims:
             end = (bend[0] + 1.0, bend[1])
             pts.append(end)
             polys.append((hub, 3 + i, [(hx, hy), bend, end]))
-        dr = mk(pts, polys, kind="float")
+        return mk(pts, polys, kind="float")
+
+    def test_float_hub_class_counted_once(self):
+        # five hub end segments along one exact float direction, up or down
+        # from hubs at different points, form one class; a sixth, off it by
+        # about 1e-12 rad, is a class of its own
+        dr = self.hub_drawing([(0.375, 0.125)] * 5 + [(0.375, 0.125 + 2**-40)])
         census, distinct = slope_census(dr)
         # clockwise from up: the sixth, then the five, then the horizontals
         assert distinct == 3 and [c for _, c in census] == [1, 5, 6]
         rep = check_gd_claims(dr, 5)
-        assert rep.hub_multiplicity == {census[0][0]: 1, census[1][0]: 5}
+        assert rep.hub_multiplicity == {0: 1, 1: 5}
         assert rep.hub_multiplicity_ok is False
+
+    def test_hub_classes_at_one_float_angle_counted_apart(self):
+        # (0.375, 0.125) and (0.375, 0.125 + 2^-55) are two exact classes
+        # whose angles round to one float: three hub ends along one and two
+        # along the other are two counts within 4, not one count of 5
+        dr = self.hub_drawing([(0.375, 0.125)] * 3 + [(0.375, 0.125 + 2**-55)] * 2)
+        angles, classes = slope_classes(dr)
+        a, b = classes[0][0], classes[3][0]
+        assert a != b and angles[a] == angles[b] and len(angles) == 3
+        rep = check_gd_claims(dr, 5)
+        assert rep.hub_multiplicity == {a: 3, b: 2}
+        assert rep.hub_multiplicity_ok is True
 
     def test_required_counts_match_examples(self):
         straight = check_gd_claims(draw_straight(gen_gd(6)), 6)
