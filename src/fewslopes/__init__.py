@@ -11,7 +11,6 @@ from .errors import (
     Disconnected,
     FewslopesError,
     GluingFailed,
-    InconsistentRadii,
     NoConvergence,
     NotBiconnected,
     NotPlanar,

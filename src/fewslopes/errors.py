@@ -67,14 +67,10 @@ class NoConvergence(FewslopesError):
         self.residual = residual
 
 
-class InconsistentRadii(FewslopesError):
-    """Center placement contradicts an earlier placement beyond tolerance."""
-
-
 class PrecisionExhausted(FewslopesError):
-    """Floating point cannot represent the layout: packing centers come out
-    non-finite or overlapping, a scaled center leaves the float range, or a
-    snapped face is inverted or degenerate."""
+    """Floating point cannot represent the layout: packing radii underflow
+    to 0, packing centers coincide or come out non-finite, a scaled center
+    leaves the float range, or a snapped face is inverted or degenerate."""
 
 
 # --- one-bend errors ----------------------------------------------------------

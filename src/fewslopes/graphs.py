@@ -218,6 +218,8 @@ class Embedding:
 
 def planar_embed(g: PlanarGraph) -> Embedding:
     """Deterministic combinatorial embedding of a connected planar graph."""
+    if g.n == 0:
+        raise TooFewVertices("planar_embed needs at least 1 vertex")
     if not g.is_connected():
         raise Disconnected("planar_embed requires a connected graph")
     if g.n == 1:

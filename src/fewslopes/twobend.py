@@ -24,6 +24,7 @@ block drawing is good. Every map is fixed before any point is written.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -763,25 +764,33 @@ def _draw_component(
     owner: dict[int, _Block] = {}
     taken: dict[int, set[int]] = {}
     _own(placed[0], cuts, owner, taken, cap)
-    drawn_blocks, drawn_vertices = {root_bi}, set(verts)
 
-    progressed = True
-    while len(drawn_blocks) < len(blocks):
-        assert progressed, "block-cut tree traversal stalled"
-        progressed = False
-        for bi, block in enumerate(blocks):
-            if bi in drawn_blocks:
-                continue
-            attach = [v for v in block[1] if v in drawn_vertices]
-            if not attach:
-                continue
-            assert len(attach) == 1 and attach[0] in cuts
-            c = attach[0]
-            placed.append(_glue(owner[c], c, taken[c], block, slopes))
-            _own(placed[-1], cuts, owner, taken, cap)
-            drawn_blocks.add(bi)
-            drawn_vertices.update(block[1])
-            progressed = True
+    # Blocks are glued in the order of repeated passes over them by index,
+    # each pass gluing every block that has a drawn vertex by then. A block
+    # first reached at cut vertex c, drawn by the block glued at (pass p,
+    # index i), is glued at (p, j) if its index j > i, else at (p + 1, j).
+    at_cut = defaultdict(list)
+    for bi, (_, bverts, _) in enumerate(blocks):
+        for v in bverts:
+            if v in cuts:
+                at_cut[v].append(bi)
+    heap: list[tuple[int, int, int]] = []
+    reached = {root_bi}
+
+    def reach(bverts, p, i):
+        for c in bverts:
+            for j in at_cut.get(c, ()):
+                if j not in reached:
+                    reached.add(j)
+                    heapq.heappush(heap, (p if j > i else p + 1, j, c))
+
+    reach(verts, 1, -1)
+    while heap:
+        p, bi, c = heapq.heappop(heap)
+        placed.append(_glue(owner[c], c, taken[c], blocks[bi], slopes))
+        _own(placed[-1], cuts, owner, taken, cap)
+        reach(blocks[bi][1], p, bi)
+    assert len(reached) == len(blocks), "block-cut tree traversal stalled"
 
     comp = _assemble(placed)
     meta = {k: verts[x] if k in ("t", "v1", "v2") else x for k, x in rdr.meta.items()}

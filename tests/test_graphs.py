@@ -25,6 +25,7 @@ from fewslopes.errors import (
     NotPlanar,
     NotTriangulated,
     StOrderInfeasible,
+    TooFewVertices,
     VerticesNotOnOuterFace,
 )
 from fewslopes.families import gen_octahedron, gen_random_triangulation
@@ -91,6 +92,10 @@ class TestEmbedding:
         assert len(e.faces) == 4
         assert all(len(f) == 3 for f in e.faces)
         assert e.euler_ok() and e.is_triangulated()
+
+    def test_empty_graph_has_too_few_vertices(self):
+        with pytest.raises(TooFewVertices):
+            planar_embed(PlanarGraph(0, ()))
 
     def test_every_dart_traced_once(self):
         e = planar_embed(gen_octahedron())

@@ -175,10 +175,12 @@ def test_block_without_greedy_st_order_draws():
     assert verify_drawing(draw_biconnected_twobend(e, 2, SlopeSet(2))).ok
 
 
-def caterpillar(k: int) -> PlanarGraph:
-    """A spine path of k vertices with one leaf at each: 2k vertices, d = 3."""
-    spine = [(i, i + 1) for i in range(k - 1)]
-    return PlanarGraph(2 * k, tuple(spine + [(i, k + i) for i in range(k)]))
+def caterpillar(k: int, shift: int = 0) -> PlanarGraph:
+    """A spine path of k vertices with one leaf at each: 2k vertices, d = 3.
+    The i-th spine vertex is (i + shift) mod k, and its leaf is k + i."""
+    s = [(i + shift) % k for i in range(k)]
+    spine = [tuple(sorted((s[i], s[i + 1]))) for i in range(k - 1)]
+    return PlanarGraph(2 * k, tuple(spine + [(s[i], k + i) for i in range(k)]))
 
 
 # every cut vertex on the spine shrinks the child block glued at it, 53
@@ -829,6 +831,10 @@ def _bench_twobend(n: int):
 # slope_indices; nothing else in the bytes changed either time.
 # two_k4_and_isolated covers two one-block components on renamed vertex ids
 # and an isolated vertex 0.
+# caterpillar_40_shifted, its spine 1..39 and then 0, glues the leg at each
+# spine vertex before the next spine edge, in the order of repeated passes
+# over the blocks by index; gluing reachable blocks by ascending index
+# alone gives other bytes.
 PINNED_BYTES = {
     "octahedron": (lambda: draw_twobend(gen_octahedron(), SlopeSet(3)),
         "d1ff7da54d99abe8f463513928ccf75f72e304bbf6df4ce937e0d6e349c3c97c",
@@ -850,6 +856,9 @@ PINNED_BYTES = {
     ),
     "capped_planar_250_0_8": (lambda: draw_twobend(capped_planar(250, 0, 8)),
         "69815ddf94d80c9698ccf275320a6788ea0317293bf699b0b436558cc02f0ba4",
+    ),
+    "caterpillar_40_shifted": (lambda: draw_twobend(caterpillar(40, 1)),
+        "a50eec3a9c31516ee65cd04fd63fee5673ad905239bd17f5d5beab4a9f24cda2",
     ),
     "two_k4_and_isolated": (
         lambda: draw_twobend(PlanarGraph(9, tuple(k4([1, 2, 3, 4]) + k4([5, 6, 7, 8])))),
