@@ -16,7 +16,6 @@ from .errors import (
     NotPlanar,
     NotTriangulated,
     PrecisionExhausted,
-    RetractionFailed,
     SlopeOffGrid,
     SlopesTooFew,
     StOrderInfeasible,

@@ -73,13 +73,6 @@ class PrecisionExhausted(FewslopesError):
     leaves the float range, or a snapped face is inverted or degenerate."""
 
 
-# --- one-bend errors ----------------------------------------------------------
-
-class RetractionFailed(FewslopesError):
-    """The retracted T-shapes fail the exact contact check: a contact is
-    missing, misplaced or spurious, or two shapes overlap."""
-
-
 # --- two-bend errors ----------------------------------------------------------
 
 class SlopesTooFew(FewslopesError):
@@ -87,8 +80,9 @@ class SlopesTooFew(FewslopesError):
 
 
 class DegreeTooHigh(FewslopesError):
-    """The designated final vertex has too many neighbors for the slope
-    budget (needs degree < 2s)."""
+    """A degree is too high for the construction: a vertex has more
+    neighbors than the 2s directed slopes (the designated final vertex needs
+    degree < 2s), or draw_low_degree got maximum degree above 2."""
 
 
 class GluingFailed(FewslopesError):

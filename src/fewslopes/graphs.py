@@ -520,20 +520,7 @@ def st_order(e: Embedding, s: int, t: int) -> tuple[int, ...]:
         raise VerticesNotOnOuterFace(f"s={s}, t={t} must both lie on the outer face")
     pos = outer.index(s)
     firsts = sorted({outer[pos - 1], outer[(pos + 1) % len(outer)]} - {t})
-    order = tuple(_peel(e, s, t, firsts))
-    _assert_st_valid(g, order)
-    return order
-
-
-def _assert_st_valid(g: PlanarGraph, order: tuple[int, ...]) -> None:
-    p = {v: i for i, v in enumerate(order)}
-    for v in range(g.n):
-        i = p[v]
-        nbr_pos = [p[w] for w in g.adjacency[v]]
-        if 0 < i:
-            assert min(nbr_pos) < i, f"vertex {v} lacks an earlier neighbor"
-        if i < g.n - 1:
-            assert max(nbr_pos) > i, f"vertex {v} lacks a later neighbor"
+    return tuple(_peel(e, s, t, firsts))
 
 
 # --- canonical order -----------------------------------------------------------
@@ -564,8 +551,7 @@ def canonical_order(e: Embedding) -> CanonicalOrder:
     """
     if not e.is_triangulated():
         raise NotTriangulated("canonical order requires a triangulation")
-    g = e.graph
-    n = g.n
+    n = e.graph.n
     rot = {v: list(e.rotation[v]) for v in range(n)}
     present = set(range(n))
     cycle = list(e.outer_face)
@@ -624,20 +610,7 @@ def canonical_order(e: Embedding) -> CanonicalOrder:
 
     assert present == {v1, v2}
     order[0], order[1] = v1, v2
-    co = CanonicalOrder(tuple(order), tuple(support))
-    _assert_canonical_valid(g, co)
-    return co
-
-
-def _assert_canonical_valid(g: PlanarGraph, co: CanonicalOrder) -> None:
-    assert sorted(co.order) == list(range(g.n))
-    pos = {v: i for i, v in enumerate(co.order)}
-    for k in range(2, g.n):
-        v = co.order[k]
-        sup = co.support[k]
-        assert len(sup) >= 2, f"vertex {v} covers fewer than 2 vertices"
-        assert all(pos[w] < k for w in sup)
-        assert set(sup) == {w for w in g.adjacency[v] if pos[w] < k}
+    return CanonicalOrder(tuple(order), tuple(support))
 
 
 # --- block-cut tree ------------------------------------------------------------
@@ -665,6 +638,4 @@ def block_cut_tree(g: PlanarGraph) -> BlockCutTree:
     found.sort()
     held = Counter(v for _, verts in found for v in verts)
     cuts = tuple(sorted(v for v, k in held.items() if k >= 2))
-    bct = BlockCutTree(tuple(e for e, _ in found), tuple(v for _, v in found), cuts)
-    assert sum(len(b) for b in bct.blocks) == len(g.edges)
-    return bct
+    return BlockCutTree(tuple(e for e, _ in found), tuple(v for _, v in found), cuts)

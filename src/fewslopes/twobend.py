@@ -881,10 +881,10 @@ def draw_low_degree(g: PlanarGraph) -> Drawing:
     y = 0. An even cycle closes with a vertical edge, two slopes; an odd one
     cannot (a closed odd walk on two directions has no solution) and closes
     with a diagonal, three. Not covered by the two-bend guarantee; meta says
-    so.
+    so. Raises DegreeTooHigh for maximum degree above 2.
     """
     if g.max_degree > 2:
-        raise ValueError("draw_low_degree only accepts maximum degree <= 2")
+        raise DegreeTooHigh(f"maximum degree {g.max_degree}: draw_low_degree accepts at most 2")
     pts: dict[int, tuple[int, int]] = {}
     arcs: list[EdgeArc] = []
     slopes_used = 0

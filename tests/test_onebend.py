@@ -10,15 +10,13 @@ import numpy as np
 import pytest
 
 from conftest import bench_instances, hausdorff_within
-from fewslopes import onebend
-from fewslopes.errors import RetractionFailed, TooFewVertices
+from fewslopes.errors import TooFewVertices
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
 from fewslopes.graphs import PlanarGraph, planar_embed
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
 from fewslopes.onebend import (
     Contact,
     TShape,
-    _verify_contacts,
     contact_numbering,
     draw_onebend,
     tshape_representation,
@@ -90,18 +88,6 @@ class TestTShapes:
         for ranks in at:
             assert sorted(ranks) == list(range(1, len(ranks) + 1))
 
-    def test_failed_contact_check_raises(self, monkeypatch):
-        checked = []
-
-        def broken(shapes, edges, contacts):
-            checked.append(len(shapes))
-            return ["hat of 0 crosses leg of 1"]
-
-        monkeypatch.setattr(onebend, "_verify_contacts", broken)
-        with pytest.raises(RetractionFailed, match="hat of 0 crosses leg of 1"):
-            tshape_representation(planar_embed(gen_octahedron()))
-        assert checked == [6]  # once, on the final shapes
-
 
 class TestDrawOnebend:
     def test_octahedron_drawing(self):
@@ -167,7 +153,9 @@ class TestDrawOnebend:
 
 
 def loop_verify_contacts(shapes, edges, contacts) -> list[str]:
-    """Reference for _verify_contacts: n x n matrices and pair loops."""
+    """Contact oracle: the problems of a T-shape representation, found by
+    n x n matrices and pair loops; [] when the shapes touch exactly along
+    the edges, each once, at its recorded point."""
     n = len(shapes)
     cx = np.array([s.center[0] for s in shapes])
     cy = np.array([s.center[1] for s in shapes])
@@ -245,36 +233,54 @@ def _perturbed(shapes, rng, k):
     return shapes
 
 
+def random_degree3_tree(n: int, seed: int) -> PlanarGraph:
+    """Each new vertex hangs from a random earlier vertex of degree < 3."""
+    rng = random.Random(seed)
+    deg = [0] * n
+    edges = []
+    for v in range(1, n):
+        u = rng.choice([w for w in range(v) if deg[w] < 3])
+        deg[u] += 1
+        deg[v] += 1
+        edges.append((u, v))
+    return PlanarGraph(n, tuple(edges))
+
+
 class TestContactsMatchLoop:
-    """_verify_contacts returns the problem list of the pair loop, in its
-    order: the retraction retry and its error message depend on it."""
+    """tshape_representation passes the pair-loop contact oracle, and the
+    oracle itself finds each kind of problem."""
 
     @pytest.mark.parametrize("n,seed", [(300, 1), (300, 2), (1000, 1)])
     def test_bench_representations(self, n, seed):
         g = bench_instances().bounded_triangulation(n, 8, seed)
         rep = tshape_representation(planar_embed(g))
         edges = set(g.edges)
-        assert _verify_contacts(rep.shapes, edges, rep.contacts) == []
         assert loop_verify_contacts(rep.shapes, edges, rep.contacts) == []
         for k in (1, 3):
             shapes = _perturbed(rep.shapes, random.Random(n + seed + k), k)
-            want = loop_verify_contacts(shapes, edges, rep.contacts)
-            assert want
-            assert _verify_contacts(shapes, edges, rep.contacts) == want
+            assert loop_verify_contacts(shapes, edges, rep.contacts)
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_perturbed_small_representations(self, seed):
-        g = gen_random_triangulation(25, seed % 5)
-        rep = tshape_representation(planar_embed(g))
-        rng = random.Random(seed)
-        shapes = _perturbed(rep.shapes, rng, rng.randint(0, 4))
-        edges = set(rng.sample(g.edges, len(g.edges) - rng.randint(0, 2)))
-        contacts = list(rep.contacts)
-        for ci in rng.sample(range(len(contacts)), rng.randint(0, 2)):
-            c = contacts[ci]
-            contacts[ci] = Contact(c.u, c.v, (c.point[0], c.point[1] + 1), c.hat_vertex)
-        want = loop_verify_contacts(shapes, edges, contacts)
-        assert _verify_contacts(shapes, edges, contacts) == want
+    # connected graphs that are not triangulations, where retraction drops
+    # the contacts of the edges triangulate added
+    RETRACTED = {
+        **{f"tree_100_{s}": (lambda s=s: random_degree3_tree(100, s)) for s in (1, 2, 3)},
+        **{
+            f"capped_planar_300_{d}_{s}": (
+                lambda d=d, s=s: bench_instances().capped_planar(300, d, s)
+            )
+            for d in (5, 6, 8)
+            for s in (1, 2, 3)
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(RETRACTED))
+    def test_retraction_keeps_exactly_the_real_contacts(self, name):
+        g = self.RETRACTED[name]()
+        assert g.is_connected()
+        e = planar_embed(g)
+        assert not e.is_triangulated()
+        rep = tshape_representation(e)
+        assert loop_verify_contacts(rep.shapes, set(g.edges), rep.contacts) == []
 
     # (shapes, edges, contacts, the only problem)
     KINDS = {
@@ -319,7 +325,6 @@ class TestContactsMatchLoop:
         ]
         want = ["legs of 0,3 intersect", "hats of 1,2 overlap", "hats of 4,5 overlap"]
         assert loop_verify_contacts(shapes, set(), []) == want
-        assert _verify_contacts(shapes, set(), []) == want
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_each_problem_kind(self, kind):
@@ -327,7 +332,6 @@ class TestContactsMatchLoop:
         # other's column; those overlap, and overlap is reported first.
         shapes, edges, contacts, problem = self.KINDS[kind]
         assert loop_verify_contacts(shapes, edges, contacts) == [problem]
-        assert _verify_contacts(shapes, edges, contacts) == [problem]
 
 
 def test_onebend_at_3000_vertices_certifies():

@@ -481,7 +481,7 @@ class TestLowDegree:
         cyc = PlanarGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
         with pytest.raises(DegreeTooSmall):
             draw_twobend(cyc)
-        with pytest.raises(ValueError):
+        with pytest.raises(DegreeTooHigh, match="degree 4: draw_low_degree accepts at most 2"):
             draw_low_degree(gen_octahedron())
 
 
