@@ -162,6 +162,7 @@ def pack_radii(e: Embedding, epsilon: float = 1e-10) -> np.ndarray:
     angles are scale-free. Each step solves L delta = Theta - 2*pi by
     deterministic conjugate gradients and halves its length until the
     2-norm of the angle residual decreases. _MAX_STEPS caps Newton steps.
+    Radii that underflow to 0 in floats raise PrecisionExhausted.
     """
     _check_packable(e)
     n = e.graph.n
@@ -204,7 +205,11 @@ def pack_radii(e: Embedding, epsilon: float = 1e-10) -> np.ndarray:
         u, res, w = trial, trial_res, trial_w
     # bench/tracer.py parses this record; each "sweep" is one Newton step
     log.debug("pack_radii converged in %d sweeps, residual %.3e", iters, residual)
-    return np.exp(u)
+    radii = np.exp(u)
+    if not radii.all():
+        v = int(np.flatnonzero(radii == 0.0)[0])
+        raise PrecisionExhausted(f"radius of vertex {v} underflows to 0 in floats")
+    return radii
 
 
 def layout_centers(radii, e: Embedding) -> CirclePacking:

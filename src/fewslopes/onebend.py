@@ -13,9 +13,10 @@ crosses an almost-vertical line (slope 2jN) through the leg-side vertex; the
 indices i, j come from the per-vertex contact numbering, giving at most 2d
 distinct slopes, and the bend stays within distance 1/2 of the contact path.
 
-Everything is computed in Python integers: columns on a dyadic grid, the
-T-shapes in doubled units, and each bend as an integer numerator over the one
-denominator 1 + 4ijN^2 of its edge, made a rational only at the output.
+Everything is computed in Python integers: columns on a dyadic grid refined
+only as far as the halvings go (_columns), the T-shapes in doubled units, and
+each bend as an integer numerator over the one denominator 1 + 4ijN^2 of its
+edge, made a rational only at the output.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ from fractions import Fraction
 
 from .drawing import Drawing, EdgeArc
 from .errors import TooFewVertices
-from .graphs import Embedding, PlanarGraph, canonical_order, planar_embed, triangulate
+from .graphs import (
+    CanonicalOrder,
+    Embedding,
+    PlanarGraph,
+    canonical_order,
+    planar_embed,
+    triangulate,
+)
 
 __all__ = [
     "TShape",
@@ -90,6 +98,46 @@ def _build_k2() -> TShapeRep:
     return TShapeRep((s0, s1), (c,), (5, 4), 1)
 
 
+def _columns(co: CanonicalOrder) -> tuple[dict[int, int], list[list[int]]]:
+    """(legx, supports): the leg column of every vertex of the canonical
+    order co, and the support of each vertex from the third on, ordered left
+    to right.
+
+    Columns are dyadic: v1 at 0, v2 at 1, and each later vertex at the
+    midpoint of the widest gap between the columns of its support. They are
+    held as ints over one denominator 2**scale, from scale 64. A halving
+    whose ends have an odd sum needs a finer grid: every column is then
+    shifted left by scale and scale doubles, so it stays at most twice the
+    deepest halving, or 64. Every comparison, and so every rank, is
+    invariant under a common scale.
+    """
+    order = co.order
+    scale = 64
+    legx = {order[0]: 0, order[1]: 1 << scale}
+    supports = []
+    contour = [order[0], order[1]]
+    for i in range(2, len(order)):
+        sup = list(co.support[i])
+        if legx[sup[0]] > legx[sup[-1]]:
+            sup.reverse()
+        xs = [legx[w] for w in sup]
+        assert all(a < b for a, b in zip(xs, xs[1:])), "support columns not monotone"
+        lo = contour.index(sup[0])
+        assert contour[lo : lo + len(sup)] == sup, "support not contiguous on contour"
+        # own column: midpoint of the widest free gap inside the hat
+        j = max(range(len(xs) - 1), key=lambda t: (xs[t + 1] - xs[t], -t))
+        a, b = xs[j], xs[j + 1]
+        if (a + b) & 1:
+            for w in legx:
+                legx[w] <<= scale
+            a, b = a << scale, b << scale
+            scale *= 2
+        legx[order[i]] = (a + b) >> 1
+        contour[lo : lo + len(sup)] = [sup[0], order[i], sup[-1]]
+        supports.append(sup)
+    return legx, supports
+
+
 def tshape_representation(e: Embedding) -> TShapeRep:
     """Contact representation by T-shapes: tangent iff adjacent.
 
@@ -115,11 +163,7 @@ def tshape_representation(e: Embedding) -> TShapeRep:
     order = co.order
     # doubled units, so that every row and column is even and a stub is 1
     rows = {v: 2 * (n_rep - i) for i, v in enumerate(order)}  # first on top
-    v1, v2 = order[0], order[1]
-    # Columns live on the grid of multiples of 2**-n_rep, scaled to ints: a
-    # new column halves a gap between earlier ones, so the vertex at
-    # canonical position i is at most i halvings deep and (a + b) >> 1 is exact.
-    legx = {v1: 0, v2: 1 << n_rep}
+    legx, supports = _columns(co)
 
     # tips: hat end sits exactly on a support leg; rests: a middle leg lands
     # on the hat's top. Contact point is always (leg column, hat row).
@@ -147,28 +191,12 @@ def tshape_representation(e: Embedding) -> TShapeRep:
         recs.append((hat_v, leg_v, req))
 
     # the v1-v2 edge: v2's hat reaches left to v1's leg
-    add_tip(hat_v=v2, leg_v=v1, side="left")
-
-    contour = [v1, v2]
-    for i in range(2, n_rep):
-        v = order[i]
-        sup = list(co.support[i])
-        if legx[sup[0]] > legx[sup[-1]]:
-            sup.reverse()
-        xs = [legx[w] for w in sup]
-        assert all(a < b for a, b in zip(xs, xs[1:])), "support columns not monotone"
-        lo = contour.index(sup[0])
-        assert contour[lo : lo + len(sup)] == sup, "support not contiguous on contour"
-
-        w_p, mids, w_q = sup[0], sup[1:-1], sup[-1]
-        add_tip(hat_v=v, leg_v=w_p, side="left")
-        add_tip(hat_v=v, leg_v=w_q, side="right")
-        for w in mids:
+    add_tip(hat_v=order[1], leg_v=order[0], side="left")
+    for v, sup in zip(order[2:], supports):
+        add_tip(hat_v=v, leg_v=sup[0], side="left")
+        add_tip(hat_v=v, leg_v=sup[-1], side="right")
+        for w in sup[1:-1]:
             add_rest(hat_v=v, leg_v=w)
-        # own column: midpoint of the widest free gap inside the hat
-        j = max(range(len(xs) - 1), key=lambda t: (xs[t + 1] - xs[t], -t))
-        legx[v] = (xs[j] + xs[j + 1]) >> 1
-        contour[lo : lo + len(sup)] = [w_p, v, w_q]
 
     rank = {x: 2 * i + 2 for i, x in enumerate(sorted(set(legx.values())))}
     col = {v: rank[x] for v, x in legx.items()}

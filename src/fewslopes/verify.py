@@ -134,8 +134,10 @@ def _float(c) -> float:
         return math.inf if c > 0 else -math.inf
 
 
-_PAIR_BUDGET = 1 << 18  # run pairs _candidate_pairs expands at once
-_FILTER_CHUNK = 1 << 15  # candidate pairs _settled tests at once
+# Chunk sizes bound the numpy temporaries of the crossing check to a few MB;
+# from 2**11 to 2**18 neither moves verify time beyond run-to-run spread.
+_PAIR_BUDGET = 1 << 15  # run pairs _candidate_pairs expands at once
+_FILTER_CHUNK = 1 << 12  # candidate pairs _settled tests at once
 
 
 def _sweep(boxes):

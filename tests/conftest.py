@@ -108,6 +108,14 @@ def capped_planar(n: int, seed: int, d: int) -> PlanarGraph:
     return out
 
 
+def caterpillar(k: int, shift: int = 0) -> PlanarGraph:
+    """A spine path of k vertices with one leaf at each: 2k vertices, d = 3.
+    The i-th spine vertex is (i + shift) mod k, and its leaf is k + i."""
+    s = [(i + shift) % k for i in range(k)]
+    spine = [tuple(sorted((s[i], s[i + 1]))) for i in range(k - 1)]
+    return PlanarGraph(2 * k, tuple(spine + [(s[i], k + i) for i in range(k)]))
+
+
 def glued_blocks(d: int, seed: int, k: int = 3) -> PlanarGraph:
     """Chain of k bounded-degree blocks sharing cut vertices, max degree <= d."""
     if d < 6:

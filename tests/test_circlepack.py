@@ -48,6 +48,20 @@ def interior_angle_sums(cp: CirclePacking) -> dict[int, float]:
     return sums
 
 
+def nested_triangles(k: int) -> PlanarGraph:
+    """k triangles (3t, 3t + 1, 3t + 2), each joined to the next by an
+    octahedral band: a triangulation of 3k vertices, each of degree at most 6."""
+    edges = set()
+    for t in range(k):
+        a = [3 * t + i for i in range(3)]
+        edges |= {tuple(sorted((a[i], a[(i + 1) % 3]))) for i in range(3)}
+        if t + 1 < k:
+            b = [3 * t + 3 + i for i in range(3)]
+            edges |= {tuple(sorted((a[i], b[i]))) for i in range(3)}
+            edges |= {tuple(sorted((a[i], b[(i + 1) % 3]))) for i in range(3)}
+    return PlanarGraph(3 * k, tuple(sorted(edges)))
+
+
 class TestRadii:
     def test_k4_interior_radius_matches_curvature_identity(self):
         # three mutually tangent unit disks enclose a disk of curvature
@@ -89,6 +103,13 @@ class TestRadii:
             pack_radii(e, 0.0)
         assert 0.0 < err.value.residual < 1e-12
         assert err.value.max_iters < 20
+
+    def test_underflowing_radius_raises_precision_exhausted(self):
+        # the radii shrink by a fixed factor per band, so 400 bands take the
+        # innermost ones below the least float
+        e = planar_embed(nested_triangles(400))
+        with pytest.raises(PrecisionExhausted, match=r"radius of vertex \d+ underflows"):
+            pack_radii(e)
 
     def test_deterministic(self):
         e = planar_embed(gen_random_triangulation(30, 4))

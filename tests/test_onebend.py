@@ -9,14 +9,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import bench_instances, hausdorff_within
+from conftest import bench_instances, caterpillar, hausdorff_within
 from fewslopes.errors import TooFewVertices
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
-from fewslopes.graphs import PlanarGraph, planar_embed
+from fewslopes.graphs import PlanarGraph, canonical_order, planar_embed, triangulate
 from fewslopes.jsonio import drawing_to_obj, dumps_canonical
 from fewslopes.onebend import (
     Contact,
     TShape,
+    _columns,
     contact_numbering,
     draw_onebend,
     tshape_representation,
@@ -334,6 +335,28 @@ class TestContactsMatchLoop:
         assert loop_verify_contacts(shapes, edges, contacts) == [problem]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: bench_instances().bounded_triangulation(1000, 8, 1),
+        lambda: bench_instances().bounded_triangulation(3000, 8, 1),
+        lambda: caterpillar(200),
+    ],
+    ids=["bounded_triangulation_1000_8_1", "bounded_triangulation_3000_8_1", "caterpillar_200"],
+)
+def test_column_bits_follow_the_deepest_halving(build):
+    # v1 sits at 0 and v2 at 2**scale; a column c != 0 is a halving
+    # scale - v2(c) levels deep. The columns must not grow with n.
+    e = planar_embed(build())
+    co = canonical_order(e if e.is_triangulated() else triangulate(e))
+    cols, _ = _columns(co)
+    top = cols[co.order[1]]
+    scale = top.bit_length() - 1
+    assert cols[co.order[0]] == 0 and top == 1 << scale
+    deepest = max(scale - (c & -c).bit_length() + 1 for c in cols.values() if c)
+    assert max(c.bit_length() for c in cols.values()) <= 2 * deepest + 1
+
+
 def test_onebend_at_3000_vertices_certifies():
     dr = draw_onebend(bench_instances().bounded_triangulation(3000, 8, 1))
     assert verify_drawing(dr).ok
@@ -370,6 +393,16 @@ PINNED_BYTES = {
     "bounded_triangulation_300_8_1": (
         lambda: draw_onebend(bench_instances().bounded_triangulation(300, 8, 1)),
         "0758d9eab772c96e246fb3845ae0e62f01a01fe93cb90904e3564fed8aac3b59",
+    ),
+    # taken while every column was an n-bit int; these two halve deeper
+    # than 64 (81 and 199 levels), so their columns go through grid
+    # refinements (one and two)
+    "bounded_triangulation_3000_8_1": (
+        lambda: draw_onebend(bench_instances().bounded_triangulation(3000, 8, 1)),
+        "10dc148d2bcf3a9bb39d52d4877052084c20fa2f123f54f42e9cabc06862e729",
+    ),
+    "caterpillar_200": (lambda: draw_onebend(caterpillar(200)),
+        "d61c95134926ae2cd08d8d3a37ccba9fd0c59e97c58aed26e6b50d97520cfb4e",
     ),
 }
 

@@ -15,6 +15,7 @@ from conftest import (
     bench_instances,
     bounded_stack,
     capped_planar,
+    caterpillar,
     glued_blocks,
 )
 
@@ -173,14 +174,6 @@ def test_block_without_greedy_st_order_draws():
     )
     e = Embedding(g, planar_embed(g).rotation, (0, 3, 1, 2))
     assert verify_drawing(draw_biconnected_twobend(e, 2, SlopeSet(2))).ok
-
-
-def caterpillar(k: int, shift: int = 0) -> PlanarGraph:
-    """A spine path of k vertices with one leaf at each: 2k vertices, d = 3.
-    The i-th spine vertex is (i + shift) mod k, and its leaf is k + i."""
-    s = [(i + shift) % k for i in range(k)]
-    spine = [tuple(sorted((s[i], s[i + 1]))) for i in range(k - 1)]
-    return PlanarGraph(2 * k, tuple(spine + [(s[i], k + i) for i in range(k)]))
 
 
 # every cut vertex on the spine shrinks the child block glued at it, 53

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -302,6 +303,19 @@ class TestBroadPhase:
 
     def test_fewer_than_two_boxes(self):
         assert as_list(_candidate_pairs(np.zeros((1, 4)))) == []
+
+    def test_crossing_check_temporaries_stay_small(self):
+        # 27k candidate pairs from about 0.4M expanded run pairs; the peak
+        # counts the numpy temporaries of the sweep and the filter, which
+        # _PAIR_BUDGET and _FILTER_CHUNK bound. It read 9.2 MB at 2**18 and 2**15.
+        dr = draw_onebend(bench_instances().bounded_triangulation(1000, 8, 1))
+        tracemalloc.start()
+        try:
+            assert verify_drawing(dr).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestCrossingMatchesPairwise:
