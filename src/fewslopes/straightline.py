@@ -5,7 +5,9 @@ rstar = sqrt(2)/alpha^(d-2), snap each center to the grid of step d^(s_i)
 (s_i the per-vertex exponent), then keep only the original edges. Snapping
 moves each center by less than d^(s_i)/sqrt(2), which preserves face
 orientations and crossing-freeness; all segment directions then join grid
-points within distance R(d) of each other, bounding the slope count.
+points within distance R(d) of each other, bounding the slope count. The
+snap rounds the float centers exactly, in integers; an exact orientation
+check of every snapped face is the one gate on the float packing.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .circlepack import ALPHA, CirclePacking, layout_centers, pack_radii
 from .drawing import Drawing, EdgeArc
@@ -43,8 +43,9 @@ class SnappedLayout:
     """Integer layout of a scaled packing.
 
     points[i] is the snapped center, both coordinates divisible by
-    d^(exponents[i]); offset is the pre-scale translation used for
-    tie-breaking (zero unless a snap tie forced a nudge).
+    d^(exponents[i]). offset is always (0.0, 0.0): ties round up exactly,
+    with no translation. It stays because the benchmark's snap observer
+    reads it.
     """
 
     d: int
@@ -65,64 +66,43 @@ class SnappedLayout:
 
 
 def snap(cp: CirclePacking, d: int) -> SnappedLayout:
-    """Snap scaled centers to per-vertex power-of-d grids.
+    """Snap scaled centers to per-vertex power-of-d grids, exactly.
 
-    Exact half-grid ties would make the displacement bound non-strict, so a
-    detected (near-)tie retranslates the whole packing by a small asymmetric
-    offset and retries. Raises PrecisionExhausted when a scaled center or
-    its grid step leaves the float range.
+    Each scaled coordinate X = c * scale is a float, so a ratio n/q of
+    integers, and goes to the multiple v = g * floor((2n + qg) / (2qg)) of
+    its grid step g: -g/2 <= X - v < g/2, ties rounding up. That is the snap
+    of the packing translated by (t, t/2) for every small enough t > 0, and
+    it moves each center of that packing by strictly less than g/sqrt(2).
+    Raises PrecisionExhausted when a radius ratio or a scaled center leaves
+    the float range.
     """
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
-    r = np.asarray(cp.radii, dtype=float)
-    min_r = float(r.min())
+    min_r = min(cp.radii)
     scale = rstar(d) / min_r
-
-    exps = []
-    for rho in r / min_r:
+    exps, pts = [], []
+    for i, (r, c) in enumerate(zip(cp.radii, cp.centers)):
+        rho, xy = r / min_r, (c[0] * scale, c[1] * scale)
+        if not math.isfinite(rho) or not all(map(math.isfinite, xy)):
+            raise PrecisionExhausted(
+                f"vertex {i}: its radius ratio {rho} or scaled center {xy} "
+                "leaves the float range"
+            )
         s = max(0, int(math.floor(math.log(rho) / math.log(d))))
         # integer-exact adjustment against float log wobble
         while d ** (s + 1) <= rho:
             s += 1
         while s > 0 and d ** s > rho:
             s -= 1
+        g = d ** s
         exps.append(s)
-
-    n = len(cp.radii)
-    # base nudge d^-n, escalated until it survives float addition to coords
-    t = d ** (-float(n)) if d ** (-float(n)) > 0 else 5e-324
-    for attempt in range(50):
-        if attempt == 0:
-            off = (0.0, 0.0)
-        else:
-            while t * scale < 1e-12 * max(1.0, abs(scale)):
-                t *= 4096.0
-            off = (0.25 * t, 0.125 * t)
-            t *= 4096.0
-        pts = []
-        ok = True
-        for i in range(n):
-            g = d ** exps[i]
-            x = (cp.centers[i][0] + off[0]) * scale
-            y = (cp.centers[i][1] + off[1]) * scale
-            try:
-                vx = g * round(x / g)
-                vy = g * round(y / g)
-                disp2 = (x - vx) ** 2 + (y - vy) ** 2
-            except OverflowError as exc:
-                raise PrecisionExhausted(
-                    f"snapping the center of {i} to grid step {d}^{exps[i]} "
-                    f"overflows floats: {exc}"
-                ) from exc
-            if disp2 >= 0.5 * g * g * (1.0 - 1e-12):
-                ok = False
-                break
-            pts.append((int(vx), int(vy)))
-        if ok:
-            return SnappedLayout(
-                d=d, scale=scale, offset=off, exponents=tuple(exps), points=tuple(pts)
-            )
-    raise AssertionError("snap failed to break ties after 50 retranslations")
+        pts.append(tuple(
+            g * ((2 * n + q * g) // (2 * q * g))
+            for n, q in (x.as_integer_ratio() for x in xy)
+        ))
+    return SnappedLayout(
+        d=d, scale=scale, offset=(0.0, 0.0), exponents=tuple(exps), points=tuple(pts)
+    )
 
 
 @dataclass(frozen=True)
@@ -189,10 +169,11 @@ def slope_bound(d: int) -> dict:
 def draw_straight(g: PlanarGraph) -> Drawing:
     """Exact-integer straight-line drawing of a planar graph, n >= 4.
 
-    Raises PrecisionExhausted when float packing or snapping cannot resolve
-    the graph's smallest disks: the layout leaves the float range, or a
-    snapped face is inverted or degenerate. Every edge lies on a face, so no
-    two adjacent vertices snap to one point.
+    Raises PrecisionExhausted when the float packing cannot resolve the
+    graph's smallest disks: the layout or a scaled center leaves the float
+    range, or a snapped face is inverted or degenerate. The snap itself is
+    exact. Every edge lies on a face, so no two adjacent vertices snap to
+    one point.
     """
     if g.n < 4:
         raise TooFewVertices(f"need n >= 4, got {g.n}")

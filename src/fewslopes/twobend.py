@@ -512,9 +512,10 @@ class _Composite:
         )
 
 
-# the one-slot clockwise turn of the slope sets that have one: it maps each
-# D_k to a positive multiple of D_{k+1}
-_TURN = {2: ((0, 1), (-1, 0)), 4: ((1, 1), (-1, 1))}
+# the one-slot clockwise turn of the 4 slopes, a similarity: it maps each
+# D_k to a positive multiple of D_{k+1}. For 2 slopes the unimodular map
+# of _gluing_map is already the quarter turn's power.
+_TURN4 = ((1, 1), (-1, 1))
 
 
 def _apply(L, p) -> tuple[int, int]:
@@ -524,13 +525,12 @@ def _apply(L, p) -> tuple[int, int]:
 
 def _gluing_map(slopes: SlopeSet, r: int):
     """An integer matrix L with det L > 0 and L (0, 1) a positive multiple
-    of D_r: a power of the one-slot turn where the slope set has one, else
-    the unimodular map with second column D_r."""
-    turn = _TURN.get(slopes.s)
-    if turn is not None:
+    of D_r: for 4 slopes a power of their one-slot turn, else the
+    unimodular map with second column D_r."""
+    if slopes.s == 4:
         L = ((1, 0), (0, 1))
         for _ in range(r):  # turn each column of L
-            L = tuple(zip(*(_apply(turn, col) for col in zip(*L))))
+            L = tuple(zip(*(_apply(_TURN4, col) for col in zip(*L))))
         return L
     x, y = slopes.vector(r)
     return ((y, 0), (0, y)) if x == 0 else ((0, x), (-x, y))

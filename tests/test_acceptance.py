@@ -7,6 +7,7 @@ per guarantee under pytest -v.
 
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -138,13 +139,13 @@ def test_snapped_integer_drawings_meet_grid_invariants():
         e = planar_embed(g)
         cp = layout_centers(pack_radii(e, 1e-12), e)
         sl = snap(cp, d)
-        root2 = math.sqrt(2.0)
         for v in range(g.n):
             assert dr.points[v] == sl.points[v]
-            cx = (cp.centers[v][0] + sl.offset[0]) * sl.scale
-            cy = (cp.centers[v][1] + sl.offset[1]) * sl.scale
-            disp = math.hypot(sl.points[v][0] - cx, sl.points[v][1] - cy)
-            assert disp < d ** sl.exponents[v] / root2
+            # each coordinate within half a grid step, measured exactly, so
+            # the displacement is below the step over sqrt(2)
+            step = d ** sl.exponents[v]
+            for c, p in zip(cp.centers[v], sl.points[v]):
+                assert -step <= 2 * (Fraction(c * sl.scale) - p) < step
 
         orep = orientation_check(cp, sl)
         assert orep.ok and not orep.violations

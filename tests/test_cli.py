@@ -9,11 +9,12 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from conftest import bounded_stack
 
 import fewslopes
 from fewslopes.cli import RenderOptions, render_svg, run
 from fewslopes.drawing import Drawing, EdgeArc
-from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
+from fewslopes.families import gen_gd, gen_octahedron
 from fewslopes.jsonio import drawing_from_obj, dumps_canonical, graph_to_obj
 from fewslopes.straightline import draw_straight
 from fewslopes.verify import verify_drawing
@@ -189,9 +190,9 @@ class TestExitCodes:
         assert run(["stats", "--in", str(tmp_path / "absent.json")]) == 1
         capsys.readouterr()
 
-    def test_snap_overflow_is_one_error_line(self, tmp_path, capsys):
-        # degree 21 needs snapping grids beyond float range
-        gp = put(tmp_path, "g.json", graph_to_obj(gen_random_triangulation(60, 3)))
+    def test_precision_exhausted_is_one_error_line(self, tmp_path, capsys):
+        # the smallest disk is ~5e-20 of the outer ones: the float layout breaks
+        gp = put(tmp_path, "g.json", graph_to_obj(bounded_stack(150, 1, 8)))
         assert run(["draw", "--method", "straight", "--in", gp]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: PrecisionExhausted: ")

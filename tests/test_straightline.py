@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +55,8 @@ for n, seed in {ROUND0!r}:
 
 
 def scaled_center(sl, cp, i):
-    """Center i of cp, translated and scaled as snap does before rounding."""
-    return (
-        (cp.centers[i][0] + sl.offset[0]) * sl.scale,
-        (cp.centers[i][1] + sl.offset[1]) * sl.scale,
-    )
+    """Center i of cp, scaled as snap does before rounding."""
+    return (cp.centers[i][0] * sl.scale, cp.centers[i][1] * sl.scale)
 
 
 def packed(g):
@@ -120,9 +118,41 @@ class TestSnap:
         for i, s in enumerate(sl.exponents):
             assert d ** s <= ratios[i] * (1 + 1e-12)
             assert ratios[i] < d ** (s + 1) * (1 + 1e-12)
-            ox, oy = scaled_center(sl, cp, i)
-            vx, vy = sl.points[i]
-            assert math.hypot(ox - vx, oy - vy) < d ** s / math.sqrt(2.0)
+            # measured exactly: at n = 30 a center sits near 4.2e17, where a
+            # float hypot reads 16 against the bound 19/sqrt(2)
+            for x, v in zip(scaled_center(sl, cp, i), sl.points[i]):
+                assert -(d ** s) <= 2 * (Fraction(x) - v) < d ** s
+
+    def test_exact_tie_rounds_up(self):
+        # scale is exactly 4.0, so the fourth center scales to (0.5, 1.5),
+        # half a grid step from two grid points on each axis
+        r = rstar(4) / 4
+        cp = CirclePacking(
+            ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.125, 0.375)), (r,) * 4, (0, 1, 2), 0.0
+        )
+        sl = snap(cp, 4)
+        assert sl.scale == 4.0
+        assert sl.points == ((0, 0), (4, 0), (0, 4), (1, 2))
+        assert sl.offset == (0.0, 0.0)
+
+    def test_radius_ratio_overflow_is_typed(self):
+        # 1 / 5e-324 is inf: the grid exponent of vertex 0 cannot be taken
+        cp = CirclePacking(
+            ((0.0, 0.0), (2.0, 0.0), (1.0, 1.7), (1.0, 0.5)), (1.0, 1.0, 1.0, 5e-324),
+            (0, 1, 2), 0.0,
+        )
+        with pytest.raises(PrecisionExhausted, match="vertex 0: .* float range"):
+            snap(cp, 3)
+
+    def test_scaled_center_overflow_is_typed(self):
+        # the radius ratio 1e307 is finite, but scale is about 9.1e307, so
+        # the center (2, 0) of vertex 1 scales to inf
+        cp = CirclePacking(
+            ((0.0, 0.0), (2.0, 0.0), (1.0, 1.7), (1.0, 0.5)), (1.0, 1.0, 1.0, 1e-307),
+            (0, 1, 2), 0.0,
+        )
+        with pytest.raises(PrecisionExhausted, match="vertex 1: .* float range"):
+            snap(cp, 3)
 
     def test_smallest_disk_lands_at_rstar(self):
         cp = packed(gen_random_triangulation(25, 4))
@@ -272,13 +302,23 @@ class TestDrawStraight:
         assert len(outs[0].split()) == len(ROUND0)
         assert outs[0] == outs[1]
 
-    def test_snap_overflow_is_typed(self):
-        # degree 26 needs snapping grids beyond float range
-        with pytest.raises(PrecisionExhausted, match="overflows floats"):
-            draw_straight(gen_random_triangulation(60, 0))
-        # degree 21 snaps inside floats, but every face of it inverted
-        with pytest.raises(PrecisionExhausted):
-            draw_straight(gen_random_triangulation(60, 3))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_random_triangulation(60, 0),
+            lambda: gen_random_triangulation(60, 3),
+            lambda: gen_random_triangulation(100, 0),
+            lambda: bench_instances().capped_planar(60, 8, 1),
+        ],
+        ids=["random_60_0", "random_60_3", "random_100_0", "capped_60_8_1"],
+    )
+    def test_high_degree_snaps_certify(self, build):
+        # d_T = 26, 21, 37 and 25, with 81-, 70-, 112- and 83-bit
+        # coordinates: past 2^53 a float rounding test read noise, and exact
+        # rounding certifies
+        dr = draw_straight(build())
+        assert max(abs(c) for p in dr.points.values() for c in p) > 2 ** 53
+        assert verify_drawing(dr).ok
 
     def test_deterministic_bytes(self):
         g = gen_random_triangulation(20, 13)
@@ -292,13 +332,16 @@ class TestDrawStraight:
 # every dart it took from the queue. meta is left out: its "scale" is a
 # float from np.exp, whose rounding may differ between CPUs. Re-taken for
 # drawing format 2 once each drawing's format 2 parse equalled its format 1
-# parse, every coordinate in value and type.
+# parse, every coordinate in value and type. random_triangulation_30_2 and
+# bounded_triangulation_100_8_1 were re-taken when snap began to round
+# exactly: each has one coordinate on a half-step tie, which now rounds up
+# instead of to even.
 PINNED_POINTS = {
     "octahedron": (gen_octahedron,
         "27e5ac643e0b5be0ff407d7f2279b8c3cc6fefeb2b802ba10666496b2e8f9768",
     ),
     "random_triangulation_30_2": (lambda: gen_random_triangulation(30, 2),
-        "af43da3d0712d26427482dfb8647360e830ab8d7f6c450ad612795d4efaa07b6",
+        "5d74bf3462556b9381704c2fc1d0f2888732d608b8c335ebae839c75037eb867",
     ),
     "gd_5": (lambda: gen_gd(5),
         "017a8091d9e4febc9a075a3d8131ac28252dcd7b94522d7d2c53545f48d8edb3",
@@ -312,7 +355,7 @@ PINNED_POINTS = {
     ),
     "bounded_triangulation_100_8_1": (
         lambda: bench_instances().bounded_triangulation(100, 8, 1),
-        "114c83741b5bb0d6f52bdb776b3cdf9f00aed07d98d17b0e7f13bca6c8f6cc92",
+        "b663e6b9d97c01b94e54b1de0759bd10fe17e88d535f04e2b9f5ac8c8e385142",
     ),
     "bounded_triangulation_75_8_2": (
         lambda: bench_instances().bounded_triangulation(75, 8, 2),
