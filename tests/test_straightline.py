@@ -135,23 +135,23 @@ class TestSnap:
         assert sl.points == ((0, 0), (4, 0), (0, 4), (1, 2))
         assert sl.offset == (0.0, 0.0)
 
-    def test_radius_ratio_overflow_is_typed(self):
-        # 1 / 5e-324 is inf: the grid exponent of vertex 0 cannot be taken
+    @pytest.mark.parametrize(
+        "rmin, v",
+        [
+            # 1 / 5e-324 is inf: the grid exponent of vertex 0 cannot be taken
+            (5e-324, 0),
+            # the radius ratio 1e307 is finite, but scale is about 9.1e307,
+            # so the center (2, 0) of vertex 1 scales to inf
+            (1e-307, 1),
+        ],
+        ids=["radius_ratio", "scaled_center"],
+    )
+    def test_float_range_overflow_is_typed(self, rmin, v):
         cp = CirclePacking(
-            ((0.0, 0.0), (2.0, 0.0), (1.0, 1.7), (1.0, 0.5)), (1.0, 1.0, 1.0, 5e-324),
+            ((0.0, 0.0), (2.0, 0.0), (1.0, 1.7), (1.0, 0.5)), (1.0, 1.0, 1.0, rmin),
             (0, 1, 2), 0.0,
         )
-        with pytest.raises(PrecisionExhausted, match="vertex 0: .* float range"):
-            snap(cp, 3)
-
-    def test_scaled_center_overflow_is_typed(self):
-        # the radius ratio 1e307 is finite, but scale is about 9.1e307, so
-        # the center (2, 0) of vertex 1 scales to inf
-        cp = CirclePacking(
-            ((0.0, 0.0), (2.0, 0.0), (1.0, 1.7), (1.0, 0.5)), (1.0, 1.0, 1.0, 1e-307),
-            (0, 1, 2), 0.0,
-        )
-        with pytest.raises(PrecisionExhausted, match="vertex 1: .* float range"):
+        with pytest.raises(PrecisionExhausted, match=f"vertex {v}: .* float range"):
             snap(cp, 3)
 
     def test_smallest_disk_lands_at_rstar(self):
