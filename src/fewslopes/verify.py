@@ -2,19 +2,21 @@
 
 Every check here recomputes its answer from the polylines alone; nothing is
 shared with the drawing pipelines beyond the primitive types. Crossings are
-decided exactly for every coord_kind. A sort-and-sweep over bounding boxes
-proposes the segment pairs to test, in ascending order. A float filter with
-a proven error bound, which covers both the float arithmetic and the
-rounding of the coordinates to float, settles in one numpy pass every pair
-it can prove harmless; the rest are decided exactly on integers, each pair
-scaled by the least common denominator of its own coordinates (float
-coordinates are binary rationals), with no denominator common to the whole
-drawing. Two segments that end at a vertex their edges share, matched by
-vertex id, need one orientation test. One slope classification
-(slope_classes) gives every segment its slope class, keyed by its primitive
-integer direction; the census, the bend count and the hub multiplicities of
-G_d all count those classes. Contiguity, rotation and wedge containment
-read the same exact directions and side tests. No check has a tolerance: a
+decided exactly for every coord_kind. A sort-and-sweep over bounding boxes,
+exact for int coordinates and on the nearest floats otherwise, proposes the
+segment pairs to test, in ascending order. A float filter with a proven
+error bound, which follows the coordinate differences and covers both the
+float arithmetic and the rounding of the coordinates to float, settles in
+one numpy pass every pair it can prove harmless; the rest are decided
+exactly on integers, each pair scaled by the least common denominator of
+its own coordinates (float coordinates are binary rationals), with no
+denominator common to the whole drawing. Two segments that end at a vertex
+their edges share, matched by vertex id, need one orientation test. Each
+segment's primitive integer direction is computed once per verify_drawing:
+one slope classification (slope_classes) keys every segment's slope class
+by it, the census, the bend count and the hub multiplicities of G_d all
+count those classes, and contiguity and rotation read the same exact
+directions where segments leave their vertices. No check has a tolerance: a
 drawing is checked as the exact numbers it holds, whatever its coord_kind,
 so a float file is checked as the binary rationals its floats are, and a
 direction rounded in its last bit is a slope of its own.
@@ -160,14 +162,14 @@ def _sweep(boxes):
 def _candidate_pairs(boxes):
     """Index arrays (ii, jj), ii < jj, in ascending order of (i, j), of the
     segment pairs whose closed bounding boxes overlap; boxes is an (m, 4)
-    float array of segment ends (px, py, qx, qy).
+    array of segment ends (px, py, qx, qy), as keys that order like the
+    coordinates (_segments: exact int keys, or floats, whose rounding is
+    monotone, so boxes that meet exactly still meet on them).
 
     Sort and sweep (_sweep): sorted along one axis, the boxes that start at
     or after a box and meet its range on that axis form one run, whose end
     searchsorted finds. The runs are expanded about _PAIR_BUDGET pairs at a
-    time and filtered on the other axis. Boxes are taken on the floats
-    nearest the coordinates; rounding to float is monotone, so boxes that
-    meet exactly still meet after it.
+    time and filtered on the other axis.
     """
     m = len(boxes)
     if m < 2:
@@ -194,46 +196,53 @@ def _candidate_pairs(boxes):
     return ii[asc], jj[asc]
 
 
-def _orient_filtered(o, a, b):
+def _orient_filtered(o, a, b, m, dot=False):
     """(d, err): the float orientation of the points o, a, b, each a pair
-    of float arrays (x, y), and a bound on its distance from the exact
-    orientation of the exact points those floats were rounded from.
+    of float arrays (x, y), or with dot their dot product (a - o).(b - o),
+    and a bound on its distance from the exact value at the exact points
+    those floats were rounded from, given that every exact coordinate lies
+    within m of its float.
 
-    Let u = 2^-53 and eta = 2^-1075, half the least subnormal. A coordinate
-    c rounds to the float c~ with |c~ - c| <= u|c~| + eta; floats, and ints
-    up to 2^53, are exact. With A = |a~x| + |o~x| the float difference
-    a~x - o~x is off from ax - ox by at most 2uA + 2eta, and both are at
-    most A(1 + u) + 2eta in size. With B = |b~y| + |o~y| likewise, the
-    rounded product of the two differences is off from the exact one by at
-    most (2uA + 2eta)B(1 + u) + (A(1 + u) + 2eta)(2uB + 2eta) for the
-    inputs, uAB(1 + u)^2 for its own rounding and eta for underflow: below
-    5uAB(1 + 3u) + 2.01eta(A + B) + 1.01eta. The other product, with C and
-    D, is the same, and the final subtraction adds u(AB + CD)(1 + u)^3. So
-    with T = AB + CD and S = A + B + C + D,
-        |d~ - d| <= 6.01u T + 2.01eta S + 2.02eta.
-    err = 2^-49 T~ + 2^-1072 (S~ + 1) covers this even though T~, S~ and
-    err are computed in floats. 2^-49 = 16u leaves a factor 2.6 over 6.01u
-    for their relative rounding. Underflow in T~ and in 2^-49 T~ loses
-    less than 2eta, and since S~ + 1 >= 1 the product 2^-1072 (S~ + 1) is
-    at least 7/8 of its exact value 8eta(S~ + 1), so the second term is
-    above 2.01eta S + 2.02eta + 2eta. An input at +-inf makes err inf or
-    NaN, and every comparison with it false.
+    Let u = 2^-53 and eta = 2^-1075, half the least subnormal. The float
+    differences X = a~x - o~x, Y = a~y - o~y, X' = b~x - o~x, Y' = b~y - o~y
+    are each off from the exact differences by at most u|X| + 2m (float
+    subtraction is exact where it underflows). So the exact product of two
+    of them, say XY', is off from the exact one by at most
+    (2u + u^2)|XY'| + 2m(1 + u)(|X| + |Y'|) + 4m^2, and its rounding adds
+    u|XY'| + eta. With P = |XY'| + |YX'| (|XX'| + |YY'| for dot) and
+    S = |X| + |Y| + |X'| + |Y'|, and the final subtraction or addition
+    adding u(1 + u)P + 2u eta,
+        |d~ - d| <= (4u + 2u^2) P + 2(1 + u) m S + 8m^2 + 2.01eta.
+    err = 2^-50 P~ + 4m (S~ + 4m) + 2^-1072 covers this although P~, S~
+    and err are computed in floats. 2^-50 = 8u and 4m(S + 4m) are about
+    twice the P and m terms of the bound, which leaves far more than the
+    relative rounding, under 10u, of the few float operations. Underflow in
+    the products that make P~, in 2^-50 P~ and in 4m(...) loses at most
+    4eta; while the sum is subnormal, float addition is exact and the last
+    term, 8eta, covers that and the 2.01eta of the bound, and once it is
+    normal the spare half of its P and m terms does. The bound follows the
+    differences, not the coordinates: a short segment far from the origin
+    keeps a small err. An input at +-inf, or m = inf, makes err inf or NaN,
+    and every comparison with it false.
     """
     (ox, oy), (ax, ay), (bx, by) = o, a, b
-    d = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-    mo_x, mo_y = np.abs(ox), np.abs(oy)
-    sa = np.abs(ax) + mo_x
-    sb = np.abs(by) + mo_y
-    sc = np.abs(ay) + mo_y
-    sd = np.abs(bx) + mo_x
-    err = 2.0**-49 * (sa * sb + sc * sd) + 2.0**-1072 * (sa + sb + sc + sd + 1.0)
+    x, y, x2, y2 = ax - ox, ay - oy, bx - ox, by - oy
+    if dot:
+        t, t2 = x * x2, y * y2
+        d = t + t2
+    else:
+        t, t2 = x * y2, y * x2
+        d = t - t2
+    s = np.abs(x) + np.abs(y) + np.abs(x2) + np.abs(y2)
+    err = 2.0**-50 * (np.abs(t) + np.abs(t2)) + 4.0 * m * (s + 4.0 * m) + 2.0**-1072
     return d, err
 
 
-def _settled(ends, edge, head, tail, ii, jj):
+def _settled(ends, rho, edge, head, tail, ii, jj):
     """(settled, turn) for the pairs (ii[k], jj[k]). settled masks the pairs
     that need no exact test: pairs of one edge, and pairs the float filter
-    proves do not violate.
+    proves do not violate. rho[s] bounds how far each exact coordinate of
+    segment s lies from its float in ends.
 
     A pair is proven apart when the filter proves d1 d2 > 0 or d3 d4 > 0
     (_exact_pair's orientations): one segment lies strictly on one side of
@@ -242,7 +251,9 @@ def _settled(ends, edge, head, tail, ii, jj):
     4 (d4) if that vertex is j's first end, 3 (d3) if it is j's second end,
     i's first end matched before its second; turn[k] is 0 when they share
     no vertex end. Such a pair is settled when the filter proves that
-    orientation nonzero.
+    orientation nonzero, or, for the pairs left, proves that the two
+    segments point apart from that vertex (their directions' dot product
+    negative): either way they meet only there.
     """
     out = np.empty(len(ii), bool)
     turn = np.zeros(len(ii), np.int8)
@@ -250,11 +261,12 @@ def _settled(ends, edge, head, tail, ii, jj):
         for k0 in range(0, len(ii), _FILTER_CHUNK):
             i, j = ii[k0 : k0 + _FILTER_CHUNK], jj[k0 : k0 + _FILTER_CHUNK]
             a, b = ends[i].T, ends[j].T
+            m = np.maximum(rho[i], rho[j])
             p1, p2, p3, p4 = (a[0], a[1]), (a[2], a[3]), (b[0], b[1]), (b[2], b[3])
-            d1, e1 = _orient_filtered(p3, p4, p1)
-            d2, e2 = _orient_filtered(p3, p4, p2)
-            d3, e3 = _orient_filtered(p1, p2, p3)
-            d4, e4 = _orient_filtered(p1, p2, p4)
+            d1, e1 = _orient_filtered(p3, p4, p1, m)
+            d2, e2 = _orient_filtered(p3, p4, p2, m)
+            d3, e3 = _orient_filtered(p1, p2, p3, m)
+            d4, e4 = _orient_filtered(p1, p2, p4, m)
             s1, s2 = np.abs(d1) > e1, np.abs(d2) > e2
             s3, s4 = np.abs(d3) > e3, np.abs(d4) > e4
             apart = (s1 & s2 & ((d1 > 0) == (d2 > 0))) | (s3 & s4 & ((d3 > 0) == (d4 > 0)))
@@ -266,27 +278,70 @@ def _settled(ends, edge, head, tail, ii, jj):
             on_d4 = c0 | (~c1 & c2)
             on_d3 = ~c0 & (c1 | (~c2 & c3))
             turned = (on_d4 & s4) | (on_d3 & s3)
-            out[k0 : k0 + _FILTER_CHUNK] = (edge[i] == edge[j]) | apart | turned
+            done = (edge[i] == edge[j]) | apart | turned
+            # the dot product from the shared vertex, only where still open
+            k = np.flatnonzero(~done & (on_d4 | on_d3))
+            if len(k):
+                at_p1, far_p4 = (c0 | c1)[k], on_d4[k]
+                ak, bk = a[:, k], b[:, k]
+                o = (np.where(at_p1, ak[0], ak[2]), np.where(at_p1, ak[1], ak[3]))
+                p = (np.where(at_p1, ak[2], ak[0]), np.where(at_p1, ak[3], ak[1]))
+                q = (np.where(far_p4, bk[2], bk[0]), np.where(far_p4, bk[3], bk[1]))
+                dot, err = _orient_filtered(o, p, q, m[k], dot=True)
+                done[k] = dot < -err
+            out[k0 : k0 + _FILTER_CHUNK] = done
             turn[k0 : k0 + _FILTER_CHUNK] = np.where(on_d4, 4, np.where(on_d3, 3, 0))
     return out, turn
 
 
+def _int_boxes(rows):
+    """(boxes, ends) for rows of int segment ends (px, py, qx, qy): boxes
+    orders and equates like the ints, as int64 when all fit and else as
+    their ranks among the distinct ints, and ends holds the nearest floats."""
+    try:
+        boxes = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        return boxes, boxes.astype(float)
+    except OverflowError:
+        _, rank = np.unique(np.array(rows, dtype=object), return_inverse=True)
+        ends = np.array([_float(c) for r in rows for c in r]).reshape(-1, 4)
+        return rank.reshape(-1, 4), ends
+
+
 def _segments(dr: Drawing):
-    """(ends, edge, first, head, tail) for the segments of dr, edge by edge:
-    ends holds each segment's ends as floats (px, py, qx, qy), edge its edge
-    index, and head and tail the numbers in dr.points of the vertices at its
-    first and second end, -1 at a bend; first[e] is the number of edge e's
-    first segment."""
+    """(ends, boxes, rho, edge, first, head, tail) for the segments of dr,
+    edge by edge: ends holds each segment's ends as floats (px, py, qx, qy),
+    boxes the same ends as sweep keys, rho a bound on how far each exact
+    coordinate of the segment lies from its float, edge its edge index, and
+    head and tail the numbers in dr.points of the vertices at its first and
+    second end, -1 at a bend; first[e] is the number of edge e's first
+    segment.
+
+    When every coordinate is an int the keys are exact (_int_boxes);
+    otherwise they are the floats themselves. rho is 0 for a segment of
+    ints of at most 53 bits, which floats hold exactly, and otherwise
+    2^-52|c~| + 2^-1074 for its largest float c~, above the u|c~| + eta by
+    which rounding moves any of its coordinates (_orient_filtered)."""
+    ints = all(type(c) is int for p in dr.points.values() for c in p) and all(
+        type(c) is int for a in dr.edges for p in a.poly[1:-1] for c in p
+    )
+    conv = tuple if ints else (lambda p: (_float(p[0]), _float(p[1])))
     number = {v: k for k, v in enumerate(dr.points)}
-    fpt = {v: (_float(x), _float(y)) for v, (x, y) in dr.points.items()}
+    pt = {v: conv(p) for v, p in dr.points.items()}
     rows, nseg, hv, tv = [], [], [], []
     for a in dr.edges:
-        fl = [fpt[a.u], *[(_float(x), _float(y)) for x, y in a.poly[1:-1]], fpt[a.v]]
-        rows += [p + q for p, q in zip(fl, fl[1:])]
-        nseg.append(len(fl) - 1)
+        pl = [pt[a.u], *map(conv, a.poly[1:-1]), pt[a.v]]
+        rows += [p + q for p, q in zip(pl, pl[1:])]
+        nseg.append(len(pl) - 1)
         hv.append(number[a.u])
         tv.append(number[a.v])
-    ends = np.array(rows, dtype=float).reshape(-1, 4)
+    if ints:
+        boxes, ends = _int_boxes(rows)
+    else:
+        boxes = ends = np.array(rows, dtype=float).reshape(-1, 4)
+    mag = np.abs(ends).max(axis=1, initial=0.0)
+    rho = 2.0**-52 * mag + 2.0**-1074
+    if ints:
+        rho[mag <= 2.0**53] = 0.0
     nseg = np.array(nseg, dtype=np.int64)
     last = np.cumsum(nseg)
     first = last - nseg
@@ -294,7 +349,7 @@ def _segments(dr: Drawing):
     head = np.full(len(edge), -1)
     tail = np.full(len(edge), -1)
     head[first], tail[last - 1] = hv, tv
-    return ends, edge, first, head, tail
+    return ends, boxes, rho, edge, first, head, tail
 
 
 def _lift_pair(p1, p2, p3, p4):
@@ -319,24 +374,29 @@ def check_noncrossing(dr: Drawing):
     every coord_kind.
 
     Candidate pairs come from a sort-and-sweep over bounding boxes, in
-    ascending segment order. A float filter (_settled) then tests them all
-    at once: from the floats nearest the coordinates it computes the four
-    orientations of each pair with a bound on their error, which covers
-    both the float arithmetic and the rounding of the coordinates to float,
-    and drops only pairs it proves harmless: segments of one edge, segments
-    strictly apart, and two segments that both end at the point of a vertex
-    their edges share (by vertex id, not by point) and turn there. The rest,
-    in ascending order, are decided exactly on integers: each pair is
-    scaled by the least common denominator of its own coordinates. Two
-    segments ending at a shared vertex need one exact orientation, and every
-    other pair, and a shared end with collinear segments, the full exact
-    intersection test. The filter only removes non-violating pairs, so the
-    first violation, the witness, does not depend on it or on the broad
-    phase. A witness point beyond the float range reads +-inf.
+    ascending segment order. The boxes are exact when every coordinate is
+    an int (int64 keys, or ranks past int64), so deep blocks whose ints
+    pass the float range or fall below float spacing stay apart; otherwise
+    they are taken on the nearest floats. A float filter (_settled) then
+    tests the pairs at once: from the floats nearest the coordinates it
+    computes the four orientations of each pair with a bound on their error
+    that follows the coordinate differences, covering both the float
+    arithmetic and the rounding of the coordinates to float, and drops only
+    pairs it proves harmless: segments of one edge, segments strictly
+    apart, and two segments that both end at the point of a vertex their
+    edges share (by vertex id, not by point) and turn there or point apart
+    from it. The rest, in ascending order, are decided exactly on integers:
+    each pair is scaled by the least common denominator of its own
+    coordinates. Two segments ending at a shared vertex need one exact
+    orientation, and every other pair, and a shared end with collinear
+    segments, the full exact intersection test. The filter only removes
+    non-violating pairs, and every violating pair's boxes meet, so the
+    first violation, the witness, does not depend on the filter or on the
+    broad phase. A witness point beyond the float range reads +-inf.
     """
-    ends, edge, first, head, tail = _segments(dr)
-    ii, jj = _candidate_pairs(ends)
-    settled, turn = _settled(ends, edge, head, tail, ii, jj)
+    ends, boxes, rho, edge, first, head, tail = _segments(dr)
+    ii, jj = _candidate_pairs(boxes)
+    settled, turn = _settled(ends, rho, edge, head, tail, ii, jj)
     todo = ~settled
 
     def seg(k):
@@ -377,13 +437,11 @@ def check_noncrossing(dr: Drawing):
 # --- slopes -----------------------------------------------------------------------
 
 
-def _dir_key(p, q):
-    """The direction of q - p mod pi as a primitive integer vector (ix, iy)
-    with ix > 0, or ix == 0 and iy > 0."""
-    ix, iy = primitive_direction(p, q)
-    if ix < 0 or (ix == 0 and iy < 0):
-        return (-ix, -iy)
-    return (ix, iy)
+def _directions(dr: Drawing):
+    """The exact primitive integer direction (primitive_direction) of every
+    segment of dr, edge by edge and in order along each edge; every check
+    of slopes and departures reads these."""
+    return [primitive_direction(p, q) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
 
 
 def _dir_angle(ix: int, iy: int) -> float:
@@ -402,11 +460,17 @@ def slope_classes(dr: Drawing):
     angles holds one angle per class, ascending in [0, pi) and measured
     clockwise from the upward vertical; classes holds, per edge of dr.edges,
     the class id (an index into angles) of each of its segments. A segment's
-    class key is its primitive integer direction (_dir_key), exact for int,
+    class key is its primitive integer direction mod pi, exact for int,
     Fraction and float coordinates, and each distinct key gets one angle, so
     two keys whose angles round alike stay two classes.
     """
-    labels = [_dir_key(p, q) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
+    return _slope_classes(dr, _directions(dr))
+
+
+def _slope_classes(dr: Drawing, dirs):
+    """slope_classes of dr, whose segment directions are dirs."""
+    # the direction mod pi: the one of d, -d with ix > 0, or ix == 0 and iy > 0
+    labels = [(-d[0], -d[1]) if d[0] < 0 or (d[0] == 0 and d[1] < 0) else d for d in dirs]
     # one angle per key, keys in first-seen order (the sort's tie-break)
     reps = {k: _dir_angle(*k) for k in dict.fromkeys(labels)}
     counts = Counter(labels)
@@ -445,23 +509,31 @@ def max_bends(dr: Drawing) -> int:
 # --- per-vertex structure ---------------------------------------------------------
 
 
-def _departures(dr: Drawing):
+def _departures(dr: Drawing, dirs):
     """(vertex, other, direction) for the first segment of each arc end, the
-    direction the exact primitive integer vector it leaves vertex along."""
-    out = []
+    direction the exact primitive integer vector it leaves vertex along;
+    dirs is _directions(dr)."""
+    first = 0
     for a in dr.edges:
-        out.append((a.u, a.v, primitive_direction(a.poly[0], a.poly[1])))
-        out.append((a.v, a.u, primitive_direction(a.poly[-1], a.poly[-2])))
-    return out
+        last = first + len(a.poly) - 2
+        x, y = dirs[last]
+        yield a.u, a.v, dirs[first]
+        yield a.v, a.u, (-x, -y)
+        first = last + 1
 
 
 def check_contiguous(dr: Drawing, slopes: SlopeSet):
     """Per-vertex: do the directed slots used by departing segments form one
     circular run? Raises SlopeOffGrid for a direction that is none of the
     set's 2s vectors."""
+    return _contiguous(dr, _directions(dr), slopes)
+
+
+def _contiguous(dr: Drawing, dirs, slopes: SlopeSet):
+    """check_contiguous of dr, whose segment directions are dirs."""
     slots: dict[int, set[int]] = {v: set() for v in dr.points}
-    for v, other, d in _departures(dr):
-        k = slopes.directed_index(*d)
+    for v, other, d in _departures(dr, dirs):
+        k = slopes.index.get(d)
         if k is None:
             vectors = [slopes.vector(j) for j in range(2 * slopes.s)]
             raise SlopeOffGrid(
@@ -490,7 +562,7 @@ def check_rotation(dr: Drawing, rotation) -> list[int]:
     given rotation system, read from the exact first-segment directions;
     neighbors leaving along one direction are ordered by id."""
     by_vertex: dict[int, list[tuple[tuple[int, int], int]]] = {v: [] for v in dr.points}
-    for v, other, d in _departures(dr):
+    for v, other, d in _departures(dr, _directions(dr)):
         by_vertex[v].append((d, other))
     order = functools.cmp_to_key(lambda a, b: _clockwise(a[0], b[0]) or a[1] - b[1])
     bad = []
@@ -557,12 +629,14 @@ def check_wedge(dr: Drawing) -> bool | None:
     if w is None:
         return None
     (ax, ay), (r1, r2) = _wedge_fields(w)
-    rel = [[(_exact(x) - ax, _exact(y) - ay) for x, y in a.poly] for a in dr.edges]
-    if not all(_strictly_inside(p, r1, r2) for poly in rel for p in poly if any(p)):
+    # each distinct point once: a vertex's point ends every edge at it
+    pts = dict.fromkeys(p for a in dr.edges for p in a.poly)
+    rel = {p: (_exact(p[0]) - ax, _exact(p[1]) - ay) for p in pts}
+    if not all(_strictly_inside(v, r1, r2) for v in rel.values() if any(v)):
         return False
     return _turn(r1, r2) > 0 or not any(
-        _meets_ray(p, q, r) for poly in rel for p, q in zip(poly, poly[1:])
-        if any(p) and any(q) for r in (r1, r2)
+        _meets_ray(rel[p], rel[q], r) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])
+        if any(rel[p]) and any(rel[q]) for r in (r1, r2)
     )
 
 
@@ -610,14 +684,15 @@ def check_gd_claims(dr: Drawing, d: int) -> GdReport:
 
 def verify_drawing(dr: Drawing, slopes: SlopeSet | None = None) -> VerifyReport:
     crossing_free, witness = check_noncrossing(dr)
-    angles, classes = slope_classes(dr)
+    dirs = _directions(dr)
+    angles, classes = _slope_classes(dr, dirs)
     census, distinct = _census(angles, classes)
     bends = _bends(classes)
     if slopes is None and dr.method == "twobend" and "s" in dr.meta:
         slopes = SlopeSet(dr.meta["s"])
     contiguity = None
     if slopes is not None:
-        contiguity = check_contiguous(dr, slopes)
+        contiguity = _contiguous(dr, dirs, slopes)
     wedge_ok = check_wedge(dr)
     return VerifyReport(
         crossing_free=crossing_free,

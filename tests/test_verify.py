@@ -10,9 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import bench_instances, capped_planar, hausdorff_within
+from conftest import bench_instances, capped_planar, caterpillar, hausdorff_within
 from fewslopes import verify
-from fewslopes.drawing import Drawing, EdgeArc, SlopeSet
+from fewslopes.drawing import Drawing, EdgeArc, SlopeSet, primitive_direction
 from fewslopes.errors import SlopeOffGrid
 from fewslopes.families import gen_gd, gen_octahedron, gen_random_triangulation
 from fewslopes.onebend import draw_onebend
@@ -281,9 +281,15 @@ class TestBroadPhase:
             rows.append([x, y, x + dx, y + dy])
         boxes = np.array(rows, dtype=float)
         want = matrix_pairs(boxes)
+        # floats, the ints as int64 keys, and ints past 2^63 as rank keys
+        keys = [boxes] + [
+            verify._int_boxes([[c + shift for c in r] for r in rows])[0] for shift in (0, 2**64)
+        ]
+        assert [k.dtype for k in keys[1:]] == [np.int64] * 2 and keys[2].max() < 4 * m
         for budget in (1, 7, 1 << 18):  # one position, several, all at once
             monkeypatch.setattr(verify, "_PAIR_BUDGET", budget)
-            assert as_list(_candidate_pairs(boxes)) == want
+            for k in keys:
+                assert as_list(_candidate_pairs(k)) == want
 
     def test_sweep_matches_matrix_on_a_onebend_drawing(self, monkeypatch):
         dr = draw_onebend(bench_instances().bounded_triangulation(300, 8, 1))
@@ -378,6 +384,24 @@ class TestSharedVertex:
         )
         assert check_noncrossing(dr) == (True, None)
 
+    @pytest.mark.parametrize("away", [1, -1], ids=["same-way", "opposite-ways"])
+    def test_collinear_pieces_at_a_shared_vertex(self, away, monkeypatch):
+        # at 2^60 floats are 256 apart, so no float orientation shows that
+        # the pieces are collinear; the same way they overlap, and opposite
+        # ways the filter proves they point apart and meet only at vertex 0
+        b = 2**60
+        o, p, q = (b, b), (b + 3000, b + 5000), (b + away * 6000, b + away * 10000)
+        dr = mk([o, p, q], [(0, 1, [o, p]), (0, 2, [o, q])])
+        want = pairwise_noncrossing(dr)
+        assert want[0] == (away < 0)
+        if away < 0:
+            def no_exact_test(*pts):
+                raise AssertionError("exact test of a pair that points apart")
+
+            monkeypatch.setattr(verify, "_orient", no_exact_test)
+            monkeypatch.setattr(verify, "_exact_pair", no_exact_test)
+        assert check_noncrossing(dr) == want
+
     @pytest.mark.parametrize("reverse", [False, True], ids=["first-end", "second-end"])
     def test_exact_turn_needs_no_intersection_test(self, reverse, monkeypatch):
         # the far ends round to one float point, so the filter cannot see the
@@ -444,15 +468,21 @@ class TestFilter:
         )
         assert check_noncrossing(dr) == pairwise_noncrossing(dr) == (True, None)
 
-    @pytest.mark.parametrize("base, step", [(2**53, 1), (2**53 + 1, 3), (2**60, 100)])
+    @pytest.mark.parametrize(
+        "base, step",
+        [(2**53, 1), (2**53 + 1, 3), (2**60, 100), (2**62, 7), (2**70, 1000)],
+    )
     def test_ints_beyond_float_precision(self, base, step, monkeypatch):
         # grid points base + step * k collapse and shift when rounded to
-        # float; the filter takes the pairs seven at a time
+        # float; the filter takes the pairs seven at a time. The boxes are
+        # the ints as int64 keys up to 2^62, and their ranks at 2^70
         monkeypatch.setattr(verify, "_FILTER_CHUNK", 7)
         rng = random.Random(base + step)
         crossing = 0
         for _ in range(60):
             dr = mapped(random_drawing(rng, "int"), lambda c: base + step * c)
+            boxes = verify._segments(dr)[1]
+            assert boxes.dtype == np.int64 and (boxes.min() < base) == (base > 2**63)
             want = pairwise_noncrossing(dr)
             assert check_noncrossing(dr) == want
             crossing += not want[0]
@@ -491,25 +521,54 @@ class TestFilter:
             crossing += not want[0]
         assert 0 < crossing < 60
 
-    def test_exact_path_sees_few_onebend_pairs(self, monkeypatch):
-        dr = draw_onebend(bench_instances().bounded_triangulation(1000, 8, 1))
-        real_pairs, real_lift = verify._candidate_pairs, verify._lift_pair
-        counts = {"candidates": 0, "exact": 0}
-
-        def pairs(boxes):
-            ii, jj = real_pairs(boxes)
-            counts["candidates"] += len(ii)
-            return ii, jj
-
-        def lift(*pts):
-            counts["exact"] += 1
-            return real_lift(*pts)
-
-        monkeypatch.setattr(verify, "_candidate_pairs", pairs)
-        monkeypatch.setattr(verify, "_lift_pair", lift)
+    @pytest.mark.parametrize(
+        "draw, gen, args",
+        [
+            (draw_onebend, "bounded_triangulation", (1000, 8, 1)),
+            (draw_straight, "bounded_triangulation", (150, 8, 1)),
+            (draw_twobend, "capped_planar", (600, 8, 2)),
+        ],
+        ids=["onebend", "straight", "twobend"],
+    )
+    def test_exact_path_sees_few_pairs(self, draw, gen, args, monkeypatch):
+        # rationals, 68-bit straight-line ints (rank keys) whose floats lie
+        # up to 2^14 off, and 47-bit two-bend ints; the filter's bound
+        # follows coordinate differences, not the coordinates
+        dr = draw(getattr(bench_instances(), gen)(*args))
+        counts = count_exact(monkeypatch)
         assert check_noncrossing(dr) == (True, None)
-        assert counts["candidates"] > 20_000
+        assert counts["candidates"] > 5_000
         assert counts["exact"] <= counts["candidates"] // 100
+
+    @pytest.mark.parametrize(
+        "g",
+        [caterpillar(500), bench_instances().capped_planar(1000, 4, 2)],
+        ids=["caterpillar_500", "capped_planar_1000_4_2"],
+    )
+    def test_exact_pairs_follow_the_segment_count(self, g, monkeypatch):
+        # deep glued blocks: 1501-bit ints, beyond the float range, and
+        # blocks far below float spacing; exact boxes keep the candidates
+        # few, though the filter settles none of them in the caterpillar
+        dr = draw_twobend(g)
+        counts = count_exact(monkeypatch)
+        assert check_noncrossing(dr) == (True, None)
+        assert counts["exact"] <= 2 * sum(len(a.poly) - 1 for a in dr.edges)
+
+
+def count_exact(monkeypatch):
+    """Counts of the candidate pairs check_noncrossing tests and of those
+    the float filter leaves to the exact test, from then on."""
+    real = verify._settled
+    counts = {"candidates": 0, "exact": 0}
+
+    def settled(*args):
+        out, turn = real(*args)
+        counts["candidates"] += len(out)
+        counts["exact"] += int((~out).sum())
+        return out, turn
+
+    monkeypatch.setattr(verify, "_settled", settled)
+    return counts
 
 
 class TestBeyondFloatRange:
@@ -618,14 +677,20 @@ class TestSlopeCensus:
         assert distinct == 1
 
 
-def fraction_dir_key(p, q):
-    """Reference direction key: q - p in Fractions, scaled to a primitive
-    integer vector with ix > 0, or ix == 0 and iy > 0."""
+def fraction_direction(p, q):
+    """Reference direction: q - p in Fractions, scaled to a primitive
+    integer vector."""
     dx, dy = Fraction(q[0]) - Fraction(p[0]), Fraction(q[1]) - Fraction(p[1])
     den = math.lcm(dx.denominator, dy.denominator)
     ix, iy = int(dx * den), int(dy * den)
     g = math.gcd(ix, iy)
-    ix, iy = ix // g, iy // g
+    return ix // g, iy // g
+
+
+def fraction_dir_key(p, q):
+    """Reference direction key: fraction_direction with ix > 0, or ix == 0
+    and iy > 0."""
+    ix, iy = fraction_direction(p, q)
     return (-ix, -iy) if ix < 0 or (ix == 0 and iy < 0) else (ix, iy)
 
 
@@ -654,9 +719,9 @@ class TestDirectionKey:
                 q = (q[0], p[1])  # dy = 0
             if p == q:
                 continue
-            want = fraction_dir_key(p, q)
-            assert verify._dir_key(p, q) == want
-            assert verify._dir_key(q, p) == want
+            want = fraction_direction(p, q)
+            assert primitive_direction(p, q) == want
+            assert primitive_direction(q, p) == (-want[0], -want[1])
             dx, dy = Fraction(q[0]) - Fraction(p[0]), Fraction(q[1]) - Fraction(p[1])
             seen.add((dx == 0, dy == 0, dx * dy < 0, max(abs(dx), abs(dy)) > BIG // 2))
         # vertical, horizontal, falling directions and coordinates past 2^1100
@@ -690,7 +755,11 @@ class TestDirectionKey:
     )
     def test_slope_classes_unchanged(self, dr, monkeypatch):
         got = slope_classes(dr)
-        monkeypatch.setattr(verify, "_dir_key", fraction_dir_key)
+
+        def directions(dr):
+            return [fraction_direction(p, q) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
+
+        monkeypatch.setattr(verify, "_directions", directions)
         assert got == slope_classes(dr)
 
 
