@@ -132,14 +132,13 @@ class SlopeSet:
         return math.atan2(*self.vector(k)) % (2 * math.pi)
 
     @functools.cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        """The directed slope k of each vector(k), keyed by the vector."""
+    def _index(self) -> dict[tuple[int, int], int]:
         return {self.vector(k): k for k in range(2 * self.s)}
 
     def directed_index(self, dx, dy) -> int | None:
         """Index k of the directed slope whose vector(k) points exactly along
         (dx, dy), ints, Fractions or floats, or None if none does."""
-        return self.index.get(primitive_direction((0, 0), (dx, dy)))
+        return self._index.get(primitive_direction((0, 0), (dx, dy)))
 
     def is_contiguous(self, indices) -> bool:
         """True iff the directed-slope index set forms one arc mod 2s."""

@@ -318,9 +318,11 @@ def _segments(dr: Drawing):
 
     When every coordinate is an int the keys are exact (_int_boxes);
     otherwise they are the floats themselves. rho is 0 for a segment of
-    ints of at most 53 bits, which floats hold exactly, and otherwise
-    2^-52|c~| + 2^-1074 for its largest float c~, above the u|c~| + eta by
-    which rounding moves any of its coordinates (_orient_filtered)."""
+    ints whose floats all lie below 2^53 in magnitude: only an int below
+    2^53 rounds there, and floats hold those exactly (2^53 + 1 rounds to
+    2^53, so a float of 2^53 does not say its int is exact). Otherwise rho
+    is 2^-52|c~| + 2^-1074 for its largest float c~, above the u|c~| + eta
+    by which rounding moves any of its coordinates (_orient_filtered)."""
     ints = all(type(c) is int for p in dr.points.values() for c in p) and all(
         type(c) is int for a in dr.edges for p in a.poly[1:-1] for c in p
     )
@@ -341,7 +343,7 @@ def _segments(dr: Drawing):
     mag = np.abs(ends).max(axis=1, initial=0.0)
     rho = 2.0**-52 * mag + 2.0**-1074
     if ints:
-        rho[mag <= 2.0**53] = 0.0
+        rho[mag < 2.0**53] = 0.0
     nseg = np.array(nseg, dtype=np.int64)
     last = np.cumsum(nseg)
     first = last - nseg
@@ -533,7 +535,7 @@ def _contiguous(dr: Drawing, dirs, slopes: SlopeSet):
     """check_contiguous of dr, whose segment directions are dirs."""
     slots: dict[int, set[int]] = {v: set() for v in dr.points}
     for v, other, d in _departures(dr, dirs):
-        k = slopes.index.get(d)
+        k = slopes._index.get(d)
         if k is None:
             vectors = [slopes.vector(j) for j in range(2 * slopes.s)]
             raise SlopeOffGrid(

@@ -488,6 +488,21 @@ class TestFilter:
             crossing += not want[0]
         assert 0 < crossing < 60
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_int_rounding_onto_two_to_the_53(self, sign):
+        # the int 2^53 + 1 rounds to the float 2^53, so a segment can hold an
+        # int one off from its float although every float is at most 2^53;
+        # in floats (2^53, 1) lies left of A, but it is A's midpoint
+        x = sign * 2**53
+        a, b = (x + sign, 0), (x - sign, 2)
+        dr = mk(
+            [a, b, (x, 1), (x, 3)],
+            [(0, 1, [a, b]), (2, 3, [(x, 1), (x, 3)])],
+        )
+        want = pairwise_noncrossing(dr)
+        assert want[0] is False
+        assert check_noncrossing(dr) == want
+
     def test_onebend_bends_moved_by_one_over_den(self):
         dr = draw_onebend(gen_random_triangulation(20, 1))
         rng = random.Random(1)
@@ -522,22 +537,22 @@ class TestFilter:
         assert 0 < crossing < 60
 
     @pytest.mark.parametrize(
-        "draw, gen, args",
+        "draw, gen, args, floor",
         [
-            (draw_onebend, "bounded_triangulation", (1000, 8, 1)),
-            (draw_straight, "bounded_triangulation", (150, 8, 1)),
-            (draw_twobend, "capped_planar", (600, 8, 2)),
+            (draw_onebend, "bounded_triangulation", (1000, 8, 1), 20_000),
+            (draw_straight, "bounded_triangulation", (150, 8, 1), 5_000),
+            (draw_twobend, "capped_planar", (600, 8, 2), 5_000),
         ],
         ids=["onebend", "straight", "twobend"],
     )
-    def test_exact_path_sees_few_pairs(self, draw, gen, args, monkeypatch):
+    def test_exact_path_sees_few_pairs(self, draw, gen, args, floor, monkeypatch):
         # rationals, 68-bit straight-line ints (rank keys) whose floats lie
         # up to 2^14 off, and 47-bit two-bend ints; the filter's bound
         # follows coordinate differences, not the coordinates
         dr = draw(getattr(bench_instances(), gen)(*args))
         counts = count_exact(monkeypatch)
         assert check_noncrossing(dr) == (True, None)
-        assert counts["candidates"] > 5_000
+        assert counts["candidates"] > floor
         assert counts["exact"] <= counts["candidates"] // 100
 
     @pytest.mark.parametrize(
@@ -732,8 +747,9 @@ class TestDirectionKey:
         "dr",
         [
             mk(
-                [(0, 0), (1, 0), (0, 1), (1, 2)],
-                [(0, 1, [(0, 0), (1, 0)]), (2, 3, [(0, 1), (0, 2), (1, 2)])],
+                [(0, 0), (1, 0), (0, 1), (1, 2), (2, 2), (2, 0)],
+                [(0, 1, [(0, 0), (1, 0)]), (2, 3, [(0, 1), (0, 2), (1, 2)]),
+                 (4, 5, [(2, 2), (2, 0)])],
             ),
             mk(
                 [(0, 0), (3, 1), (0, Fraction(1, 3)), (3, Fraction(4, 3))],
@@ -754,10 +770,12 @@ class TestDirectionKey:
         ids=["corner", "rational-third", "beyond-range", "straight", "octa", "onebend", "gd9"],
     )
     def test_slope_classes_unchanged(self, dr, monkeypatch):
+        # the reference keys are already taken mod pi, so the classes
+        # built from them check slope_classes' own sign normalisation too
         got = slope_classes(dr)
 
         def directions(dr):
-            return [fraction_direction(p, q) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
+            return [fraction_dir_key(p, q) for a in dr.edges for p, q in zip(a.poly, a.poly[1:])]
 
         monkeypatch.setattr(verify, "_directions", directions)
         assert got == slope_classes(dr)
